@@ -2,7 +2,8 @@
 
 Subcommands: simulate, certify, sweep-eta, spectrum, kkt-check, gen.
 Exit codes: 0 success, 1 validation failure (failed certificate sweep,
-unverified equilibrium, diverged run), 2 usage error. Standard output
+unverified equilibrium, diverged run), 2 usage error (bad flag value,
+variant or problem file; printed as `error: ...`). Standard output
 carries a short human summary only; data goes to CSV files under --out.
 """
 
@@ -15,38 +16,37 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .certificates import (
-    build_certificate_eq,
-    build_certificate_ineq,
-    build_certificate_rank,
-    lmi_sweep,
-)
-from .dynamics import State, vector_field
+from .certificates import lmi_sweep
+from .dynamics import vector_field
 from .equilibrium import solve_equilibrium
-from .errors import SaddleflowError
+from .errors import InvalidInputError, SaddleflowError
 from .experiments import (
     KIND_EQUALITY_QP,
     KIND_LOGISTIC_INEQ,
+    TRAJECTORY_HEADER,
     ExperimentSpec,
+    certificate_for,
     fit_decay_rate,
     gen_equality_qp,
     gen_logistic_ineq,
     pick_step_size,
     run_experiment,
+    trajectory_rows,
 )
 from .integrator import simulate
-from .problem import (
-    DynamicsParams,
-    EqualityConstraints,
-    InequalityConstraints,
-    QuadraticObjective,
-    TwoSidedConstraints,
-)
+from .problem import DynamicsParams, EqualityConstraints, QuadraticObjective
 from .spectral import eta_sweep
 
 
 class UsageError(Exception):
     pass
+
+
+def _positive(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,16 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, default=None, help="constraint count")
         sp.add_argument("--n-data", type=int, default=100,
                         help="logistic dataset size")
-        sp.add_argument("--reg", type=float, default=0.1,
+        sp.add_argument("--reg", type=_positive, default=0.1,
                         help="logistic ridge weight")
-        sp.add_argument("--eta", type=float, default=1.0)
-        sp.add_argument("--rho", type=float, default=1.0)
-        sp.add_argument("--tol", type=float, default=1e-8)
+        sp.add_argument("--eta", type=_positive, default=1.0)
+        sp.add_argument("--rho", type=_positive, default=1.0)
+        sp.add_argument("--tol", type=_positive, default=1e-8)
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--variant", choices=["eq", "ineq", "ts", "rank"],
                         default=None, help="certificate variant (default: by problem)")
         if horizon:
-            sp.add_argument("--delta", type=float, default=None)
+            sp.add_argument("--delta", type=_positive, default=None)
             sp.add_argument("--horizon", type=float, default=5.0)
 
     common(sub.add_parser("simulate", help="integrate the flow, write a trajectory"),
@@ -128,36 +128,8 @@ def _load_problem(args):
     )
 
 
-def _default_variant(p):
-    if isinstance(p.constraints, EqualityConstraints):
-        return "eq"
-    if isinstance(p.constraints, InequalityConstraints):
-        return "ineq"
-    return "ts"
-
-
-def _build_certificate(p, params, variant, tol):
-    kind = _default_variant(p)
-    if variant is None:
-        variant = kind
-    ok = {
-        "eq": kind == "eq",
-        "ineq": kind == "ineq",
-        "ts": kind == "ts",
-        "rank": kind == "ineq",
-    }
-    if not ok[variant]:
-        raise UsageError(
-            f"variant {variant!r} does not apply to a problem with "
-            f"{type(p.constraints).__name__}"
-        )
-    if variant == "eq":
-        return build_certificate_eq(p, params)
-    if variant in ("ineq", "ts"):
-        return build_certificate_ineq(p, params)
-    eq = solve_equilibrium(p, params, tol=min(tol, 1e-9))
-    z0 = State(x=np.zeros(p.dim_n), lam=np.zeros(p.dim_m))
-    return build_certificate_rank(p, params, z0, eq.state)
+def _build_certificate(p, params, args):
+    return certificate_for(p, params, args.variant, tol=min(args.tol, 1e-9))
 
 
 def _out_dir(args) -> Path:
@@ -169,23 +141,23 @@ def _out_dir(args) -> Path:
 def _cmd_simulate(args) -> int:
     p, _ = _load_problem(args)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
-    cert = _build_certificate(p, params, args.variant, args.tol)
+    cert = _build_certificate(p, params, args)
     eq = solve_equilibrium(p, params, tol=min(args.tol, 1e-9))
     if args.delta is not None:
         delta, certified = args.delta, "user-supplied"
     else:
         delta, certified = pick_step_size(p, params, cert, args.horizon)
+    if args.horizon < delta:
+        raise UsageError(f"--horizon {args.horizon:g} is shorter than one step "
+                         f"(delta {delta:g})")
     field = vector_field(p, params)
     z0 = np.zeros(p.dim_n + p.dim_m)
     steps = int(np.ceil(args.horizon / delta))
     traj = simulate(field, z0, delta, args.horizon, cert=cert, eq=eq.state,
                     record_every=max(1, steps // 200_000))
-    U = traj.zs - eq.state.stacked()[None, :]
-    dist_x = np.linalg.norm(U[:, : p.dim_n], axis=1)
-    dist_lam = np.linalg.norm(U[:, p.dim_n:], axis=1)
     out = _out_dir(args)
-    fileio.write_csv(out / "trajectory.csv", ["t", "dist_x", "dist_lambda", "V"],
-                     zip(traj.times, dist_x, dist_lam, traj.v_values))
+    fileio.write_csv(out / "trajectory.csv", TRAJECTORY_HEADER,
+                     trajectory_rows(traj, eq.state))
     fileio.write_metadata(out / "metadata.txt", {
         "command": "simulate",
         "problem": args.problem,
@@ -210,7 +182,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_certify(args) -> int:
     p, _ = _load_problem(args)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
-    cert = _build_certificate(p, params, args.variant, args.tol)
+    cert = _build_certificate(p, params, args)
     report = lmi_sweep(cert, p, params, b_samples=100, seed=args.seed)
     print(f"variant {cert.variant.value}: c = {cert.c:.6g}, tau = {cert.tau:.6g}")
     print(f"LMI sweep: {report.samples_checked} samples, "
@@ -324,7 +296,7 @@ def run_cli(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SaddleflowError as exc:

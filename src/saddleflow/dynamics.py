@@ -143,15 +143,17 @@ def _check_state(p: ConstrainedProblem, s: State):
         )
 
 
+def _state_derivative(field, s: State) -> StateDerivative:
+    dz = field(s.stacked())
+    return StateDerivative(dx=dz[: field.n], dlam=dz[field.n:])
+
+
 def pdgd_eq_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> StateDerivative:
     """Plain primal-dual flow for equality constraints A x = b."""
     if not isinstance(p.constraints, EqualityConstraints):
         raise ValueError("pdgd_eq_field requires equality constraints")
     _check_state(p, s)
-    A, b = p.constraints.A, p.constraints.b
-    dx = -p.objective.grad(s.x) - A.T @ s.lam
-    dlam = params.eta * (A @ s.x - b)
-    return StateDerivative(dx=dx, dlam=dlam)
+    return _state_derivative(_SmoothEqualityField(p, params), s)
 
 
 def aug_pdgd_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> StateDerivative:
@@ -159,11 +161,7 @@ def aug_pdgd_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> S
     if not isinstance(p.constraints, InequalityConstraints):
         raise ValueError("aug_pdgd_field requires inequality constraints")
     _check_state(p, s)
-    A, b = p.constraints.A, p.constraints.b
-    m = effective_multiplier("inequality", A @ s.x, b, s.lam, params.rho)
-    dx = -p.objective.grad(s.x) - A.T @ m
-    dlam = params.eta * (m - s.lam) / params.rho
-    return StateDerivative(dx=dx, dlam=dlam)
+    return _state_derivative(_AugmentedField(p, params), s)
 
 
 def aug_pdgd_ts_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> StateDerivative:
@@ -171,13 +169,7 @@ def aug_pdgd_ts_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -
     if not isinstance(p.constraints, TwoSidedConstraints):
         raise ValueError("aug_pdgd_ts_field requires two-sided constraints")
     _check_state(p, s)
-    A = p.constraints.A
-    m = effective_multiplier(
-        "two-sided", A @ s.x, (p.constraints.b_lo, p.constraints.b_hi), s.lam, params.rho
-    )
-    dx = -p.objective.grad(s.x) - A.T @ m
-    dlam = params.eta * (m - s.lam) / params.rho
-    return StateDerivative(dx=dx, dlam=dlam)
+    return _state_derivative(_AugmentedField(p, params), s)
 
 
 def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, s: State,
@@ -198,21 +190,13 @@ def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, s: State,
     """
     _check_state(p, s)
     _check_state(p, eq)
-    A = p.constraints.A
-    rho = params.rho
-    if isinstance(p.constraints, InequalityConstraints):
-        b = p.constraints.b
-        m_s = effective_multiplier("inequality", A @ s.x, b, s.lam, rho)
-        m_e = effective_multiplier("inequality", A @ eq.x, b, eq.lam, rho)
-    elif isinstance(p.constraints, TwoSidedConstraints):
-        band = (p.constraints.b_lo, p.constraints.b_hi)
-        m_s = effective_multiplier("two-sided", A @ s.x, band, s.lam, rho)
-        m_e = effective_multiplier("two-sided", A @ eq.x, band, eq.lam, rho)
-    else:
+    if isinstance(p.constraints, EqualityConstraints):
         raise ValueError("gamma coefficients are defined for inequality and "
                          "two-sided constraints only")
-    num = m_s - m_e
-    den = rho * (A @ (s.x - eq.x)) + (s.lam - eq.lam)
+    A = p.constraints.A
+    multiplier = _AugmentedField(p, params).multiplier
+    num = multiplier(A @ s.x, s.lam) - multiplier(A @ eq.x, eq.lam)
+    den = params.rho * (A @ (s.x - eq.x)) + (s.lam - eq.lam)
     out = np.zeros(p.dim_m)
     ok = np.abs(den) >= GAMMA_DEGENERATE_TOL * (1.0 + np.abs(num))
     out[ok] = num[ok] / den[ok]
@@ -235,9 +219,21 @@ class AffineVectorField:
         self.g = np.asarray(g, dtype=float)
         self.n = int(n)
         self.m = self.G.shape[0] - self.n
+        self._euler = (None, None, None)
 
     def __call__(self, z):
         return self.G @ z + self.g
+
+    def euler_update(self, z, delta):
+        """One Euler step M z + d with M = I + delta G and d = delta g,
+        cached for the last delta as one tuple (replaced whole, so threads
+        sharing the field never see a mismatched triple)."""
+        cached, M, d = self._euler
+        if cached != delta:
+            M = np.eye(self.G.shape[0]) + delta * self.G
+            d = delta * self.g
+            self._euler = (delta, M, d)
+        return M @ z + d
 
 
 class _SmoothEqualityField:

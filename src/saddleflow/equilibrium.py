@@ -16,8 +16,8 @@ import numpy as np
 
 from .certificates import ACTIVE_TOL
 from .dynamics import State, vector_field
-from .errors import DimensionMismatchError, DivergedError, MaxIterationsError
-from .integrator import DIVERGENCE_NORM, lipschitz_bound
+from .errors import DimensionMismatchError, MaxIterationsError
+from .integrator import _as_stacked, _euler_iterates, lipschitz_bound
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -26,6 +26,9 @@ from .problem import (
     QuadraticObjective,
     TwoSidedConstraints,
 )
+
+# Euler steps between KKT residual checks while integrating to equilibrium.
+KKT_CHECK_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -137,29 +140,16 @@ def _integrate_to_equilibrium(p, params, tol, z0, max_steps):
     certificate constants are conservative, while the flow itself
     converges at its true (much faster) rate. The rho/eta cap keeps the
     multiplier update a convex combination, so inequality multipliers
-    stay nonnegative exactly.
+    stay nonnegative exactly. The residual and the divergence guard are
+    checked every KKT_CHECK_EVERY steps.
     """
     field = vector_field(p, params)
-    nu = lipschitz_bound(p, params)
-    delta = min(0.5 / nu, params.rho / params.eta)
+    delta = min(0.5 / lipschitz_bound(p, params), params.rho / params.eta)
     n = p.dim_n
-    z = z0.copy()
-    limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
-    check_every = 100
-    stepper = getattr(field, "euler_update", None)
-    steps = 0
-    while steps < max_steps:
-        for _ in range(check_every):
-            if stepper is not None:
-                z = stepper(z, delta)
-            else:
-                z = z + delta * field(z)
-        steps += check_every
-        nsq = z @ z
-        if not (nsq <= limit2):
-            raise DivergedError("equilibrium integration diverged")
-        s = State(x=z[:n], lam=z[n:])
-        if kkt_residual(p, s).total <= tol:
+    _, step, z, _ = _as_stacked(field, z0)
+    checkpoints = range(KKT_CHECK_EVERY, max_steps + KKT_CHECK_EVERY, KKT_CHECK_EVERY)
+    for z in _euler_iterates(step, z, delta, checkpoints):
+        if kkt_residual(p, State(x=z[:n], lam=z[n:])).total <= tol:
             return z[:n], z[n:]
     raise MaxIterationsError(
         f"KKT residual did not reach {tol:g} within {max_steps} steps"

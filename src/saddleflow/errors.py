@@ -9,6 +9,16 @@ class SaddleflowError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInputError(SaddleflowError, ValueError):
+    """Caller-supplied input is malformed or does not fit the problem, such
+    as a certificate variant for another constraint kind."""
+
+
+class ProblemFileError(InvalidInputError):
+    """A problem file is malformed: unknown section, missing key,
+    non-numeric entry, or a matrix of the wrong size."""
+
+
 class DimensionMismatchError(SaddleflowError, ValueError):
     """Array shapes are inconsistent with the declared problem dimensions."""
 

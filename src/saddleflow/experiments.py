@@ -21,10 +21,15 @@ from typing import Optional
 import numpy as np
 
 from . import fileio
-from .certificates import build_certificate_eq, build_certificate_ineq, condition_number
-from .dynamics import vector_field
+from .certificates import (
+    build_certificate_eq,
+    build_certificate_ineq,
+    build_certificate_rank,
+    condition_number,
+)
+from .dynamics import State, vector_field
 from .equilibrium import solve_equilibrium
-from .errors import RankDeficientError
+from .errors import InvalidInputError, RankDeficientError
 from .integrator import choose_step_size, lipschitz_bound, simulate
 from .parallel import parallel_map
 from .problem import (
@@ -34,6 +39,7 @@ from .problem import (
     InequalityConstraints,
     LogisticObjective,
     QuadraticObjective,
+    TwoSidedConstraints,
     spectral_bounds,
     validate_problem,
 )
@@ -48,6 +54,8 @@ MAX_CERTIFIED_STEPS = 4_000_000
 
 # Trajectory CSVs are thinned to at most this many rows.
 MAX_RECORDED_ROWS = 200_000
+
+TRAJECTORY_HEADER = ["t", "dist_x", "dist_lambda", "V"]
 
 
 def _full_rank_matrix(rng, m, n, attempts=100):
@@ -161,6 +169,43 @@ def fit_decay_rate(times, dists) -> float:
     return float(-slope)
 
 
+def certificate_for(p: ConstrainedProblem, params: DynamicsParams,
+                    variant: Optional[str] = None, tol: float = 1e-9):
+    """Lyapunov certificate of one variant: "eq", "ineq", "ts" or "rank".
+
+    The default is the paper's certificate for p's constraint kind. The
+    rank-relaxed variant is built for the run from the origin and needs
+    the equilibrium, solved here to KKT tolerance tol. Raises
+    InvalidInputError when the variant does not apply to p's constraints.
+    """
+    kind = {EqualityConstraints: "eq", InequalityConstraints: "ineq",
+            TwoSidedConstraints: "ts"}[type(p.constraints)]
+    if variant not in (None, kind) and (variant, kind) != ("rank", "ineq"):
+        raise InvalidInputError(
+            f"variant {variant!r} does not apply to a problem with "
+            f"{type(p.constraints).__name__}"
+        )
+    if variant == "rank":
+        eq = solve_equilibrium(p, params, tol=tol)
+        z0 = State(x=np.zeros(p.dim_n), lam=np.zeros(p.dim_m))
+        return build_certificate_rank(p, params, z0, eq.state)
+    if kind == "eq":
+        return build_certificate_eq(p, params)
+    return build_certificate_ineq(p, params)
+
+
+def trajectory_rows(traj, eq: State):
+    """Rows (t, dist_x, dist_lambda, V) of a trajectory recorded against eq.
+
+    Returned as a lazy iterator, so long trajectories are never held as
+    Python rows.
+    """
+    U = traj.zs - eq.stacked()[None, :]
+    dist_x = np.linalg.norm(U[:, : traj.n], axis=1)
+    dist_lam = np.linalg.norm(U[:, traj.n:], axis=1)
+    return zip(traj.times, dist_x, dist_lam, traj.v_values)
+
+
 def pick_step_size(p: ConstrainedProblem, params: DynamicsParams, cert,
                    horizon: float):
     """Certified step when affordable, stability heuristic otherwise.
@@ -230,10 +275,7 @@ print("wrote", os.path.join(here, "rates.png"))
 
 def _run_one_eta(p, spec, eq, eta):
     params = DynamicsParams(eta=float(eta), rho=spec.params.rho)
-    if isinstance(p.constraints, EqualityConstraints):
-        cert = build_certificate_eq(p, params)
-    else:
-        cert = build_certificate_ineq(p, params)
+    cert = certificate_for(p, params)
     if spec.delta is not None:
         delta, certified = float(spec.delta), None
     else:
@@ -246,11 +288,7 @@ def _run_one_eta(p, spec, eq, eta):
         z0 = np.zeros(p.dim_n + p.dim_m)
         traj = simulate(field, z0, delta, spec.horizon, cert=cert,
                         eq=eq.state, record_every=stride)
-        z_star = eq.state.stacked()
-        U = traj.zs - z_star[None, :]
-        dist_x = np.linalg.norm(U[:, : p.dim_n], axis=1)
-        dist_lam = np.linalg.norm(U[:, p.dim_n:], axis=1)
-        rows = list(zip(traj.times, dist_x, dist_lam, traj.v_values))
+        rows = trajectory_rows(traj, eq.state)
         measured = fit_decay_rate(traj.times, traj.distances)
     else:
         rows = []
@@ -316,7 +354,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
         tag = f"{res['eta']:g}"
         traj_path = fileio.write_csv(
             out / f"trajectory_eta{tag}.csv",
-            ["t", "dist_x", "dist_lambda", "V"],
+            TRAJECTORY_HEADER,
             res["rows"],
         )
         paths.append(traj_path)

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ProblemFileError
 from .problem import (
     ConstrainedProblem,
     EqualityConstraints,
@@ -140,10 +141,25 @@ def save_problem(path, p: ConstrainedProblem) -> Path:
 
 
 def load_problem(path) -> ConstrainedProblem:
+    """Read a problem file written by save_problem.
+
+    Raises ProblemFileError when the file is malformed: no magic line, an
+    unknown section, a missing header key or section, a non-numeric
+    entry, a matrix of the wrong size, or data the problem types reject.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("saddleflow-problem"):
-        raise ValueError(f"{path}: not a saddleflow problem file")
+        raise ProblemFileError(f"{path}: not a saddleflow problem file")
+    try:
+        return _parse_problem(lines)
+    except KeyError as exc:
+        raise ProblemFileError(f"{path}: missing {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ProblemFileError(f"{path}: {exc}") from exc
+
+
+def _parse_problem(lines) -> ConstrainedProblem:
     header = {}
     idx = 1
     while idx < len(lines) and len(lines[idx].split()) == 2 and lines[idx].split()[0] in (
@@ -152,26 +168,22 @@ def load_problem(path) -> ConstrainedProblem:
         key, value = lines[idx].split()
         header[key] = value
         idx += 1
-    n = int(header["n"])
-    m = int(header["m"])
-
-    def take_matrix(rows):
-        nonlocal idx
-        name = lines[idx]
-        idx += 1
-        block = np.array(
-            [[float(v) for v in lines[idx + r].split()] for r in range(rows)]
-        )
-        idx += rows
-        return name, block
+    n, m = int(header["n"]), int(header["m"])
+    n_data = int(header.get("n_data", 0))
+    shapes = {"W": (n, n), "q": (1, n), "D": (n_data, n), "y": (1, n_data),
+              "A": (m, n), "b": (1, m), "b_lo": (1, m), "b_hi": (1, m)}
 
     sections = {}
     while idx < len(lines):
         name = lines[idx]
-        rows = {"W": n, "q": 1, "D": int(header.get("n_data", 0)), "y": 1,
-                "A": m, "b": 1, "b_lo": 1, "b_hi": 1}[name]
-        name, block = take_matrix(rows)
-        sections[name] = block
+        if name not in shapes:
+            raise ValueError(f"unknown section {name!r}")
+        rows, cols = shapes[name]
+        block = [ln.split() for ln in lines[idx + 1: idx + 1 + rows]]
+        if len(block) != rows or any(len(row) != cols for row in block):
+            raise ValueError(f"section {name!r} must be a {rows}x{cols} matrix")
+        sections[name] = np.array([[float(v) for v in row] for row in block]).reshape(rows, cols)
+        idx += 1 + rows
 
     if header["objective"] == "quadratic":
         objective = QuadraticObjective(sections["W"], sections.get("q", np.zeros((1, n))).ravel())
@@ -181,7 +193,7 @@ def load_problem(path) -> ConstrainedProblem:
     else:
         raise ValueError(f"unknown objective kind {header['objective']!r}")
 
-    A = sections["A"].reshape(m, n)
+    A = sections["A"]
     if header["kind"] == "equality":
         cons = EqualityConstraints(A=A, b=sections["b"].ravel())
     elif header["kind"] == "inequality":

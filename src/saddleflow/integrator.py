@@ -20,11 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import AffineVectorField, State, StateDerivative
+from .dynamics import State, StateDerivative
 from .errors import DivergedError, NonFiniteFieldError
 from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints
 
 DIVERGENCE_NORM = 1e12
+_DIVERGENCE_NORM2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 
 
 @dataclass(frozen=True)
@@ -69,74 +70,76 @@ class Trajectory:
 
 
 def _as_stacked(field, z0):
-    """Normalize (field, z0) to stacked-vector convention.
+    """Normalize (field, z0) to the stacked convention: (f, step, z, n).
 
-    State inputs paired with a plain callable are treated as State-level
-    fields (returning StateDerivative); field objects from
-    dynamics.vector_field carry their own split and are used as is.
+    f maps z = (x, lam) to dz. A plain callable paired with a State input
+    is treated as a State-level field (returning a StateDerivative); field
+    objects from dynamics.vector_field carry their own split and are used
+    as is. step(z, delta) is one explicit Euler step: the field's own
+    euler_update when it has one, otherwise z + delta * f(z).
     """
+    f = field
     if isinstance(z0, State):
-        n = z0.x.shape[0]
-        z = z0.stacked()
-        if hasattr(field, "n"):
-            return field, z, n
+        n, z = z0.x.shape[0], z0.stacked()
+        if not hasattr(field, "n"):
+            def f(zv, _f=field, _n=n):
+                d = _f(State(x=zv[:_n], lam=zv[_n:]))
+                return d.stacked() if isinstance(d, StateDerivative) else np.asarray(d, float)
+    else:
+        z = np.atleast_1d(np.asarray(z0, dtype=float))
+        n = getattr(field, "n", z.shape[0])
+    step = getattr(f, "euler_update", None)
+    if step is None:
+        def step(zv, delta, _f=f):
+            return zv + delta * np.asarray(_f(zv), dtype=float)
+    return f, step, z, n
 
-        def stacked(zv, _f=field, _n=n):
-            d = _f(State(x=zv[:_n], lam=zv[_n:]))
-            return d.stacked() if isinstance(d, StateDerivative) else np.asarray(d, float)
 
-        return stacked, z, n
-    z = np.atleast_1d(np.asarray(z0, dtype=float))
-    n = getattr(field, "n", z.shape[0])
-    return field, z, n
+def _euler_iterates(step, z, delta, checkpoints):
+    """Advance z by the Euler map step(z, delta), yielding it at each checkpoint.
+
+    checkpoints are increasing step indices. The divergence guard runs at
+    every checkpoint and only there: a state norm above DIVERGENCE_NORM
+    (NaN included) raises DivergedError. This is the one Euler loop of the
+    package; simulate and the equilibrium solver both iterate it.
+    """
+    k = 0
+    for target in checkpoints:
+        while k < target:
+            z = step(z, delta)
+            k += 1
+        if not (z @ z <= _DIVERGENCE_NORM2):
+            raise DivergedError(f"state norm passed {DIVERGENCE_NORM:g} by step {k}")
+        yield z
 
 
 def euler_step(field, s, delta: float):
     """One explicit Euler step s + delta * field(s).
 
     Accepts either a State (field returns a StateDerivative) or a plain
-    vector (field returns a vector). Raises NonFiniteField when the field
-    evaluates to NaN or infinity.
+    vector (field returns a vector). Raises NonFiniteField when the step
+    comes out NaN or infinite.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if isinstance(s, State):
-        d = field(s)
-        dz = d.stacked() if isinstance(d, StateDerivative) else np.asarray(d, float)
-        if not np.all(np.isfinite(dz)):
-            raise NonFiniteFieldError("field returned non-finite values")
-        n = s.x.shape[0]
-        return State(x=s.x + delta * dz[:n], lam=s.lam + delta * dz[n:])
-    z = np.atleast_1d(np.asarray(s, dtype=float))
-    dz = np.asarray(field(z), dtype=float)
-    if not np.all(np.isfinite(dz)):
+    _, step, z, n = _as_stacked(field, s)
+    out = step(z, delta)
+    if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("field returned non-finite values")
-    return z + delta * dz
+    return State.from_stacked(out, n) if isinstance(s, State) else out
 
 
 def rk4_step(field, s, delta: float):
     """Classic fourth-order step; reference accuracy only, no certificate."""
-    if isinstance(s, State):
-        n = s.x.shape[0]
-
-        def f(zv):
-            d = field(State(x=zv[:n], lam=zv[n:]))
-            return d.stacked() if isinstance(d, StateDerivative) else np.asarray(d, float)
-
-        z = s.stacked()
-        out = _rk4(f, z, delta)
-        return State(x=out[:n], lam=out[n:])
-    return _rk4(field, np.atleast_1d(np.asarray(s, dtype=float)), delta)
-
-
-def _rk4(f, z, delta):
+    f, _, z, n = _as_stacked(field, s)
     k1 = np.asarray(f(z), dtype=float)
     k2 = np.asarray(f(z + 0.5 * delta * k1), dtype=float)
     k3 = np.asarray(f(z + 0.5 * delta * k2), dtype=float)
     k4 = np.asarray(f(z + delta * k3), dtype=float)
     if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k4))):
         raise NonFiniteFieldError("field returned non-finite values")
-    return z + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = z + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return State.from_stacked(out, n) if isinstance(s, State) else out
 
 
 def simulate(field, z0, delta: float, horizon: float,
@@ -148,8 +151,11 @@ def simulate(field, z0, delta: float, horizon: float,
     Lyapunov values as well. record_every thins the recording for long
     runs; step 0 and the final step are always kept.
 
-    Raises Diverged as soon as the state norm passes 1e12 (inadmissible
-    step sizes blow up geometrically, so this trips fast).
+    Each step is the field's euler_update when it has one (the affine and
+    augmented fields do), otherwise z + delta * field(z). Raises Diverged
+    when the state norm is above 1e12 at a recorded step, so every step
+    unless record_every > 1 (inadmissible step sizes blow up
+    geometrically, so this trips fast).
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -157,7 +163,7 @@ def simulate(field, z0, delta: float, horizon: float,
         raise ValueError(f"horizon must be at least delta, got {horizon} < {delta}")
     if cert is not None and eq is None:
         raise ValueError("recording Lyapunov values requires the equilibrium")
-    f, z, n = _as_stacked(field, z0)
+    _, step, z, n = _as_stacked(field, z0)
     steps = int(math.ceil(horizon / delta - 1e-9))
     stride = max(int(record_every), 1)
 
@@ -166,49 +172,8 @@ def simulate(field, z0, delta: float, horizon: float,
         rec_idx.append(steps)
     zs = np.empty((len(rec_idx), z.shape[0]))
     zs[0] = z
-    pos = 1
-    next_rec = rec_idx[1] if len(rec_idx) > 1 else None
-
-    limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
-
-    if isinstance(field, AffineVectorField):
-        M = np.eye(z.shape[0]) + delta * field.G
-        d = delta * field.g
-        for k in range(1, steps + 1):
-            z = M @ z + d
-            nsq = z @ z
-            if not (nsq <= limit2):
-                raise DivergedError(
-                    f"state norm passed {DIVERGENCE_NORM:g} at step {k}"
-                )
-            if k == next_rec:
-                zs[pos] = z
-                pos += 1
-                next_rec = rec_idx[pos] if pos < len(rec_idx) else None
-    elif hasattr(field, "euler_update"):
-        for k in range(1, steps + 1):
-            z = field.euler_update(z, delta)
-            nsq = z @ z
-            if not (nsq <= limit2):
-                raise DivergedError(
-                    f"state norm passed {DIVERGENCE_NORM:g} at step {k}"
-                )
-            if k == next_rec:
-                zs[pos] = z
-                pos += 1
-                next_rec = rec_idx[pos] if pos < len(rec_idx) else None
-    else:
-        for k in range(1, steps + 1):
-            z = z + delta * np.asarray(f(z), dtype=float)
-            nsq = z @ z
-            if not (nsq <= limit2):
-                raise DivergedError(
-                    f"state norm passed {DIVERGENCE_NORM:g} at step {k}"
-                )
-            if k == next_rec:
-                zs[pos] = z
-                pos += 1
-                next_rec = rec_idx[pos] if pos < len(rec_idx) else None
+    for i, z in enumerate(_euler_iterates(step, z, delta, rec_idx[1:]), 1):
+        zs[i] = z
 
     times = np.asarray(rec_idx, dtype=float) * delta
     v_values = None

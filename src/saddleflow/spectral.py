@@ -19,9 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import build_certificate_eq
 from .errors import DimensionMismatchError, NotSymmetricError
 from .parallel import parallel_map
-from .problem import _readonly
+from .problem import (
+    ConstrainedProblem,
+    DynamicsParams,
+    EqualityConstraints,
+    QuadraticObjective,
+    _readonly,
+    spectral_bounds,
+)
 
 
 @dataclass(frozen=True)
@@ -78,14 +86,12 @@ def lti_matrix(W, A=None, eta: float = 1.0) -> LtiSystem:
 
 def certified_rate(W, A, eta: float) -> float:
     """Certified lower bound tau_eq(eta)/2 on the true decay rate."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    ew = np.linalg.eigvalsh(W)
-    mu, ell = float(ew[0]), float(ew[-1])
-    ek = np.linalg.eigvalsh(A @ A.T)
-    k1, k2 = float(ek[0]), float(ek[-1])
-    tau = min(eta * k1 / (4.0 * ell), k1 * mu / (4.0 * k2))
-    return tau / 2.0
+    p = ConstrainedProblem(
+        QuadraticObjective(np.atleast_2d(W)),
+        EqualityConstraints(A=A, b=np.zeros(np.atleast_2d(A).shape[0])),
+        bounds=spectral_bounds(A, require_full_rank=False),
+    )
+    return build_certificate_eq(p, DynamicsParams(eta=eta)).tau / 2.0
 
 
 def eta_sweep(W, A, eta_grid) -> EtaSweepResult:

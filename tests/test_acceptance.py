@@ -23,8 +23,8 @@ from saddleflow import (
     State,
     TwoSidedConstraints,
     build_certificate_eq,
-    build_certificate_ineq,
     build_certificate_rank,
+    certificate_for,
     certified_rate,
     condition_number,
     gamma_block_margin,
@@ -54,10 +54,7 @@ def _verdict(num: int, ok: bool, detail: str):
 
 
 def _run_to_equilibrium(p, params, horizon, delta=None):
-    if isinstance(p.constraints, EqualityConstraints):
-        cert = build_certificate_eq(p, params)
-    else:
-        cert = build_certificate_ineq(p, params)
+    cert = certificate_for(p, params)
     eq = solve_equilibrium(p, params, tol=1e-9)
     if delta is None:
         delta, certified = pick_step_size(p, params, cert, horizon)
@@ -119,10 +116,7 @@ def test_criterion_3_lmi_sweep_and_tightness():
     lg = gen_logistic_ineq(7, n=10, m=8, n_data=100, reg=0.1)
     base_pass, inflated_fail = [], []
     for p in (qp, lg):
-        if isinstance(p.constraints, EqualityConstraints):
-            cert = build_certificate_eq(p, PARAMS)
-        else:
-            cert = build_certificate_ineq(p, PARAMS)
+        cert = certificate_for(p, PARAMS)
         report = lmi_sweep(cert, p, PARAMS, b_samples=100, seed=0)
         base_pass.append(report.passed)
         loose = dataclasses.replace(cert, tau=10.0 * cert.tau)

@@ -142,6 +142,46 @@ def test_spectrum_rejects_nonlinear_flows(capsys):
     assert "linear" in capsys.readouterr().err
 
 
-def test_bad_grid_and_bad_problem_are_usage_errors(capsys):
+SMALL_PROBLEM = """saddleflow-problem 1
+kind equality
+n 2
+m 1
+objective quadratic
+W
+1 0
+0 1
+A
+1 1
+b
+1
+"""
+
+BAD_PROBLEMS = {
+    "unknown-section": SMALL_PROBLEM + "C\n1\n",
+    "missing-b": SMALL_PROBLEM.replace("b\n1\n", ""),
+    "missing-W": SMALL_PROBLEM.replace("W\n1 0\n0 1\n", ""),
+    "missing-header": SMALL_PROBLEM.replace("\nm 1\n", "\n"),
+    "non-numeric": SMALL_PROBLEM.replace("1 1", "1 x"),
+    "short-matrix": SMALL_PROBLEM.replace("0 1\n", ""),
+}
+
+
+def test_bad_grid_and_bad_problem_are_usage_errors(tmp_path, capsys):
     assert run_cli(["spectrum", "--eta-grid", "junk"]) == 2
     assert run_cli(["certify", "--problem", "/no/such/file"]) == 2
+    sim = ["simulate", "--out", str(tmp_path)]
+    bad_runs = [sim + ["--eta", "-1"], sim + ["--rho", "0"], sim + ["--delta", "0"],
+                sim + ["--horizon", "1e-8", "--delta", "1e-3"],
+                sim + ["--horizon", "1e-8"]]
+    for name, text in BAD_PROBLEMS.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        bad_runs.append(["kkt-check", "--problem", str(path)])
+    good = tmp_path / "good.txt"
+    good.write_text(SMALL_PROBLEM, encoding="utf-8")
+    assert run_cli(["kkt-check", "--problem", str(good)]) == 0
+    capsys.readouterr()
+    for argv in bad_runs:
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err, (argv, err)

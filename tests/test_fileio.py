@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from saddleflow import (
     ConstrainedProblem,
+    EqualityConstraints,
+    InequalityConstraints,
+    LogisticObjective,
+    ProblemFileError,
     QuadraticObjective,
     TwoSidedConstraints,
     gen_equality_qp,
@@ -92,3 +98,70 @@ def test_load_rejects_foreign_files(tmp_path):
     bad.write_text("not a problem\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_problem(bad)
+
+
+def _random_problem(seed, n, m, kind, logistic, scale):
+    rng = np.random.default_rng(seed)
+    if logistic:
+        y = rng.choice([-1.0, 1.0], size=2 * n)
+        obj = LogisticObjective(rng.standard_normal((2 * n, n)) * scale, y, 0.5)
+    else:
+        M = rng.standard_normal((n, n)) * scale
+        obj = QuadraticObjective(M @ M.T + scale**2 * np.eye(n),
+                                 rng.standard_normal(n) * scale)
+    A = rng.standard_normal((m, n)) * scale
+    b = rng.standard_normal(m) * scale
+    if kind == "two-sided":
+        cons = TwoSidedConstraints(A, b, b + rng.uniform(0.5, 2.0, m))
+    elif kind == "inequality":
+        cons = InequalityConstraints(A, b)
+    else:
+        cons = EqualityConstraints(A, b)
+    return ConstrainedProblem(obj, cons)
+
+
+problems = st.builds(
+    lambda seed, n, dm, kind, logistic, k: _random_problem(
+        seed, n, max(1, n - dm), kind, logistic, 10.0 ** k),
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3),
+    st.sampled_from(["equality", "inequality", "two-sided"]), st.booleans(),
+    st.integers(-8, 8),
+)
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@PROPERTY_SETTINGS
+@given(p=problems)
+def test_problem_roundtrip_property(tmp_path, p):
+    q = load_problem(save_problem(tmp_path / "problem.txt", p))
+    assert type(q.objective) is type(p.objective)
+    assert type(q.constraints) is type(p.constraints)
+    for name in ("W", "q", "D", "y", "reg"):
+        if hasattr(p.objective, name):
+            assert np.array_equal(getattr(q.objective, name), getattr(p.objective, name))
+    for name in ("A", "b", "b_lo", "b_hi"):
+        if hasattr(p.constraints, name):
+            assert np.array_equal(getattr(q.constraints, name),
+                                  getattr(p.constraints, name))
+
+
+@PROPERTY_SETTINGS
+@given(p=problems, data=st.data())
+def test_truncated_problem_files_raise_typed_errors(tmp_path, p, data):
+    text = save_problem(tmp_path / "problem.txt", p).read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    # dropping whole trailing lines always leaves a section short or missing
+    keep = data.draw(st.integers(0, len(lines) - 1), label="lines kept")
+    cut = tmp_path / "cut.txt"
+    cut.write_text("".join(lines[:keep]), encoding="utf-8")
+    with pytest.raises(ProblemFileError):
+        load_problem(cut)
+    # a cut mid-line may still parse (a shortened last number), but any
+    # failure must be the typed error
+    chars = data.draw(st.integers(0, len(text)), label="chars kept")
+    cut.write_text(text[:chars], encoding="utf-8")
+    try:
+        load_problem(cut)
+    except ProblemFileError:
+        pass

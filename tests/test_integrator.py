@@ -122,8 +122,35 @@ def test_simulate_record_every_keeps_endpoints():
 
 
 def test_simulate_divergence_guard():
-    with pytest.raises(DivergedError):
-        simulate(lambda z: z, np.array([1.0]), 1.0, 100.0)
+    # the guard runs at recorded steps: every step, or every 7th here
+    for record_every in (1, 7):
+        with pytest.raises(DivergedError):
+            simulate(lambda z: z, np.array([1.0]), 1.0, 100.0,
+                     record_every=record_every)
+
+
+def test_affine_euler_update_matches_generic_step():
+    p = gen_equality_qp(42)
+    field = vector_field(p, DynamicsParams(eta=2.0))
+    rng = np.random.default_rng(90)
+    for delta in (1e-3, 0.25, 1e-3):  # the repeat reuses the cached M, d
+        z = rng.standard_normal(p.dim_n + p.dim_m)
+        want = z + delta * field(z)
+        got = field.euler_update(z, delta)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_simulate_affine_matches_plain_callable():
+    # the field's own euler_update against the generic z + delta f(z) path
+    p = gen_equality_qp(42)
+    field = vector_field(p, DynamicsParams())
+    z0 = np.random.default_rng(91).standard_normal(p.dim_n + p.dim_m)
+    delta = 1e-3
+    fast = simulate(field, z0, delta, 1000 * delta)
+    ref = simulate(lambda z: field(z), z0, delta, 1000 * delta)
+    assert len(fast) == len(ref) == 1001
+    err = np.linalg.norm(fast.zs - ref.zs, axis=1)
+    assert np.all(err <= 1e-10 * np.linalg.norm(ref.zs, axis=1))
 
 
 def test_simulate_requires_equilibrium_for_v():
