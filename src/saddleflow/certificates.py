@@ -414,13 +414,8 @@ def gamma_block_margin(A, eta: float, rho: float, c: float, gamma) -> float:
 
     holds; the return value is the smallest eigenvalue of the difference.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    gamma = np.asarray(gamma, dtype=float)
-    AAT = A @ A.T
-    GAAT = gamma[:, None] * AAT
-    M = eta * (GAAT + GAAT.T) + (2.0 * eta * c / rho) * np.diag(1.0 - gamma)
-    M = M - 1.5 * eta * AAT
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    return _coupling_block_margin(A, eta, rho, c, gamma,
+                                  lambda AAT: 1.5 * eta * AAT)
 
 
 def rank_block_margin(A, eta: float, rho: float, c: float,
@@ -432,12 +427,19 @@ def rank_block_margin(A, eta: float, rho: float, c: float,
     coupling block dominates eta kappa_1 I. gamma must already be capped
     at gamma_bar on inactive rows.
     """
+    return _coupling_block_margin(A, eta, rho, c, gamma,
+                                  lambda AAT: eta * kappa1_active * np.eye(len(AAT)))
+
+
+def _coupling_block_margin(A, eta, rho, c, gamma, floor) -> float:
+    """Smallest eigenvalue of eta (Gamma A A^T + A A^T Gamma)
+    + (2 eta c / rho)(I - Gamma) - floor(A A^T)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     gamma = np.asarray(gamma, dtype=float)
     AAT = A @ A.T
     GAAT = gamma[:, None] * AAT
     M = eta * (GAAT + GAAT.T) + (2.0 * eta * c / rho) * np.diag(1.0 - gamma)
-    M = M - eta * kappa1_active * np.eye(A.shape[0])
+    M = M - floor(AAT)
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 

@@ -206,7 +206,7 @@ def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, s: State,
 # ----------------------------------------------------------------------
 # Stacked-vector fields for the integrator hot loop. Each object maps a
 # concatenated z = (x, lam) to dz and, where it matters, knows how to take
-# one explicit Euler step in a numerically careful arrangement.
+# its explicit Euler steps in a numerically careful arrangement.
 # ----------------------------------------------------------------------
 
 
@@ -219,21 +219,82 @@ class AffineVectorField:
         self.g = np.asarray(g, dtype=float)
         self.n = int(n)
         self.m = self.G.shape[0] - self.n
-        self._euler = (None, None, None)
+        self._powers = (None, 0, None, None)
 
     def __call__(self, z):
         return self.G @ z + self.g
 
-    def euler_update(self, z, delta):
-        """One Euler step M z + d with M = I + delta G and d = delta g,
+    def euler_block(self, z, delta, k):
+        """The next min(k, L) Euler iterates z_j = z + (M^j - I) z + c_j as rows.
+
+        One matrix-vector product against a table of M^1 - I ... M^L - I
+        stacked row-wise, plus the offsets c_j = (M^(j-1) + ... + I) d. Each
+        row is computed from z directly, so rounding does not pile up within
+        a block, and the table holds M^j - I rather than M^j, so the small
+        increments do not lose their low bits to the identity. The table is
         cached for the last delta as one tuple (replaced whole, so threads
-        sharing the field never see a mismatched triple)."""
-        cached, M, d = self._euler
-        if cached != delta:
-            M = np.eye(self.G.shape[0]) + delta * self.G
-            d = delta * self.g
-            self._euler = (delta, M, d)
-        return M @ z + d
+        sharing the field never see a mismatched one).
+        """
+        dim = self.G.shape[0]
+        want = _block_length(dim, k)
+        cached, built, powers, offsets = self._powers
+        if cached != delta or built < want:
+            powers, offsets = _affine_powers(self.G, self.g, delta, want)
+            self._powers = (delta, want, powers, offsets)
+        k = min(k, len(offsets))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return z + ((powers[: k * dim] @ z).reshape(k, dim) + offsets[:k])
+
+
+# Most Euler steps one euler_block call takes, and the largest power table
+# it keeps (in float64 entries, 8 MB): wide systems get shorter blocks,
+# which costs nothing there because one step already outweighs the
+# per-call overhead.
+_BLOCK_STEPS = 256
+_BLOCK_TABLE_FLOATS = 1 << 20
+# Powers with an entry above this are dropped from the table. For a state
+# below it, (M^j - I) z cannot overflow, so a finite iterate is never
+# turned into inf or NaN by the table; an inadmissible delta just gets
+# shorter blocks.
+_POWER_LIMIT = 1e150
+
+
+def _block_length(dim: int, steps: int) -> int:
+    """Powers worth tabulating for a run of `steps` steps of a dim-sized map.
+
+    Each power costs about dim^3 flops to build, as much as dim steps, so
+    a run gets at most steps / dim of them: the table never costs more
+    than the steps it serves.
+    """
+    return max(1, min(_BLOCK_STEPS, _BLOCK_TABLE_FLOATS // (dim * (dim + 1)),
+                      steps // dim))
+
+
+def _affine_powers(G, g, delta, count):
+    """(M^1 - I ... M^L - I stacked row-wise, rows c_1 ... c_L), M = I + delta G.
+
+    L is count, or fewer where a power has an entry above _POWER_LIMIT.
+    The augmented map [[M, d], [0, 1]], d = delta g, is I + E_1 with
+    E_1 = [[delta G, d], [0, 0]]; its j-th power I + E_j carries M^j - I
+    in the top-left block of E_j and c_j in the last column. The E_j are
+    built by doubling, from (I + E_a)(I + E_b) = I + E_a + E_b + E_a E_b:
+    the powers j + 1 ... 2j come from the powers 1 ... j and E_j.
+    """
+    dim = G.shape[0]
+    inc = np.zeros((count, dim + 1, dim + 1))
+    inc[0, :dim, :dim] = delta * G
+    inc[0, :dim, dim] = delta * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        done = 1
+        while done < count:
+            more = min(done, count - done)
+            last = inc[done - 1]
+            inc[done: done + more] = inc[:more] + last + inc[:more] @ last
+            done += more
+        ok = np.abs(inc[:, :dim, :]).max(axis=(1, 2)) <= _POWER_LIMIT
+    usable = max(1, count if ok.all() else int(ok.argmin()))
+    powers = inc[:usable, :dim, :dim].reshape(usable * dim, dim)
+    return powers, inc[:usable, :dim, dim].copy()
 
 
 class _SmoothEqualityField:

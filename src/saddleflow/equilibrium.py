@@ -17,7 +17,7 @@ import numpy as np
 from .certificates import ACTIVE_TOL
 from .dynamics import State, vector_field
 from .errors import DimensionMismatchError, MaxIterationsError
-from .integrator import _as_stacked, _euler_iterates, lipschitz_bound
+from .integrator import _advance, _as_stacked, _euler_iterates, lipschitz_bound
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -141,16 +141,16 @@ def _integrate_to_equilibrium(p, params, tol, z0, max_steps):
     converges at its true (much faster) rate. The rho/eta cap keeps the
     multiplier update a convex combination, so inequality multipliers
     stay nonnegative exactly. The residual and the divergence guard are
-    checked every KKT_CHECK_EVERY steps.
+    checked every KKT_CHECK_EVERY steps and at max_steps.
     """
     field = vector_field(p, params)
     delta = min(0.5 / lipschitz_bound(p, params), params.rho / params.eta)
     n = p.dim_n
-    _, step, z, _ = _as_stacked(field, z0)
-    checkpoints = range(KKT_CHECK_EVERY, max_steps + KKT_CHECK_EVERY, KKT_CHECK_EVERY)
-    for z in _euler_iterates(step, z, delta, checkpoints):
-        if kkt_residual(p, State(x=z[:n], lam=z[n:])).total <= tol:
-            return z[:n], z[n:]
+    f, step, z, _ = _as_stacked(field, z0)
+    for rec in _euler_iterates(_advance(f, step), z, delta, max_steps, KKT_CHECK_EVERY):
+        for z in rec:
+            if kkt_residual(p, State(x=z[:n], lam=z[n:])).total <= tol:
+                return z[:n], z[n:]
     raise MaxIterationsError(
         f"KKT residual did not reach {tol:g} within {max_steps} steps"
     )

@@ -77,7 +77,7 @@ def gen_equality_qp(seed: int, n: int = 5, m: int = 2) -> ConstrainedProblem:
     row rank. Substreams: W0, A, b.
     """
     if not (1 <= m <= n):
-        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
+        raise InvalidInputError(f"need 1 <= m <= n, got n={n}, m={m}")
     ss_w, ss_a, ss_b = np.random.SeedSequence(seed).spawn(3)
     W0 = np.random.default_rng(ss_w).standard_normal((n, n))
     W = 10.0 * np.eye(n) + W0 @ W0.T
@@ -100,7 +100,7 @@ def gen_logistic_ineq(seed: int, n: int = 50, m: int = 40,
     Substreams: D, labels, A, b.
     """
     if not (1 <= m <= n):
-        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
+        raise InvalidInputError(f"need 1 <= m <= n, got n={n}, m={m}")
     if reg <= 0:
         raise ValueError(f"reg must be positive, got {reg}")
     ss_d, ss_y, ss_a, ss_b = np.random.SeedSequence(seed).spawn(4)
@@ -132,17 +132,17 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.kind not in (KIND_EQUALITY_QP, KIND_LOGISTIC_INEQ):
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+            raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
         if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be at least 1")
+            raise InvalidInputError("n and m must be at least 1")
         if self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive when given")
+            raise InvalidInputError("delta must be positive when given")
         if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+            raise InvalidInputError("horizon must be nonnegative")
         if self.eta_grid is not None:
             grid = np.atleast_1d(np.asarray(self.eta_grid, dtype=float))
             if grid.size == 0 or np.any(grid <= 0):
-                raise ValueError("eta grid must be nonempty and positive")
+                raise InvalidInputError("eta grid must be nonempty and positive")
             object.__setattr__(self, "eta_grid", grid)
 
 
@@ -282,6 +282,9 @@ def _run_one_eta(p, spec, eq, eta):
         delta, certified = pick_step_size(p, params, cert, spec.horizon)
 
     if spec.horizon > 0:
+        if spec.horizon < delta:
+            raise InvalidInputError(f"horizon {spec.horizon:g} is shorter than one "
+                                    f"step (delta {delta:g} at eta {eta:g})")
         steps = math.ceil(spec.horizon / delta)
         stride = max(1, math.ceil(steps / MAX_RECORDED_ROWS))
         field = vector_field(p, params)

@@ -50,15 +50,30 @@ def format_float(x) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
+    """Stream rows (any iterable, consumed once) to a CSV file under header.
+
+    A numeric row is formatted by one "%.17g,...,%.17g" template per row
+    width, which renders every cell exactly as format_float does; a row
+    holding a str falls back to formatting cell by cell.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    templates = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(
-                cell if isinstance(cell, str) else format_float(cell)
-                for cell in row
-            ) + "\n")
+            row = tuple(row)
+            template = templates.get(len(row))
+            if template is None:
+                template = templates[len(row)] = ",".join(["%.17g"] * len(row)) + "\n"
+            try:
+                line = template % row
+            except TypeError:  # a str cell: "%g" refuses it
+                line = ",".join(
+                    cell if isinstance(cell, str) else format_float(cell)
+                    for cell in row
+                ) + "\n"
+            fh.write(line)
     return path
 
 

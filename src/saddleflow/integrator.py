@@ -95,22 +95,50 @@ def _as_stacked(field, z0):
     return f, step, z, n
 
 
-def _euler_iterates(step, z, delta, checkpoints):
-    """Advance z by the Euler map step(z, delta), yielding it at each checkpoint.
+def _advance(f, step):
+    """advance(z, delta, k): the next 1..k Euler iterates as rows.
 
-    checkpoints are increasing step indices. The divergence guard runs at
-    every checkpoint and only there: a state norm above DIVERGENCE_NORM
-    (NaN included) raises DivergedError. This is the one Euler loop of the
-    package; simulate and the equilibrium solver both iterate it.
+    The field's euler_block where it has one (many steps per call),
+    otherwise one step(z, delta) per call.
+    """
+    block = getattr(f, "euler_block", None)
+    if block is not None:
+        return block
+    return lambda z, delta, k: step(z, delta)[None]
+
+
+def _euler_iterates(advance, z, delta, steps, stride):
+    """Take `steps` Euler steps from z, yielding the recorded states.
+
+    The recorded steps are the multiples of stride and the last step.
+    Each yield is a 2-D array holding the recorded states among the rows
+    of one advance(z, delta, k) call (see _advance), so a blocked field
+    yields many at a time and a single step one or none. The divergence
+    guard runs on every recorded state and only there: a norm above
+    DIVERGENCE_NORM (NaN included) raises DivergedError naming the first
+    such step. This is the one Euler loop of the package; simulate and
+    the equilibrium solver both iterate it.
     """
     k = 0
-    for target in checkpoints:
-        while k < target:
-            z = step(z, delta)
-            k += 1
-        if not (z @ z <= _DIVERGENCE_NORM2):
-            raise DivergedError(f"state norm passed {DIVERGENCE_NORM:g} by step {k}")
-        yield z
+    due = stride  # the next recorded multiple of stride
+    while k < steps:
+        rows = advance(z, delta, steps - k)
+        z = rows[-1]
+        start, k = k, k + len(rows)
+        if k < due and k < steps:
+            continue
+        rec = rows[due - start - 1::stride]
+        if k == steps and k % stride:
+            rec = np.concatenate([rec, rows[-1:]])
+        first, due = due, (k // stride + 1) * stride
+        # The sum of squared norms clears the common case in one product;
+        # only when it fails is each recorded row looked at.
+        if not (np.vdot(rec, rec) <= _DIVERGENCE_NORM2):
+            bad = ~(np.einsum("ij,ij->i", rec, rec) <= _DIVERGENCE_NORM2)
+            if bad.any():
+                at = min(first + int(bad.argmax()) * stride, steps)
+                raise DivergedError(f"state norm passed {DIVERGENCE_NORM:g} by step {at}")
+        yield rec
 
 
 def euler_step(field, s, delta: float):
@@ -151,11 +179,13 @@ def simulate(field, z0, delta: float, horizon: float,
     Lyapunov values as well. record_every thins the recording for long
     runs; step 0 and the final step are always kept.
 
-    Each step is the field's euler_update when it has one (the affine and
-    augmented fields do), otherwise z + delta * field(z). Raises Diverged
-    when the state norm is above 1e12 at a recorded step, so every step
-    unless record_every > 1 (inadmissible step sizes blow up
-    geometrically, so this trips fast).
+    The affine field takes its steps in blocks (euler_block: many
+    iterates from one matrix product); other fields step one at a time,
+    through their euler_update when they have one (the augmented fields
+    do), otherwise as z + delta * field(z). Raises Diverged when the state
+    norm is above 1e12 at a recorded step, so every step unless
+    record_every > 1 (inadmissible step sizes blow up geometrically, so
+    this trips fast).
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -163,19 +193,21 @@ def simulate(field, z0, delta: float, horizon: float,
         raise ValueError(f"horizon must be at least delta, got {horizon} < {delta}")
     if cert is not None and eq is None:
         raise ValueError("recording Lyapunov values requires the equilibrium")
-    _, step, z, n = _as_stacked(field, z0)
+    f, step, z, n = _as_stacked(field, z0)
     steps = int(math.ceil(horizon / delta - 1e-9))
     stride = max(int(record_every), 1)
 
-    rec_idx = list(range(0, steps + 1, stride))
+    rec_idx = np.arange(0, steps + 1, stride)
     if rec_idx[-1] != steps:
-        rec_idx.append(steps)
+        rec_idx = np.append(rec_idx, steps)
     zs = np.empty((len(rec_idx), z.shape[0]))
     zs[0] = z
-    for i, z in enumerate(_euler_iterates(step, z, delta, rec_idx[1:]), 1):
-        zs[i] = z
+    i = 1
+    for rec in _euler_iterates(_advance(f, step), z, delta, steps, stride):
+        zs[i: i + len(rec)] = rec
+        i += len(rec)
 
-    times = np.asarray(rec_idx, dtype=float) * delta
+    times = rec_idx * delta
     v_values = None
     distances = None
     if eq is not None:

@@ -172,7 +172,15 @@ def test_bad_grid_and_bad_problem_are_usage_errors(tmp_path, capsys):
     sim = ["simulate", "--out", str(tmp_path)]
     bad_runs = [sim + ["--eta", "-1"], sim + ["--rho", "0"], sim + ["--delta", "0"],
                 sim + ["--horizon", "1e-8", "--delta", "1e-3"],
-                sim + ["--horizon", "1e-8"]]
+                sim + ["--horizon", "1e-8"],
+                ["sweep-eta", "--out", str(tmp_path), "--horizon", "-1"],
+                ["sweep-eta", "--out", str(tmp_path), "--problem", "logistic",
+                 "--n", "3", "--m", "2", "--horizon", "1e-6"]]
+    for command in ("simulate", "certify", "sweep-eta", "spectrum", "kkt-check", "gen"):
+        for problem in ("eq-qp", "logistic"):
+            for dims in (["--n", "0"], ["--n", "3", "--m", "4"]):
+                bad_runs.append([command, "--out", str(tmp_path), "--problem", problem]
+                                + dims)
     for name, text in BAD_PROBLEMS.items():
         path = tmp_path / f"{name}.txt"
         path.write_text(text, encoding="utf-8")

@@ -47,6 +47,39 @@ def test_csv_string_cells(tmp_path):
     assert path.read_text(encoding="utf-8") == "name,x\nalpha,2\n"
 
 
+def _per_cell_csv(path, header, rows):
+    # the reference writer: every cell through format_float, one at a time
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                cell if isinstance(cell, str) else format_float(cell)
+                for cell in row
+            ) + "\n")
+
+
+def test_csv_row_template_matches_per_cell_writer(tmp_path):
+    def mixed_rows():
+        rng = np.random.default_rng(12)
+        wide = rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)
+        yield ("label", 1, True, np.float64(0.1))
+        yield (2.5, 3, False, np.float64(-1e-7))
+        yield (np.inf, -np.inf, np.nan, -0.0)
+        yield (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16 + 2)
+        yield (np.float32(0.1), np.int64(-7), 10**17 + 1, 1 / 3)
+        yield tuple(wide)  # longer than the header
+        yield (0.5,)  # shorter
+        yield ()
+        yield (np.nan, "x", -0.0)
+        yield from zip(*rng.standard_normal((4, 50)))
+        yield from rng.standard_normal((50, 4)).tolist()
+
+    header = ["a", "b", "c", "d"]
+    got = write_csv(tmp_path / "template.csv", header, mixed_rows())
+    _per_cell_csv(tmp_path / "per_cell.csv", header, mixed_rows())
+    assert got.read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+
+
 def test_metadata_format(tmp_path):
     path = write_metadata(tmp_path / "metadata.txt",
                           {"seed": 42, "eta": 0.1, "problem": "eq-qp"})

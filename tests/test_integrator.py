@@ -1,9 +1,12 @@
 """Tests for Euler stepping, trajectory recording, and contraction sizing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from saddleflow import (
+    AffineVectorField,
     ConstrainedProblem,
     DivergedError,
     DynamicsParams,
@@ -27,6 +30,8 @@ from saddleflow import (
     step_size_admissible,
     vector_field,
 )
+from saddleflow.dynamics import _BLOCK_STEPS
+from saddleflow.integrator import _euler_iterates
 
 # Oracle fixtures for the contraction factor r = exp(-tau d/2) + kP nu^2 d^2/2
 # at tau = nu = kappa_P = 1 (hand formula evaluations).
@@ -129,28 +134,104 @@ def test_simulate_divergence_guard():
                      record_every=record_every)
 
 
-def test_affine_euler_update_matches_generic_step():
+def test_affine_euler_block_matches_generic_steps():
     p = gen_equality_qp(42)
     field = vector_field(p, DynamicsParams(eta=2.0))
     rng = np.random.default_rng(90)
-    for delta in (1e-3, 0.25, 1e-3):  # the repeat reuses the cached M, d
+    # a k-step request on this 7-dimensional map tabulates k // 7 powers;
+    # the second request reuses the 5-power table of the first
+    for delta, k, rows_out in ((1e-3, 40, 5), (1e-3, 28, 5), (0.25, 3, 1)):
         z = rng.standard_normal(p.dim_n + p.dim_m)
-        want = z + delta * field(z)
-        got = field.euler_update(z, delta)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        rows = field.euler_block(z, delta, k)
+        assert rows.shape == (rows_out, p.dim_n + p.dim_m)
+        for got in rows:
+            want = z + delta * field(z)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            z = want
 
 
 def test_simulate_affine_matches_plain_callable():
-    # the field's own euler_update against the generic z + delta f(z) path
-    p = gen_equality_qp(42)
-    field = vector_field(p, DynamicsParams())
-    z0 = np.random.default_rng(91).standard_normal(p.dim_n + p.dim_m)
+    # the field's blocked iterates (euler_block) against the generic
+    # z + delta f(z) path, on a step count that ends inside a block, at
+    # three recording strides
     delta = 1e-3
-    fast = simulate(field, z0, delta, 1000 * delta)
-    ref = simulate(lambda z: field(z), z0, delta, 1000 * delta)
-    assert len(fast) == len(ref) == 1001
-    err = np.linalg.norm(fast.zs - ref.zs, axis=1)
-    assert np.all(err <= 1e-10 * np.linalg.norm(ref.zs, axis=1))
+    steps = 10 * _BLOCK_STEPS + 38
+    for seed in (1, 23, 42):
+        p = gen_equality_qp(seed)
+        params = DynamicsParams()
+        field = vector_field(p, params)
+        cert = build_certificate_eq(p, params)
+        eq = solve_equilibrium(p, params)
+        z0 = np.random.default_rng(seed).standard_normal(p.dim_n + p.dim_m)
+        for record_every in (1, 7, 1000):
+            fast, ref = [simulate(f, z0, delta, steps * delta, cert=cert, eq=eq.state,
+                                  record_every=record_every)
+                         for f in (field, lambda z: field(z))]
+            assert len(fast) == len(ref) == len(range(0, steps, record_every)) + 1
+            np.testing.assert_array_equal(fast.times, ref.times)
+            err = np.linalg.norm(fast.zs - ref.zs, axis=1)
+            assert np.all(err <= 1e-10 * np.linalg.norm(ref.zs, axis=1)), (seed, record_every)
+            np.testing.assert_allclose(fast.v_values, ref.v_values, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(fast.distances, ref.distances, rtol=1e-9, atol=0)
+
+
+def test_euler_kernel_records_and_guards_across_any_block_split():
+    # a stepper that returns a random number of rows per call; the state
+    # counts steps, and passes the divergence norm from step `blow` on
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        steps, stride, widest = (int(v) for v in rng.integers(1, [60, 20, 9]))
+        blow = int(rng.integers(1, 2 * steps))
+
+        def advance(z, delta, k):
+            idx = z[0] + np.arange(1, int(rng.integers(1, min(k, widest) + 1)) + 1)
+            return np.stack([idx, np.where(idx >= blow, 1e13, 0.0)], axis=1)
+
+        want = [s for s in range(1, steps + 1) if s % stride == 0 or s == steps]
+        tripped = [s for s in want if s >= blow]
+        if tripped:
+            with pytest.raises(DivergedError, match=f"by step {tripped[0]}$"):
+                list(_euler_iterates(advance, np.zeros(2), 1.0, steps, stride))
+        else:
+            rows = np.concatenate(list(_euler_iterates(advance, np.zeros(2), 1.0,
+                                                       steps, stride)))
+            assert rows[:, 0].tolist() == want
+
+
+def test_blocked_affine_divergence_matches_step_by_step():
+    # inadmissible deltas: |1 + delta lambda(G)| is in the thousands on the
+    # QP, so the power table is cut short, and 1e50 on the scalar field, so
+    # the unrecorded rows between every 7th step overflow to inf. The
+    # blocked rows still trip the guard at the same recorded step as the
+    # generic path, without warnings.
+    p = gen_equality_qp(42)
+    cases = [(vector_field(p, DynamicsParams()), np.ones(p.dim_n + p.dim_m), 100.0),
+             (AffineVectorField(np.array([[1e50]]), np.zeros(1), n=1), np.ones(1), 1.0)]
+    for field, z0, delta in cases:
+        for record_every in (1, 7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(DivergedError) as ref:
+                    simulate(lambda z: field(z), z0, delta, 1000 * delta,
+                             record_every=record_every)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergedError) as fast:
+                    simulate(field, z0, delta, 1000 * delta, record_every=record_every)
+            assert str(fast.value) == str(ref.value)
+            assert "by step" in str(fast.value)
+
+
+def test_blocked_affine_power_overflow_keeps_finite_rows():
+    # M = diag(1 + 1e10, 0): M^j overflows by j = 31, but z0 = (0, 1) maps
+    # to zero in one step. A table holding inf would turn rows into
+    # inf * 0 = NaN and report a divergence the flow does not have.
+    field = AffineVectorField(np.diag([1e10, -1.0]), np.zeros(2), n=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(field, np.array([0.0, 1.0]), 1.0, 1000.0)
+    assert len(traj) == 1001
+    assert np.all(traj.zs[1:] == 0.0)
 
 
 def test_simulate_requires_equilibrium_for_v():
