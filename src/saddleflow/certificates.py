@@ -36,7 +36,6 @@ import numpy as np
 
 from .dynamics import State
 from .errors import DimensionMismatchError, InfeasibleError, NoSlackError
-from .parallel import parallel_map
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -53,6 +52,10 @@ ACTIVE_TOL = 1e-7
 # beyond it the vertices are sampled.
 EXHAUSTIVE_VERTEX_LIMIT = 16
 SAMPLED_VERTEX_COUNT = 1024
+
+# lmi_sweep checks the Gamma vertices in stacks of about this many floats,
+# so its memory does not grow with the vertex count.
+_STACK_FLOATS = 1 << 17
 
 
 class CertificateVariant(Enum):
@@ -94,9 +97,14 @@ class LyapunovCertificate:
 
 @dataclass(frozen=True)
 class LmiReport:
+    """lmi_sweep's outcome; min_margin is found at B sample worst_sample and
+    Gamma vertex worst_vertex (None for the equality variant)."""
+
     samples_checked: int
     min_margin: float
     passed: bool
+    worst_sample: int
+    worst_vertex: Optional[tuple]
 
 
 def build_p_matrix(A, eta: float, c: float) -> np.ndarray:
@@ -305,30 +313,43 @@ def lyapunov_value(cert: LyapunovCertificate, s: State, eq: State) -> float:
     return float(u @ (cert.P @ u))
 
 
-def _assemble_g(cert, p, params, B, gamma):
+def _g_stack(cert, p, params, gammas):
+    """G at each row of gammas, a (K, m) array of diagonal gains, without
+    its -B term: a (K, d, d) stack, and the rest of its primal block (-B -
+    rest). The equality variant has no Gamma terms and K = 1."""
     A = p.constraints.A
     m, n = A.shape
     eta, rho = params.eta, params.rho
+    G = np.zeros((len(gammas), n + m, n + m))
+    if cert.variant is CertificateVariant.EQUALITY:
+        G[:, :n, n:] = -A.T
+        G[:, n:, :n] = eta * A
+        return G, np.zeros((1, n, n))
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 2 or gammas.shape[1] != m:
+        raise DimensionMismatchError(
+            f"Gamma must supply {m} diagonal entries, got shape {gammas.shape[1:]}"
+        )
+    GA = gammas[:, :, None] * A
+    G[:, :n, n:] = -A.T * gammas[:, None, :]
+    G[:, n:, :n] = eta * GA
+    dual = np.arange(n, n + m)
+    G[:, dual, dual] = (eta / rho) * (gammas - 1.0)
+    return G, rho * (A.T @ GA)
+
+
+def _lmi_margins(cert, G, rest, B):
+    """Smallest eigenvalue of -G^T P - P G - tau P at B for every G of the
+    stack. Fills in the primal block of G as -B - rest."""
+    n = rest.shape[-1]
     B = np.asarray(B, dtype=float)
     if B.shape != (n, n):
         raise DimensionMismatchError(f"B must be {n}x{n}, got {B.shape}")
-    G = np.zeros((n + m, n + m))
-    if cert.variant is CertificateVariant.EQUALITY:
-        G[:n, :n] = -B
-        G[:n, n:] = -A.T
-        G[n:, :n] = eta * A
-        return G
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (m,):
-        raise DimensionMismatchError(
-            f"Gamma must supply {m} diagonal entries, got shape {gamma.shape}"
-        )
-    GA = gamma[:, None] * A
-    G[:n, :n] = -B - rho * (A.T @ GA)
-    G[:n, n:] = -A.T * gamma[None, :]
-    G[n:, :n] = eta * GA
-    G[n:, n:] = (eta / rho) * (np.diag(gamma) - np.eye(m))
-    return G
+    np.subtract(-B, rest, out=G[:, :n, :n])
+    P = cert.P
+    M = -(np.swapaxes(G, 1, 2) @ P + P @ G) - cert.tau * P
+    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+    return np.linalg.eigvalsh(M)[:, 0]
 
 
 def lmi_check(cert: LyapunovCertificate, p: ConstrainedProblem,
@@ -340,27 +361,34 @@ def lmi_check(cert: LyapunovCertificate, p: ConstrainedProblem,
     equality variant. Nonnegative return value means the decay inequality
     holds at this parameter point.
     """
-    G = _assemble_g(cert, p, params, B, Gamma)
-    M = -(G.T @ cert.P + cert.P @ G) - cert.tau * cert.P
-    M = 0.5 * (M + M.T)
-    return float(np.linalg.eigvalsh(M)[0])
+    G, rest = _g_stack(cert, p, params, np.asarray(Gamma, dtype=float)[None])
+    return float(_lmi_margins(cert, G, rest, B)[0])
 
 
 def _gamma_vertices(cert, m, seed):
-    """Vertex set of the Gamma box, capped at gamma_bar on inactive rows
-    for the rank-relaxed variant. G is affine in Gamma, so checking the
-    vertices covers the whole box by convexity."""
+    """Vertex set of the Gamma box as a (K, m) array, capped at gamma_bar
+    on inactive rows for the rank-relaxed variant. G is affine in Gamma,
+    so checking the vertices covers the whole box by convexity."""
     cap = np.ones(m)
     if cert.variant is CertificateVariant.RANK_RELAXED:
         cap[list(cert.rank_aux.inactive)] = cert.rank_aux.gamma_bar
     if m <= EXHAUSTIVE_VERTEX_LIMIT:
-        bits = list(itertools.product((0.0, 1.0), repeat=m))
-        return [np.asarray(v) * cap for v in bits]
+        bits = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
+        return bits * cap
     rng = np.random.default_rng(seed)
     verts = [np.zeros(m), cap.copy()]
     verts += [rng.integers(0, 2, size=m).astype(float) * cap
               for _ in range(SAMPLED_VERTEX_COUNT)]
-    return verts
+    return np.array(verts)
+
+
+def _haar_orthogonal(rng, n):
+    """Haar-distributed n x n orthogonal matrix: the QR recipe of
+    scipy.stats.ortho_group.rvs, drawing the same normals from rng."""
+    if n == 1:
+        return np.eye(1)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diagonal(r))
 
 
 def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
@@ -374,33 +402,44 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
     Haar-orthogonal and s uniform in [0,1]^n: probabilistic coverage of
     the secant interval. Passes when the worst margin stays above
     -1e-8 ||P||_2.
-    """
-    from scipy.stats import ortho_group
 
+    Each stack of vertices (about _STACK_FLOATS floats) is assembled once;
+    every B sample fills in -B and takes one batched eigvalsh, with the
+    margins of lmi_check. The worst point is the first in (B, vertex) order.
+    """
     n = p.dim_n
     mu, ell = p.objective.mu, p.objective.ell
     rng = np.random.default_rng(seed)
     bs = []
     for _ in range(max(int(b_samples), 1)):
-        Q = ortho_group.rvs(dim=n, random_state=rng) if n > 1 else np.eye(1)
+        Q = _haar_orthogonal(rng, n)
         s = rng.uniform(size=n)
         bs.append(mu * np.eye(n) + (ell - mu) * (Q * s[None, :]) @ Q.T)
 
-    if cert.variant is CertificateVariant.EQUALITY:
-        vertices = [None]
-    else:
-        vertices = _gamma_vertices(cert, p.dim_m, seed + 1)
+    equality = cert.variant is CertificateVariant.EQUALITY
+    vertices = np.empty((1, 0)) if equality else _gamma_vertices(cert, p.dim_m, seed + 1)
+    size = max(1, _STACK_FLOATS // cert.P.size)
+    # Per B sample, the smallest margin so far and its vertex. Stacks run in
+    # vertex order and only a smaller margin replaces it: ties keep the first.
+    best = np.full(len(bs), np.inf)
+    where = np.zeros(len(bs), dtype=int)
+    for start in range(0, len(vertices), size):
+        G, rest = _g_stack(cert, p, params, vertices[start:start + size])
+        for i, B in enumerate(bs):
+            margins = _lmi_margins(cert, G, rest, B)
+            j = int(np.argmin(margins))
+            if margins[j] < best[i]:
+                best[i], where[i] = margins[j], start + j
 
-    def margin_over_vertices(B):
-        return min(lmi_check(cert, p, params, B, g) for g in vertices)
-
-    margins = parallel_map(margin_over_vertices, bs)
-    min_margin = float(min(margins))
+    worst = int(np.argmin(best))
+    min_margin = float(best[worst])
     psd_tol = 1e-8 * float(np.linalg.eigvalsh(cert.P)[-1])
     return LmiReport(
         samples_checked=len(bs) * len(vertices),
         min_margin=min_margin,
         passed=min_margin >= -psd_tol,
+        worst_sample=worst,
+        worst_vertex=None if equality else tuple(vertices[where[worst]].tolist()),
     )
 
 

@@ -203,6 +203,8 @@ def _cmd_certify(args) -> int:
             "c": cert.c,
             "tau": cert.tau,
             "variant": cert.variant.value,
+            "worst_b_sample": report.worst_sample,
+            "worst_gamma_vertex": report.worst_vertex,
         })
     return 0 if report.passed else 1
 

@@ -24,7 +24,6 @@ from .problem import (
     EqualityConstraints,
     InequalityConstraints,
     QuadraticObjective,
-    TwoSidedConstraints,
 )
 
 # Euler steps between KKT residual checks while integrating to equilibrium.

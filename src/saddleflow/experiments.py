@@ -31,7 +31,6 @@ from .dynamics import State, vector_field
 from .equilibrium import solve_equilibrium
 from .errors import InvalidInputError, RankDeficientError
 from .integrator import choose_step_size, lipschitz_bound, simulate
-from .parallel import parallel_map
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -101,8 +100,10 @@ def gen_logistic_ineq(seed: int, n: int = 50, m: int = 40,
     """
     if not (1 <= m <= n):
         raise InvalidInputError(f"need 1 <= m <= n, got n={n}, m={m}")
+    if n_data < 1:
+        raise InvalidInputError(f"need n_data >= 1, got {n_data}")
     if reg <= 0:
-        raise ValueError(f"reg must be positive, got {reg}")
+        raise InvalidInputError(f"reg must be positive, got {reg}")
     ss_d, ss_y, ss_a, ss_b = np.random.SeedSequence(seed).spawn(4)
     D = np.random.default_rng(ss_d).standard_normal((n_data, n))
     y = np.random.default_rng(ss_y).integers(0, 2, size=n_data) * 2.0 - 1.0
@@ -135,6 +136,8 @@ class ExperimentSpec:
             raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
         if self.n < 1 or self.m < 1:
             raise InvalidInputError("n and m must be at least 1")
+        if self.kind == KIND_LOGISTIC_INEQ and self.n_data < 1:
+            raise InvalidInputError("n_data must be at least 1")
         if self.delta is not None and self.delta <= 0:
             raise InvalidInputError("delta must be positive when given")
         if self.horizon < 0:
@@ -330,7 +333,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
     eq = solve_equilibrium(p, spec.params, tol=1e-9)
     etas = spec.eta_grid if spec.eta_grid is not None else np.array([spec.params.eta])
 
-    results = parallel_map(lambda e: _run_one_eta(p, spec, eq, e), etas)
+    results = [_run_one_eta(p, spec, eq, e) for e in etas]
 
     paths = []
     summary_rows = []

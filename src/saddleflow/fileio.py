@@ -27,7 +27,6 @@ sections instead of `W`.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np

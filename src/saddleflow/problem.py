@@ -129,6 +129,8 @@ class LogisticObjective(ObjectiveOracle):
         self.D = _readonly(D)
         self.y = _readonly(y)
         self.reg = float(reg)
+        from scipy.special import expit  # here, so importing saddleflow loads no scipy
+        self._expit = expit
         ell = reg + 0.25 * float(np.linalg.eigvalsh(D.T @ D)[-1])
         super().__init__(self._lvalue, self._lgrad, reg, ell)
 
@@ -137,46 +139,36 @@ class LogisticObjective(ObjectiveOracle):
         return float(np.sum(np.logaddexp(0.0, u))) + 0.5 * self.reg * float(x @ x)
 
     def _lgrad(self, x):
-        from scipy.special import expit
-
         u = -self.y * (self.D @ x)
-        return -self.D.T @ (self.y * expit(u)) + self.reg * x
+        return -self.D.T @ (self.y * self._expit(u)) + self.reg * x
 
 
 @dataclass(frozen=True)
-class EqualityConstraints:
+class _RowConstraints:
+    """Constraint rows A with one right-hand side b."""
+
+    A: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        A = _readonly(np.atleast_2d(self.A))
+        b = _readonly(np.atleast_1d(self.b))
+        if A.shape[0] != b.shape[0]:
+            raise DimensionMismatchError(
+                f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
+            )
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+
+
+@dataclass(frozen=True)
+class EqualityConstraints(_RowConstraints):
     """A x = b."""
 
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        A = _readonly(np.atleast_2d(self.A))
-        b = _readonly(np.atleast_1d(self.b))
-        if A.shape[0] != b.shape[0]:
-            raise DimensionMismatchError(
-                f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-
 
 @dataclass(frozen=True)
-class InequalityConstraints:
+class InequalityConstraints(_RowConstraints):
     """A x <= b."""
-
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        A = _readonly(np.atleast_2d(self.A))
-        b = _readonly(np.atleast_1d(self.b))
-        if A.shape[0] != b.shape[0]:
-            raise DimensionMismatchError(
-                f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .certificates import build_certificate_eq
 from .errors import DimensionMismatchError, NotSymmetricError
-from .parallel import parallel_map
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -99,7 +98,7 @@ def eta_sweep(W, A, eta_grid) -> EtaSweepResult:
     etas = np.atleast_1d(np.asarray(eta_grid, dtype=float))
     if etas.size == 0 or np.any(etas <= 0):
         raise ValueError("eta grid must be nonempty and positive")
-    rates = np.asarray(parallel_map(lambda e: lti_matrix(W, A, e).rate, etas))
+    rates = np.asarray([lti_matrix(W, A, e).rate for e in etas])
     certified = np.asarray([certified_rate(W, A, e) for e in etas])
     return EtaSweepResult(etas=etas, rates=rates, certified=certified)
 

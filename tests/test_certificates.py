@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from saddleflow import certificates
 from saddleflow import (
     CertificateVariant,
     ConstrainedProblem,
@@ -413,3 +414,147 @@ def test_p_matrix_read_only():
     cert = build_certificate_eq(unit_eq_problem(), UNIT)
     with pytest.raises(ValueError):
         cert.P[0, 0] = 0.0
+
+
+def reference_sweep(cert, p, params, b_samples, seed):
+    """lmi_sweep as a loop of lmi_check, with B drawn by scipy's Haar
+    sampler: (samples_checked, min_margin, passed, worst_sample,
+    worst_vertex), the worst point being the first in (B, vertex) order."""
+    from scipy.stats import ortho_group
+
+    n, mu, ell = p.dim_n, p.objective.mu, p.objective.ell
+    rng = np.random.default_rng(seed)
+    bs = []
+    for _ in range(b_samples):
+        Q = ortho_group.rvs(dim=n, random_state=rng) if n > 1 else np.eye(1)
+        s = rng.uniform(size=n)
+        bs.append(mu * np.eye(n) + (ell - mu) * (Q * s[None, :]) @ Q.T)
+    if cert.variant is CertificateVariant.EQUALITY:
+        vertices = [None]
+    else:
+        vertices = list(certificates._gamma_vertices(cert, p.dim_m, seed + 1))
+    worst = (np.inf, None, None)
+    for i, B in enumerate(bs):
+        for g in vertices:
+            margin = lmi_check(cert, p, params, B, g)
+            if margin < worst[0]:
+                worst = (margin, i, None if g is None else tuple(g))
+    psd_tol = 1e-8 * float(np.linalg.eigvalsh(cert.P)[-1])
+    return (len(bs) * len(vertices), worst[0], worst[0] >= -psd_tol,
+            worst[1], worst[2])
+
+
+def rank_problem():
+    p = ConstrainedProblem(
+        QuadraticObjective(np.eye(3), q=np.array([-2.0, 0.0, 0.0])),
+        InequalityConstraints(A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                              b=np.array([1.0, 1.0])),
+    )
+    eq = State(x=np.array([1.0, 0.0, 0.0]), lam=np.array([1.0, 0.0]))
+    z0 = State(x=np.zeros(3), lam=np.zeros(2))
+    return p, build_certificate_rank(p, UNIT, z0, eq)
+
+
+def sweep_cases():
+    params = DynamicsParams(eta=0.7, rho=1.3)
+    for seed, kind in ((3, "equality"), (4, "inequality"), (9, "two-sided")):
+        p = random_problem(seed, n=4, m=3, kind=kind)
+        build = build_certificate_eq if kind == "equality" else build_certificate_ineq
+        yield kind, p, build(p, params), params
+    p, cert = rank_problem()
+    assert 0.0 < cert.rank_aux.gamma_bar < 1.0 and cert.rank_aux.inactive == (1,)
+    yield "rank-relaxed", p, cert, UNIT
+    p = random_problem(5, n=18, m=17, kind="inequality")  # sampled vertices
+    yield "m17", p, build_certificate_ineq(p, params), params
+
+
+def written_out_g(cert, p, params, B, gamma):
+    """G at one (B, Gamma) point, block by block."""
+    A = p.constraints.A
+    m, n = A.shape
+    eta, rho = params.eta, params.rho
+    G = np.zeros((n + m, n + m))
+    if cert.variant is CertificateVariant.EQUALITY:
+        G[:n, :n] = -B
+        G[:n, n:] = -A.T
+        G[n:, :n] = eta * A
+        return G
+    GA = gamma[:, None] * A
+    G[:n, :n] = -B - rho * (A.T @ GA)
+    G[:n, n:] = -A.T * gamma[None, :]
+    G[n:, :n] = eta * GA
+    G[n:, n:] = (eta / rho) * (np.diag(gamma) - np.eye(m))
+    return G
+
+
+@pytest.mark.parametrize("case", list(sweep_cases())[:4], ids=lambda c: c[0])
+def test_lmi_check_equals_written_out_g(case):
+    _, p, cert, params = case
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        R = rng.standard_normal((p.dim_n, p.dim_n))
+        B = R @ R.T + np.eye(p.dim_n)
+        gamma = rng.uniform(size=p.dim_m)
+        G = written_out_g(cert, p, params, B, gamma)
+        M = -(G.T @ cert.P + cert.P @ G) - cert.tau * cert.P
+        want = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+        assert lmi_check(cert, p, params, B, gamma) == want
+
+
+@pytest.mark.parametrize("case", list(sweep_cases()), ids=lambda c: c[0])
+def test_stacked_sweep_equals_lmi_check_loop(case):
+    _, p, cert, params = case
+    b_samples = 2 if p.dim_m > certificates.EXHAUSTIVE_VERTEX_LIMIT else 12
+    for c in (cert, dataclasses.replace(cert, tau=50.0 * cert.tau)):
+        rep = lmi_sweep(c, p, params, b_samples=b_samples, seed=11)
+        got = (rep.samples_checked, rep.min_margin, rep.passed,
+               rep.worst_sample, rep.worst_vertex)
+        assert got == reference_sweep(c, p, params, b_samples, 11)
+
+
+def test_stacked_sweep_spans_chunks(monkeypatch):
+    p = random_problem(4, n=4, m=3, kind="inequality")
+    cert = build_certificate_ineq(p, UNIT)
+    whole = lmi_sweep(cert, p, UNIT, b_samples=10, seed=2)
+    # 3 vertices per stack: the 8 vertices are checked in stacks of 3, 3, 2
+    monkeypatch.setattr(certificates, "_STACK_FLOATS", 3 * cert.P.size)
+    chunked = lmi_sweep(cert, p, UNIT, b_samples=10, seed=2)
+    assert chunked == whole
+    assert (whole.samples_checked, whole.min_margin, whole.passed,
+            whole.worst_sample, whole.worst_vertex) == reference_sweep(cert, p, UNIT, 10, 2)
+
+
+@pytest.mark.parametrize("per_stack", [None, 1])
+def test_sweep_worst_point_takes_the_first_tie(per_stack, monkeypatch):
+    # mu = ell makes every B sample the identity, so all samples tie; with
+    # A = I, several Gamma vertices tie at the smallest margin as well
+    p = ConstrainedProblem(
+        QuadraticObjective(np.eye(3)),
+        InequalityConstraints(A=np.eye(3), b=np.zeros(3)),
+    )
+    cert = build_certificate_ineq(p, UNIT)
+    if per_stack:
+        monkeypatch.setattr(certificates, "_STACK_FLOATS", per_stack * cert.P.size)
+    rep = lmi_sweep(cert, p, UNIT, b_samples=7, seed=0)
+    vertices = list(itertools.product((0.0, 1.0), repeat=3))
+    margins = [lmi_check(cert, p, UNIT, np.eye(3), np.array(v)) for v in vertices]
+    assert margins.count(min(margins)) > 1
+    assert rep.worst_sample == 0
+    assert rep.min_margin == min(margins)
+    assert rep.worst_vertex == vertices[margins.index(min(margins))]
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_haar_draw_matches_scipy_ortho_group(n):
+    from scipy.stats import ortho_group
+
+    ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+    assert np.array_equal(certificates._haar_orthogonal(ours, n),
+                          ortho_group.rvs(dim=n, random_state=theirs))
+    assert ours.uniform() == theirs.uniform()
+
+
+def test_haar_draw_of_size_one_draws_nothing():
+    rng = np.random.default_rng(1)
+    assert np.array_equal(certificates._haar_orthogonal(rng, 1), np.eye(1))
+    assert rng.uniform() == np.random.default_rng(1).uniform()

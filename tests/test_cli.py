@@ -47,6 +47,19 @@ def test_certify_writes_report(tmp_path, capsys):
     assert float(samples) == 100.0
     assert float(margin) >= 0.0
     assert float(passed) == 1.0
+    meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
+    assert "worst_gamma_vertex = None" in meta
+    assert sum(line.startswith("worst_b_sample = ") for line in meta) == 1
+
+
+def test_certify_metadata_names_the_worst_vertex(tmp_path, capsys):
+    run_cli(["certify", "--problem", "logistic", "--seed", "3", "--n", "4", "--m", "2",
+             "--n-data", "20", "--out", str(tmp_path)])
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines())
+    assert 0 <= int(meta["worst_b_sample"]) < 100
+    vertex = meta["worst_gamma_vertex"]
+    assert vertex.startswith("(") and len(vertex.split(",")) == 2
 
 
 def test_certify_rank_variant(capsys):
@@ -181,6 +194,9 @@ def test_bad_grid_and_bad_problem_are_usage_errors(tmp_path, capsys):
             for dims in (["--n", "0"], ["--n", "3", "--m", "4"]):
                 bad_runs.append([command, "--out", str(tmp_path), "--problem", problem]
                                 + dims)
+        for n_data in ("0", "-3"):
+            bad_runs.append([command, "--out", str(tmp_path), "--problem", "logistic",
+                             "--n", "3", "--m", "2", "--n-data", n_data])
     for name, text in BAD_PROBLEMS.items():
         path = tmp_path / f"{name}.txt"
         path.write_text(text, encoding="utf-8")

@@ -8,6 +8,7 @@ import pytest
 from saddleflow import (
     DynamicsParams,
     ExperimentSpec,
+    InvalidInputError,
     build_certificate_eq,
     build_problem,
     fit_decay_rate,
@@ -79,6 +80,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=5, m=2, params=params,
                        eta_grid=[1.0, -2.0])
+    for n_data in (0, -3):
+        with pytest.raises(InvalidInputError):
+            ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=0, n=5, m=2, params=params,
+                           n_data=n_data)
+        with pytest.raises(InvalidInputError):
+            gen_logistic_ineq(0, 5, 2, n_data=n_data)
 
 
 def test_build_problem_dispatch():
