@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import State
+from .dynamics import State, _stacked_state
 from .errors import DimensionMismatchError, InfeasibleError, NoSlackError
 from .problem import (
     ConstrainedProblem,
@@ -305,11 +305,8 @@ def build_certificate_rank(p: ConstrainedProblem, params: DynamicsParams,
 
 
 def lyapunov_value(cert: LyapunovCertificate, s: State, eq: State) -> float:
-    u = s.stacked() - eq.stacked()
-    if u.shape[0] != cert.P.shape[0]:
-        raise DimensionMismatchError(
-            f"state dimension {u.shape[0]} does not match P {cert.P.shape}"
-        )
+    d = cert.P.shape[0]
+    u = _stacked_state(s, d, "state") - _stacked_state(eq, d, "eq")
     return float(u @ (cert.P @ u))
 
 

@@ -10,6 +10,7 @@ carries a short human summary only; data goes to CSV files under --out.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import fileio
 from .certificates import lmi_sweep
-from .dynamics import vector_field
 from .equilibrium import solve_equilibrium
 from .errors import InvalidInputError, SaddleflowError
 from .experiments import (
@@ -26,14 +26,11 @@ from .experiments import (
     TRAJECTORY_HEADER,
     ExperimentSpec,
     certificate_for,
-    fit_decay_rate,
     gen_equality_qp,
     gen_logistic_ineq,
-    pick_step_size,
     run_experiment,
-    trajectory_rows,
+    run_from_origin,
 )
-from .integrator import simulate
 from .problem import DynamicsParams, EqualityConstraints, QuadraticObjective
 from .spectral import eta_sweep
 
@@ -42,8 +39,15 @@ class UsageError(Exception):
     pass
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     value = float(text)  # argparse reports a ValueError as a usage error
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
@@ -74,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=None, help="certificate variant (default: by problem)")
         if horizon:
             sp.add_argument("--delta", type=_positive, default=None)
-            sp.add_argument("--horizon", type=float, default=5.0)
+            sp.add_argument("--horizon", type=_finite, default=5.0)
 
     common(sub.add_parser("simulate", help="integrate the flow, write a trajectory"),
            horizon=True)
@@ -97,12 +101,12 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) not in (3, 4):
         raise UsageError(f"bad grid {text!r}; expected a:b:steps or a:b:steps:log")
     try:
-        a, b = float(parts[0]), float(parts[1])
+        a, b = _positive(parts[0]), _positive(parts[1])
         steps = int(parts[2])
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
-    if steps < 1 or a <= 0 or b <= 0:
-        raise UsageError(f"bad grid {text!r}; endpoints and steps must be positive")
+    if steps < 1:
+        raise UsageError(f"bad grid {text!r}; steps must be positive")
     if len(parts) == 4:
         if parts[3] != "log":
             raise UsageError(f"bad grid suffix {parts[3]!r}; only 'log' is known")
@@ -128,10 +132,6 @@ def _load_problem(args):
     )
 
 
-def _build_certificate(p, params, args):
-    return certificate_for(p, params, args.variant, tol=min(args.tol, 1e-9))
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path("saddleflow-out")
     out.mkdir(parents=True, exist_ok=True)
@@ -139,42 +139,31 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_simulate(args) -> int:
+    if args.horizon == 0:
+        raise UsageError("--horizon 0 takes no step")
     p, _ = _load_problem(args)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
-    cert = _build_certificate(p, params, args)
     eq = solve_equilibrium(p, params, tol=min(args.tol, 1e-9))
-    if args.delta is not None:
-        delta, certified = args.delta, "user-supplied"
-    else:
-        delta, certified = pick_step_size(p, params, cert, args.horizon)
-    if args.horizon < delta:
-        raise UsageError(f"--horizon {args.horizon:g} is shorter than one step "
-                         f"(delta {delta:g})")
-    field = vector_field(p, params)
-    z0 = np.zeros(p.dim_n + p.dim_m)
-    steps = int(np.ceil(args.horizon / delta))
-    traj = simulate(field, z0, delta, args.horizon, cert=cert, eq=eq.state,
-                    record_every=max(1, steps // 200_000))
+    run = run_from_origin(p, params, eq, args.horizon, args.delta, args.variant)
+    traj, cert = run.trajectory, run.cert
     out = _out_dir(args)
-    fileio.write_csv(out / "trajectory.csv", TRAJECTORY_HEADER,
-                     trajectory_rows(traj, eq.state))
+    fileio.write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, run.rows)
     fileio.write_metadata(out / "metadata.txt", {
         "command": "simulate",
         "problem": args.problem,
         "seed": args.seed,
         "eta": params.eta,
         "rho": params.rho,
-        "delta": float(delta),
-        "delta_certified": str(certified),
+        "delta": run.delta,
+        "delta_certified": run.delta_certified,
         "horizon": float(args.horizon),
         "c": cert.c,
         "tau": cert.tau,
         "variant": cert.variant.value,
     })
-    rate = fit_decay_rate(traj.times, traj.distances)
     print(f"simulated {len(traj)} recorded steps to t={traj.times[-1]:g}")
-    print(f"final distance {traj.distances[-1]:.6g}, measured rate {rate:.6g}, "
-          f"certified rate {cert.tau / 2:.6g}")
+    print(f"final distance {traj.distances[-1]:.6g}, measured rate "
+          f"{run.measured_rate:.6g}, certified rate {cert.tau / 2:.6g}")
     print(f"wrote {out / 'trajectory.csv'}")
     return 0
 
@@ -182,7 +171,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_certify(args) -> int:
     p, _ = _load_problem(args)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
-    cert = _build_certificate(p, params, args)
+    eq = (solve_equilibrium(p, params, tol=min(args.tol, 1e-9))
+          if args.variant == "rank" else None)
+    cert = certificate_for(p, params, args.variant, eq)
     report = lmi_sweep(cert, p, params, b_samples=100, seed=args.seed)
     print(f"variant {cert.variant.value}: c = {cert.c:.6g}, tau = {cert.tau:.6g}")
     print(f"LMI sweep: {report.samples_checked} samples, "

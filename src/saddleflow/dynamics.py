@@ -79,12 +79,29 @@ def soft_threshold(y, lo, hi):
     Zero on [lo, hi], slope one outside; lo < hi is required. Inputs
     broadcast, so scalar and vector bands both work.
     """
-    y = np.asarray(y, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if not np.all(lo < hi):
-        raise InvalidBandError(f"soft threshold needs lo < hi, got lo={lo}, hi={hi}")
+    lo, hi = _band((lo, hi))
+    return _soft(np.asarray(y, dtype=float), lo, hi)
+
+
+def _soft(y, lo, hi):
     return np.maximum(np.minimum(y - lo, 0.0), y - hi)
+
+
+def _band(bounds):
+    """(lo, hi) as arrays; raises InvalidBandError unless lo < hi."""
+    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
+    if not np.all(lo < hi):
+        raise InvalidBandError(f"band needs lo < hi, got lo={lo}, hi={hi}")
+    return lo, hi
+
+
+def _multiplier_map(kind: str, bounds, rho: float):
+    """effective_multiplier as a map m(ax, lam) for one kind and band.
+    It checks nothing, because the augmented field calls it on every step."""
+    if kind == "inequality":
+        return lambda ax, lam: np.maximum(rho * (ax - bounds) + lam, 0.0)
+    lo, hi = rho * bounds[0], rho * bounds[1]
+    return lambda ax, lam: _soft(rho * ax + lam, lo, hi)
 
 
 def effective_multiplier(kind: str, ax, bounds, lam, rho: float):
@@ -92,18 +109,17 @@ def effective_multiplier(kind: str, ax, bounds, lam, rho: float):
 
     kind "inequality": max(rho (ax - b) + lam, 0) with bounds = b.
     kind "two-sided":  S(rho ax + lam) with band [rho b_lo, rho b_hi] and
-    bounds = (b_lo, b_hi). Vectorized over constraints.
+    bounds = (b_lo, b_hi), which needs b_lo < b_hi. Vectorized over
+    constraints.
     """
-    ax = np.asarray(ax, dtype=float)
-    lam = np.asarray(lam, dtype=float)
     if kind == "inequality":
-        b = np.asarray(bounds, dtype=float)
-        return np.maximum(rho * (ax - b) + lam, 0.0)
-    if kind == "two-sided":
-        lo, hi = bounds
-        return soft_threshold(rho * ax + lam, rho * np.asarray(lo, dtype=float),
-                              rho * np.asarray(hi, dtype=float))
-    raise ValueError(f"unknown constraint kind {kind!r}")
+        bounds = np.asarray(bounds, dtype=float)
+    elif kind == "two-sided":
+        bounds = _band(bounds)
+    else:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    return _multiplier_map(kind, bounds, rho)(np.asarray(ax, dtype=float),
+                                              np.asarray(lam, dtype=float))
 
 
 def penalty_value(kind: str, ax, bounds, lam, rho: float):
@@ -122,10 +138,7 @@ def penalty_value(kind: str, ax, bounds, lam, rho: float):
         active = rho * r + lam >= 0
         return np.where(active, r * lam + 0.5 * rho * r * r, dead)
     if kind == "two-sided":
-        lo = np.asarray(bounds[0], dtype=float)
-        hi = np.asarray(bounds[1], dtype=float)
-        if not np.all(lo < hi):
-            raise InvalidBandError(f"penalty needs b_lo < b_hi, got {lo}, {hi}")
+        lo, hi = _band(bounds)
         y = rho * ax + lam
         r_hi = ax - hi
         r_lo = ax - lo
@@ -133,6 +146,14 @@ def penalty_value(kind: str, ax, bounds, lam, rho: float):
         lower = r_lo * lam + 0.5 * rho * r_lo * r_lo
         return np.where(y > rho * hi, upper, np.where(y < rho * lo, lower, dead))
     raise ValueError(f"unknown constraint kind {kind!r}")
+
+
+def _stacked_state(s, size: int, name: str) -> np.ndarray:
+    """s, a State or a vector, as the stacked z = (x, lam) of the given length."""
+    z = s.stacked() if isinstance(s, State) else np.asarray(s, dtype=float)
+    if z.shape != (size,):
+        raise DimensionMismatchError(f"{name} must have length {size}, got shape {z.shape}")
+    return z
 
 
 def _check_state(p: ConstrainedProblem, s: State):
@@ -335,20 +356,10 @@ class _AugmentedField:
         self.n = p.dim_n
         self.m = p.dim_m
         if isinstance(p.constraints, InequalityConstraints):
-            self._b = p.constraints.b
-
-            def mult(ax, lam):
-                return np.maximum(self.rho * (ax - self._b) + lam, 0.0)
-
+            self.multiplier = _multiplier_map("inequality", p.constraints.b, params.rho)
         else:
-            self._lo = params.rho * p.constraints.b_lo
-            self._hi = params.rho * p.constraints.b_hi
-
-            def mult(ax, lam):
-                y = self.rho * ax + lam
-                return np.maximum(np.minimum(y - self._lo, 0.0), y - self._hi)
-
-        self.multiplier = mult
+            self.multiplier = _multiplier_map(
+                "two-sided", (p.constraints.b_lo, p.constraints.b_hi), params.rho)
 
     def __call__(self, z):
         x = z[: self.n]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import ACTIVE_TOL
-from .dynamics import State, vector_field
-from .errors import DimensionMismatchError, MaxIterationsError
-from .integrator import _advance, _as_stacked, _euler_iterates, lipschitz_bound
+from .dynamics import State, _stacked_state, vector_field
+from .errors import MaxIterationsError
+from .integrator import _advance, _as_stacked, _euler_iterates, _fallback_step, lipschitz_bound
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -134,16 +134,15 @@ def _solve_equality_newton(p, tol, x0=None):
 def _integrate_to_equilibrium(p, params, tol, z0, max_steps):
     """Drive the flow until the KKT residual drops below tol.
 
-    The step size is a stability heuristic, min(1/(2 nu), rho/eta): the
-    certified contraction step can be impractically small when the
-    certificate constants are conservative, while the flow itself
-    converges at its true (much faster) rate. The rho/eta cap keeps the
-    multiplier update a convex combination, so inequality multipliers
-    stay nonnegative exactly. The residual and the divergence guard are
+    The step is the stability heuristic min(1/(2 nu), rho/eta): the
+    certified step can be impractically small when the certificate
+    constants are conservative, while the flow itself converges at its
+    true (much faster) rate. The cap keeps inequality multipliers
+    nonnegative exactly. The residual and the divergence guard are
     checked every KKT_CHECK_EVERY steps and at max_steps.
     """
     field = vector_field(p, params)
-    delta = min(0.5 / lipschitz_bound(p, params), params.rho / params.eta)
+    delta = _fallback_step(lipschitz_bound(p, params), params)
     n = p.dim_n
     f, step, z, _ = _as_stacked(field, z0)
     for rec in _euler_iterates(_advance(f, step), z, delta, max_steps, KKT_CHECK_EVERY):
@@ -171,16 +170,7 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n, m = p.dim_n, p.dim_m
-    if z0 is None:
-        start = np.zeros(n + m)
-    elif isinstance(z0, State):
-        start = z0.stacked()
-    else:
-        start = np.asarray(z0, dtype=float)
-        if start.shape != (n + m,):
-            raise DimensionMismatchError(
-                f"z0 must have length {n + m}, got shape {start.shape}"
-            )
+    start = np.zeros(n + m) if z0 is None else _stacked_state(z0, n + m, "z0")
     if isinstance(p.constraints, EqualityConstraints):
         out = _solve_equality_newton(p, tol, x0=start[:n] if z0 is not None else None)
         if out is None:

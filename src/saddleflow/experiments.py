@@ -16,21 +16,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import fileio
 from .certificates import (
+    LyapunovCertificate,
     build_certificate_eq,
     build_certificate_ineq,
     build_certificate_rank,
     condition_number,
 )
 from .dynamics import State, vector_field
-from .equilibrium import solve_equilibrium
+from .equilibrium import Equilibrium, solve_equilibrium
 from .errors import InvalidInputError, RankDeficientError
-from .integrator import choose_step_size, lipschitz_bound, simulate
+from .integrator import Trajectory, _fallback_step, choose_step_size, lipschitz_bound, simulate
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -51,7 +52,7 @@ KIND_LOGISTIC_INEQ = "logistic-ineq"
 # stability heuristic; conservative certificates can demand absurd budgets.
 MAX_CERTIFIED_STEPS = 4_000_000
 
-# Trajectory CSVs are thinned to at most this many rows.
+# Trajectory CSVs record the start and at most this many Euler steps.
 MAX_RECORDED_ROWS = 200_000
 
 TRAJECTORY_HEADER = ["t", "dist_x", "dist_lambda", "V"]
@@ -140,8 +141,8 @@ class ExperimentSpec:
             raise InvalidInputError("n_data must be at least 1")
         if self.delta is not None and self.delta <= 0:
             raise InvalidInputError("delta must be positive when given")
-        if self.horizon < 0:
-            raise InvalidInputError("horizon must be nonnegative")
+        if not 0 <= self.horizon < math.inf:
+            raise InvalidInputError("horizon must be nonnegative and finite")
         if self.eta_grid is not None:
             grid = np.atleast_1d(np.asarray(self.eta_grid, dtype=float))
             if grid.size == 0 or np.any(grid <= 0):
@@ -173,13 +174,13 @@ def fit_decay_rate(times, dists) -> float:
 
 
 def certificate_for(p: ConstrainedProblem, params: DynamicsParams,
-                    variant: Optional[str] = None, tol: float = 1e-9):
+                    variant: Optional[str] = None, eq: Optional[Equilibrium] = None):
     """Lyapunov certificate of one variant: "eq", "ineq", "ts" or "rank".
 
     The default is the paper's certificate for p's constraint kind. The
-    rank-relaxed variant is built for the run from the origin and needs
-    the equilibrium, solved here to KKT tolerance tol. Raises
-    InvalidInputError when the variant does not apply to p's constraints.
+    rank-relaxed variant is built for the run from the origin to the
+    solved equilibrium eq, which it needs. Raises InvalidInputError when
+    the variant does not apply to p's constraints.
     """
     kind = {EqualityConstraints: "eq", InequalityConstraints: "ineq",
             TwoSidedConstraints: "ts"}[type(p.constraints)]
@@ -189,7 +190,8 @@ def certificate_for(p: ConstrainedProblem, params: DynamicsParams,
             f"{type(p.constraints).__name__}"
         )
     if variant == "rank":
-        eq = solve_equilibrium(p, params, tol=tol)
+        if eq is None:
+            raise ValueError("the rank-relaxed certificate needs the equilibrium eq")
         z0 = State(x=np.zeros(p.dim_n), lam=np.zeros(p.dim_m))
         return build_certificate_rank(p, params, z0, eq.state)
     if kind == "eq":
@@ -222,7 +224,7 @@ def pick_step_size(p: ConstrainedProblem, params: DynamicsParams, cert,
     """
     nu = lipschitz_bound(p, params)
     kappa_p = condition_number(cert.P)
-    heuristic = min(0.5 / nu, params.rho / params.eta)
+    heuristic = _fallback_step(nu, params)
     try:
         delta = choose_step_size(cert.tau, nu, kappa_p,
                                  eta=params.eta, rho=params.rho)
@@ -231,6 +233,50 @@ def pick_step_size(p: ConstrainedProblem, params: DynamicsParams, cert,
     if horizon > 0 and horizon / delta > MAX_CERTIFIED_STEPS:
         return heuristic, False
     return delta, True
+
+
+@dataclass
+class OriginRun:
+    """A run from the origin (x = 0, lambda = 0), made by run_from_origin.
+
+    delta_certified is "True", "False" (the fallback heuristic) or
+    "user-supplied"; rows are trajectory_rows, to be read once.
+    """
+
+    cert: LyapunovCertificate
+    delta: float
+    delta_certified: str
+    trajectory: Optional[Trajectory]
+    rows: Iterable
+    measured_rate: float
+
+
+def run_from_origin(p: ConstrainedProblem, params: DynamicsParams, eq: Equilibrium,
+                    horizon: float, delta: Optional[float] = None,
+                    variant: Optional[str] = None) -> OriginRun:
+    """Certify, pick the step and run the flow from the origin towards eq.
+
+    In order: certificate_for(variant); delta, or pick_step_size; the
+    horizon check (InvalidInputError below one step); simulate from z = 0,
+    recording every ceil(steps / MAX_RECORDED_ROWS)-th step; the CSV rows
+    and fit_decay_rate. A zero horizon stops after the step: no
+    trajectory, no rows, a NaN rate.
+    """
+    cert = certificate_for(p, params, variant, eq)
+    if delta is not None:
+        delta, certified = float(delta), "user-supplied"
+    else:
+        delta, certified = pick_step_size(p, params, cert, horizon)
+    if horizon == 0:
+        return OriginRun(cert, delta, str(certified), None, [], float("nan"))
+    if horizon < delta:
+        raise InvalidInputError(f"horizon {horizon:g} is shorter than one step "
+                                f"(delta {delta:g} at eta {params.eta:g})")
+    stride = math.ceil(math.ceil(horizon / delta) / MAX_RECORDED_ROWS)
+    traj = simulate(vector_field(p, params), np.zeros(p.dim_n + p.dim_m), delta,
+                    horizon, cert=cert, eq=eq.state, record_every=stride)
+    return OriginRun(cert, delta, str(certified), traj, trajectory_rows(traj, eq.state),
+                     fit_decay_rate(traj.times, traj.distances))
 
 
 def _plot_script() -> str:
@@ -276,48 +322,6 @@ print("wrote", os.path.join(here, "rates.png"))
 """
 
 
-def _run_one_eta(p, spec, eq, eta):
-    params = DynamicsParams(eta=float(eta), rho=spec.params.rho)
-    cert = certificate_for(p, params)
-    if spec.delta is not None:
-        delta, certified = float(spec.delta), None
-    else:
-        delta, certified = pick_step_size(p, params, cert, spec.horizon)
-
-    if spec.horizon > 0:
-        if spec.horizon < delta:
-            raise InvalidInputError(f"horizon {spec.horizon:g} is shorter than one "
-                                    f"step (delta {delta:g} at eta {eta:g})")
-        steps = math.ceil(spec.horizon / delta)
-        stride = max(1, math.ceil(steps / MAX_RECORDED_ROWS))
-        field = vector_field(p, params)
-        z0 = np.zeros(p.dim_n + p.dim_m)
-        traj = simulate(field, z0, delta, spec.horizon, cert=cert,
-                        eq=eq.state, record_every=stride)
-        rows = trajectory_rows(traj, eq.state)
-        measured = fit_decay_rate(traj.times, traj.distances)
-    else:
-        rows = []
-        measured = float("nan")
-
-    if isinstance(p.objective, QuadraticObjective) and isinstance(
-        p.constraints, EqualityConstraints
-    ):
-        spectral = lti_matrix(p.objective.W, p.constraints.A, params.eta).rate
-    else:
-        spectral = float("nan")
-    return {
-        "eta": float(eta),
-        "rho": params.rho,
-        "delta": delta,
-        "certified": certified,
-        "cert": cert,
-        "rows": rows,
-        "measured": measured,
-        "spectral": spectral,
-    }
-
-
 def run_experiment(spec: ExperimentSpec, out_dir) -> list:
     """Run one experiment sweep and write its artifacts into out_dir.
 
@@ -332,8 +336,8 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
     report = validate_problem(p, samples=50, seed=spec.seed)
     eq = solve_equilibrium(p, spec.params, tol=1e-9)
     etas = spec.eta_grid if spec.eta_grid is not None else np.array([spec.params.eta])
-
-    results = [_run_one_eta(p, spec, eq, e) for e in etas]
+    linear = isinstance(p.objective, QuadraticObjective) and isinstance(
+        p.constraints, EqualityConstraints)
 
     paths = []
     summary_rows = []
@@ -356,22 +360,21 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
         meta["reg"] = float(spec.reg)
         meta["n_data_provenance"] = "implementation default, not part of the benchmark definition"
         meta["reg_provenance"] = "implementation default, not part of the benchmark definition"
-    for res in results:
-        tag = f"{res['eta']:g}"
-        traj_path = fileio.write_csv(
-            out / f"trajectory_eta{tag}.csv",
-            TRAJECTORY_HEADER,
-            res["rows"],
-        )
-        paths.append(traj_path)
-        summary_rows.append((res["eta"], res["rho"], res["measured"],
-                             res["cert"].tau / 2.0, res["spectral"]))
-        meta[f"delta_eta{tag}"] = res["delta"]
-        meta[f"delta_certified_eta{tag}"] = (
-            "user-supplied" if res["certified"] is None else str(res["certified"])
-        )
-        meta[f"c_eta{tag}"] = res["cert"].c
-        meta[f"tau_eta{tag}"] = res["cert"].tau
+    for eta in etas:
+        params = DynamicsParams(eta=float(eta), rho=spec.params.rho)
+        run = run_from_origin(p, params, eq, spec.horizon, spec.delta)
+        tag = f"{params.eta:g}"
+        paths.append(fileio.write_csv(out / f"trajectory_eta{tag}.csv",
+                                      TRAJECTORY_HEADER, run.rows))
+        spectral = (lti_matrix(p.objective.W, p.constraints.A, params.eta).rate
+                    if linear else float("nan"))
+        summary_rows.append((params.eta, params.rho, run.measured_rate,
+                             run.cert.tau / 2.0, spectral))
+        meta[f"delta_eta{tag}"] = run.delta
+        meta[f"delta_certified_eta{tag}"] = run.delta_certified
+        meta[f"c_eta{tag}"] = run.cert.c
+        meta[f"tau_eta{tag}"] = run.cert.tau
+        del run  # one trajectory in memory at a time
 
     paths.append(fileio.write_csv(
         out / "summary.csv",

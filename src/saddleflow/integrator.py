@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import State, StateDerivative
+from .dynamics import State, StateDerivative, _stacked_state
 from .errors import DivergedError, NonFiniteFieldError
 from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints
 
@@ -194,6 +194,7 @@ def simulate(field, z0, delta: float, horizon: float,
     if cert is not None and eq is None:
         raise ValueError("recording Lyapunov values requires the equilibrium")
     f, step, z, n = _as_stacked(field, z0)
+    z_star = None if eq is None else _stacked_state(eq, z.shape[0], "eq")
     steps = int(math.ceil(horizon / delta - 1e-9))
     stride = max(int(record_every), 1)
 
@@ -210,8 +211,7 @@ def simulate(field, z0, delta: float, horizon: float,
     times = rec_idx * delta
     v_values = None
     distances = None
-    if eq is not None:
-        z_star = eq.stacked() if isinstance(eq, State) else np.asarray(eq, dtype=float)
+    if z_star is not None:
         U = zs - z_star[None, :]
         distances = np.linalg.norm(U, axis=1)
         if cert is not None:
@@ -235,6 +235,12 @@ def lipschitz_bound(p: ConstrainedProblem, params: DynamicsParams) -> float:
     if isinstance(p.constraints, EqualityConstraints):
         return ell + (1.0 + eta) * math.sqrt(k2)
     return ell + rho * k2 + (1.0 + eta) * math.sqrt(k2) + eta / rho
+
+
+def _fallback_step(nu: float, params: DynamicsParams) -> float:
+    """The stability heuristic min(1/(2 nu), rho/eta) for a nu-Lipschitz field;
+    the rho/eta cap keeps the multiplier update a convex combination."""
+    return min(0.5 / nu, params.rho / params.eta)
 
 
 def step_size_admissible(delta: float, tau: float, nu: float,

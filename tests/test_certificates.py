@@ -10,6 +10,7 @@ from saddleflow import certificates
 from saddleflow import (
     CertificateVariant,
     ConstrainedProblem,
+    DimensionMismatchError,
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
@@ -274,6 +275,11 @@ def test_lyapunov_value_quadratic_form():
     assert lyapunov_value(cert, s, eq) == pytest.approx(4.0)
     s = State(x=eq.x + 1.0, lam=eq.lam + 1.0)
     assert lyapunov_value(cert, s, eq) == pytest.approx(10.0)
+    assert lyapunov_value(cert, s.stacked(), eq.stacked()) == pytest.approx(10.0)
+    wide = State(x=np.zeros(2), lam=np.zeros(1))
+    for args in ((wide, eq), (s, wide), (np.zeros(1), eq)):
+        with pytest.raises(DimensionMismatchError):
+            lyapunov_value(cert, *args)
 
 
 def test_lmi_check_equality_scalar():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from saddleflow import cli, experiments
 from saddleflow.cli import UsageError, _parse_grid, run_cli
 from saddleflow.fileio import read_csv
 
@@ -23,7 +24,8 @@ def test_parse_grid():
     assert np.allclose(_parse_grid("1:3:3"), [1.0, 2.0, 3.0])
     assert np.allclose(_parse_grid("0.1:10:3:log"), [0.1, 1.0, 10.0])
     assert np.allclose(_parse_grid("0.1:10:3(log)"), [0.1, 1.0, 10.0])
-    for bad in ("1:2", "1:2:x", "0:2:3", "1:2:3:cubic", "-1:2:3"):
+    for bad in ("1:2", "1:2:x", "0:2:3", "1:2:3:cubic", "-1:2:3", "1:inf:3",
+                "nan:1:3", "1:2:0"):
         with pytest.raises(UsageError):
             _parse_grid(bad)
 
@@ -86,6 +88,36 @@ def test_simulate_seeded_qp(tmp_path, capsys):
     assert rows[-1][3] < rows[0][3]
     meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8")
     assert "delta_certified = True" in meta
+
+
+def test_simulate_thins_to_max_recorded_rows(tmp_path, monkeypatch, capsys):
+    # 3,277 steps at the certified delta 2^-15; every fourth is recorded
+    monkeypatch.setattr(experiments, "MAX_RECORDED_ROWS", 1000)
+    rc = run_cli(["simulate", "--problem", "eq-qp", "--seed", "42",
+                  "--horizon", "0.1", "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "trajectory.csv")
+    assert 800 <= len(rows) <= 1001
+    assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(3277 * 2.0**-15)
+    assert f"simulated {len(rows)} recorded steps" in capsys.readouterr().out
+
+
+def test_simulate_rank_variant_solves_the_equilibrium_once(tmp_path, monkeypatch,
+                                                           capsys):
+    calls = []
+
+    def counted(*args, real=experiments.solve_equilibrium, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_equilibrium", counted)
+    monkeypatch.setattr(experiments, "solve_equilibrium", counted)
+    rc = run_cli(["simulate", "--problem", "logistic", "--n", "6", "--m", "3",
+                  "--seed", "2", "--horizon", "2", "--variant", "rank",
+                  "--out", str(tmp_path)])
+    assert rc == 0
+    assert "variant = rank-relaxed" in (tmp_path / "metadata.txt").read_text()
+    assert len(calls) == 1
 
 
 def test_simulate_diverges_with_huge_user_step(tmp_path, capsys):
@@ -183,12 +215,23 @@ def test_bad_grid_and_bad_problem_are_usage_errors(tmp_path, capsys):
     assert run_cli(["spectrum", "--eta-grid", "junk"]) == 2
     assert run_cli(["certify", "--problem", "/no/such/file"]) == 2
     sim = ["simulate", "--out", str(tmp_path)]
+    sweep = ["sweep-eta", "--out", str(tmp_path)]
     bad_runs = [sim + ["--eta", "-1"], sim + ["--rho", "0"], sim + ["--delta", "0"],
                 sim + ["--horizon", "1e-8", "--delta", "1e-3"],
-                sim + ["--horizon", "1e-8"],
-                ["sweep-eta", "--out", str(tmp_path), "--horizon", "-1"],
-                ["sweep-eta", "--out", str(tmp_path), "--problem", "logistic",
-                 "--n", "3", "--m", "2", "--horizon", "1e-6"]]
+                sim + ["--horizon", "1e-8"], sim + ["--horizon", "0"],
+                sim + ["--horizon", "-1"],
+                sweep + ["--horizon", "-1"],
+                sweep + ["--problem", "logistic", "--n", "3", "--m", "2",
+                         "--horizon", "1e-6"]]
+    # non-finite numbers
+    bad_runs += [sim + ["--horizon", "nan"], sim + ["--horizon", "inf"],
+                 sweep + ["--horizon", "inf"], sweep + ["--horizon", "nan"],
+                 ["certify", "--eta", "inf"], ["certify", "--reg", "inf"],
+                 ["certify", "--tol", "inf"], ["certify", "--rho", "inf"],
+                 sim + ["--delta", "inf"], sim + ["--eta", "nan"],
+                 ["spectrum", "--eta-grid", "1:inf:3"],
+                 ["spectrum", "--eta-grid", "nan:1:3"],
+                 sweep + ["--eta-grid", "0.5:inf:2"]]
     for command in ("simulate", "certify", "sweep-eta", "spectrum", "kkt-check", "gen"):
         for problem in ("eq-qp", "logistic"):
             for dims in (["--n", "0"], ["--n", "3", "--m", "4"]):

@@ -5,6 +5,7 @@ import pytest
 
 from saddleflow import (
     ConstrainedProblem,
+    DimensionMismatchError,
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
@@ -14,6 +15,7 @@ from saddleflow import (
     TwoSidedConstraints,
     aug_pdgd_field,
     aug_pdgd_ts_field,
+    gen_equality_qp,
     kkt_residual,
     pdgd_eq_field,
     solve_equilibrium,
@@ -199,6 +201,14 @@ def test_z0_accepts_plain_arrays_and_states():
     b = solve_equilibrium(p, UNIT, z0=State(x=np.array([2.0, 0.0]),
                                             lam=np.array([0.5])))
     assert np.allclose(a.x_star, b.x_star, atol=1e-9)
+    # a start of the wrong length is refused the same way in either form,
+    # on an integrated flow and on the equality QP's exact solve alike
+    for q in (p, gen_equality_qp(42)):
+        size = q.dim_n + q.dim_m
+        for z0 in (np.zeros(size + 1), State(x=np.zeros(q.dim_n), lam=np.zeros(q.dim_m + 1)),
+                   np.zeros(size - 1), State(x=np.zeros(q.dim_n - 1), lam=np.zeros(q.dim_m))):
+            with pytest.raises(DimensionMismatchError, match="z0 must have length"):
+                solve_equilibrium(q, UNIT, z0=z0)
 
 
 def test_active_set_uses_tolerance():

@@ -80,6 +80,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=5, m=2, params=params,
                        eta_grid=[1.0, -2.0])
+    for horizon in (-1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError):
+            ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=5, m=2, params=params,
+                           horizon=horizon)
     for n_data in (0, -3):
         with pytest.raises(InvalidInputError):
             ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=0, n=5, m=2, params=params,

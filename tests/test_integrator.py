@@ -8,6 +8,7 @@ import pytest
 from saddleflow import (
     AffineVectorField,
     ConstrainedProblem,
+    DimensionMismatchError,
     DivergedError,
     DynamicsParams,
     EqualityConstraints,
@@ -116,6 +117,13 @@ def test_simulate_seeded_qp_distance_bound():
     lam_min = np.linalg.eigvalsh(cert.P)[0]
     bound = np.sqrt(v0 / lam_min) * np.exp(-cert.tau * traj.times / 2.0)
     assert np.all(traj.distances <= bound * (1.0 + 1e-9) + 1e-12)
+    # an equilibrium of the wrong length is refused before any step, as a
+    # State or as a stacked vector
+    x, lam = eq.state.x, eq.state.lam
+    for bad in (State(x=x, lam=lam[:1]), State(x=np.append(x, 0.0), lam=lam),
+                eq.state.stacked()[:-1], np.zeros(p.dim_n + p.dim_m + 1)):
+        with pytest.raises(DimensionMismatchError, match="eq must have length"):
+            simulate(field, z0, 1e-3, 5.0, cert=cert, eq=bad)
 
 
 def test_simulate_record_every_keeps_endpoints():
