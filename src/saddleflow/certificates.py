@@ -17,12 +17,11 @@ variant so that the decay inequality dV/dt <= -tau V holds along the flow:
                   with kappa_1 taken over the active constraint rows only
 
 Verification is by linear matrix inequality: along the flow the residual
-obeys d(z - z*)/dt = G(z)(z - z*) with G affine in a secant matrix B
-(mu I <= B <= ell I) and, for penalized constraints, a diagonal gain
-Gamma with entries in [0, 1]. The decay inequality is implied by
--G^T P - P G - tau P >= 0 over that parameter set, which lmi_sweep checks
-on all Gamma vertices (exact for the Gamma dependence, since G is affine
-in Gamma) and on randomly sampled B.
+obeys d(z - z*)/dt = G (z - z*) with G = G(B, Gamma) of dynamics._flow_matrix,
+affine in a secant matrix B (mu I <= B <= ell I) and, for penalized
+constraints, a diagonal gain Gamma in [0, I]. The decay inequality is
+implied by -G^T P - P G - tau P >= 0 over that set, which lmi_sweep checks
+on all Gamma vertices (exact in Gamma) and on randomly sampled B.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import State, _stacked_state
-from .errors import DimensionMismatchError, InfeasibleError, NoSlackError
+from .dynamics import State, _flow_matrix, _stacked_state, _with_primal
+from .errors import InfeasibleError, NoSlackError
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -310,39 +309,10 @@ def lyapunov_value(cert: LyapunovCertificate, s: State, eq: State) -> float:
     return float(u @ (cert.P @ u))
 
 
-def _g_stack(cert, p, params, gammas):
-    """G at each row of gammas, a (K, m) array of diagonal gains, without
-    its -B term: a (K, d, d) stack, and the rest of its primal block (-B -
-    rest). The equality variant has no Gamma terms and K = 1."""
-    A = p.constraints.A
-    m, n = A.shape
-    eta, rho = params.eta, params.rho
-    G = np.zeros((len(gammas), n + m, n + m))
-    if cert.variant is CertificateVariant.EQUALITY:
-        G[:, :n, n:] = -A.T
-        G[:, n:, :n] = eta * A
-        return G, np.zeros((1, n, n))
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.ndim != 2 or gammas.shape[1] != m:
-        raise DimensionMismatchError(
-            f"Gamma must supply {m} diagonal entries, got shape {gammas.shape[1:]}"
-        )
-    GA = gammas[:, :, None] * A
-    G[:, :n, n:] = -A.T * gammas[:, None, :]
-    G[:, n:, :n] = eta * GA
-    dual = np.arange(n, n + m)
-    G[:, dual, dual] = (eta / rho) * (gammas - 1.0)
-    return G, rho * (A.T @ GA)
-
-
 def _lmi_margins(cert, G, rest, B):
     """Smallest eigenvalue of -G^T P - P G - tau P at B for every G of the
-    stack. Fills in the primal block of G as -B - rest."""
-    n = rest.shape[-1]
-    B = np.asarray(B, dtype=float)
-    if B.shape != (n, n):
-        raise DimensionMismatchError(f"B must be {n}x{n}, got {B.shape}")
-    np.subtract(-B, rest, out=G[:, :n, :n])
+    _flow_matrix stack (G, rest), whose primal block becomes -B - rest."""
+    G = _with_primal(G, rest, B)
     P = cert.P
     M = -(np.swapaxes(G, 1, 2) @ P + P @ G) - cert.tau * P
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
@@ -358,7 +328,9 @@ def lmi_check(cert: LyapunovCertificate, p: ConstrainedProblem,
     equality variant. Nonnegative return value means the decay inequality
     holds at this parameter point.
     """
-    G, rest = _g_stack(cert, p, params, np.asarray(Gamma, dtype=float)[None])
+    equality = cert.variant is CertificateVariant.EQUALITY
+    gammas = None if equality else np.asarray(Gamma, dtype=float)[None]
+    G, rest = _flow_matrix(p.constraints.A, params.eta, params.rho, gammas)
     return float(_lmi_margins(cert, G, rest, B)[0])
 
 
@@ -421,7 +393,8 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
     best = np.full(len(bs), np.inf)
     where = np.zeros(len(bs), dtype=int)
     for start in range(0, len(vertices), size):
-        G, rest = _g_stack(cert, p, params, vertices[start:start + size])
+        gammas = None if equality else vertices[start:start + size]
+        G, rest = _flow_matrix(p.constraints.A, params.eta, params.rho, gammas)
         for i, B in enumerate(bs):
             margins = _lmi_margins(cert, G, rest, B)
             j = int(np.argmin(margins))

@@ -25,6 +25,7 @@ from .experiments import (
     KIND_LOGISTIC_INEQ,
     TRAJECTORY_HEADER,
     ExperimentSpec,
+    _variant_kind,
     certificate_for,
     gen_equality_qp,
     gen_logistic_ineq,
@@ -142,6 +143,7 @@ def _cmd_simulate(args) -> int:
     if args.horizon == 0:
         raise UsageError("--horizon 0 takes no step")
     p, _ = _load_problem(args)
+    _variant_kind(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
     eq = solve_equilibrium(p, params, tol=min(args.tol, 1e-9))
     run = run_from_origin(p, params, eq, args.horizon, args.delta, args.variant)
@@ -170,6 +172,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_certify(args) -> int:
     p, _ = _load_problem(args)
+    _variant_kind(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
     eq = (solve_equilibrium(p, params, tol=min(args.tol, 1e-9))
           if args.variant == "rank" else None)

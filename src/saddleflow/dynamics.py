@@ -328,7 +328,6 @@ class _SmoothEqualityField:
         self.eta_b = params.eta * p.constraints.b
         self.eta = params.eta
         self.n = p.dim_n
-        self.m = p.dim_m
 
     def __call__(self, z):
         x = z[: self.n]
@@ -354,7 +353,6 @@ class _AugmentedField:
         self.eta = params.eta
         self.rho = params.rho
         self.n = p.dim_n
-        self.m = p.dim_m
         if isinstance(p.constraints, InequalityConstraints):
             self.multiplier = _multiplier_map("inequality", p.constraints.b, params.rho)
         else:
@@ -382,22 +380,53 @@ class _AugmentedField:
         return np.concatenate([x_next, lam_next])
 
 
+def _flow_matrix(A, eta: float, rho: float = 1.0, gammas=None):
+    """The flow matrix G(B, Gamma) without its -B term, one per row of gammas.
+
+    Along a flow, d(z - z*)/dt = G (z - z*) with B a secant matrix of the
+    gradient, Gamma = diag(gamma) the penalty's secant gains and
+        G = [[-B - rest, -A^T Gamma], [eta Gamma A, (eta/rho)(Gamma - I)]],
+    rest = rho A^T Gamma A; the plain equality flow (gammas None, K = 1) is
+    Gamma = I with rest = 0. Returns the (K, d, d) stack with a zero primal
+    block and the (K, n, n) rest, for _with_primal to fill in.
+    """
+    m, n = A.shape
+    G = np.zeros((1 if gammas is None else len(gammas), n + m, n + m))
+    if gammas is None:
+        G[:, :n, n:] = -A.T
+        G[:, n:, :n] = eta * A
+        return G, np.zeros((1, n, n))
+    if gammas.ndim != 2 or gammas.shape[1] != m:
+        raise DimensionMismatchError(f"Gamma needs {m} diagonal entries, got {gammas.shape[1:]}")
+    GA = gammas[:, :, None] * A
+    G[:, :n, n:] = -A.T * gammas[:, None, :]
+    G[:, n:, :n] = eta * GA
+    dual = np.arange(n, n + m)
+    G[:, dual, dual] = (eta / rho) * (gammas - 1.0)
+    return G, rho * (A.T @ GA)
+
+
+def _with_primal(G, rest, B):
+    """The stack G of _flow_matrix with its primal block set to -B - rest."""
+    n = rest.shape[-1]
+    B = np.asarray(B, dtype=float)
+    if B.shape != (n, n):
+        raise DimensionMismatchError(f"B must be {n}x{n}, got {B.shape}")
+    np.subtract(-B, rest, out=G[:, :n, :n])
+    return G
+
+
 def vector_field(p: ConstrainedProblem, params: DynamicsParams):
     """Stacked-vector field for p, picking the cheapest faithful form.
 
-    Quadratic equality problems come back as an AffineVectorField (one
-    matrix-vector product per evaluation); everything else is a closure
-    over the oracle gradient.
+    Quadratic equality problems come back as an AffineVectorField with
+    G = G(W) (one matrix-vector product per evaluation); everything else
+    is a closure over the oracle gradient.
     """
     if isinstance(p.constraints, EqualityConstraints):
         if isinstance(p.objective, QuadraticObjective):
-            n, m = p.dim_n, p.dim_m
-            A, b = p.constraints.A, p.constraints.b
-            G = np.zeros((n + m, n + m))
-            G[:n, :n] = -p.objective.W
-            G[:n, n:] = -A.T
-            G[n:, :n] = params.eta * A
-            g = np.concatenate([-p.objective.q, -params.eta * b])
-            return AffineVectorField(G, g, n)
+            G = _with_primal(*_flow_matrix(p.constraints.A, params.eta), p.objective.W)[0]
+            g = np.concatenate([-p.objective.q, -params.eta * p.constraints.b])
+            return AffineVectorField(G, g, p.dim_n)
         return _SmoothEqualityField(p, params)
     return _AugmentedField(p, params)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import ACTIVE_TOL
-from .dynamics import State, _stacked_state, vector_field
+from .dynamics import State, _flow_matrix, _stacked_state, _with_primal, vector_field
 from .errors import MaxIterationsError
 from .integrator import _advance, _as_stacked, _euler_iterates, _fallback_step, lipschitz_bound
 from .problem import (
@@ -108,11 +108,17 @@ def _active_set(p: ConstrainedProblem, x: np.ndarray) -> tuple:
 
 
 def _solve_equality_newton(p, tol, x0=None):
+    """Newton on the KKT residual with matrix -G(B) at eta = 1, B the Hessian:
+    W (one step from the origin for a quadratic), otherwise _fd_jacobian."""
     A, b = p.constraints.A, p.constraints.b
     n, m = p.dim_n, p.dim_m
+
+    def newton_step(B, r1, r2):
+        K = -_with_primal(*_flow_matrix(A, 1.0), B)[0]  # [[B, A^T], [-A, 0]]
+        return np.linalg.solve(K, np.concatenate([-r1, r2]))
+
     if isinstance(p.objective, QuadraticObjective):
-        K = np.block([[p.objective.W, A.T], [A, np.zeros((m, m))]])
-        sol = np.linalg.solve(K, np.concatenate([-p.objective.q, b]))
+        sol = newton_step(p.objective.W, p.objective.q, -b)
         return sol[:n], sol[n:]
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     lam = np.zeros(m)
@@ -121,9 +127,7 @@ def _solve_equality_newton(p, tol, x0=None):
         r2 = A @ x - b
         if max(np.linalg.norm(r1), np.linalg.norm(r2)) <= tol:
             return x, lam
-        K = np.block([[_fd_jacobian(p.objective.grad, x), A.T],
-                      [A, np.zeros((m, m))]])
-        step = np.linalg.solve(K, -np.concatenate([r1, r2]))
+        step = newton_step(_fd_jacobian(p.objective.grad, x), r1, r2)
         x = x + step[:n]
         lam = lam + step[n:]
         if not np.all(np.isfinite(x)):
@@ -171,14 +175,12 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
         raise ValueError(f"tol must be positive, got {tol}")
     n, m = p.dim_n, p.dim_m
     start = np.zeros(n + m) if z0 is None else _stacked_state(z0, n + m, "z0")
+    out = None
     if isinstance(p.constraints, EqualityConstraints):
         out = _solve_equality_newton(p, tol, x0=start[:n] if z0 is not None else None)
-        if out is None:
-            out = _integrate_to_equilibrium(p, params, tol, start, max_steps)
-        x, lam = out
-    else:
-        x, lam = _integrate_to_equilibrium(p, params, tol, start, max_steps)
-    s = State(x=x, lam=lam)
+    if out is None:
+        out = _integrate_to_equilibrium(p, params, tol, start, max_steps)
+    s = State(*out)
     res = kkt_residual(p, s)
     if res.total > tol:
         raise MaxIterationsError(

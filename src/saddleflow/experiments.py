@@ -173,6 +173,16 @@ def fit_decay_rate(times, dists) -> float:
     return float(-slope)
 
 
+def _variant_kind(p: ConstrainedProblem, variant: Optional[str] = None) -> str:
+    """p's constraint kind; InvalidInputError if the variant does not fit it."""
+    kind = {EqualityConstraints: "eq", InequalityConstraints: "ineq",
+            TwoSidedConstraints: "ts"}[type(p.constraints)]
+    if variant not in (None, kind) and (variant, kind) != ("rank", "ineq"):
+        raise InvalidInputError(f"variant {variant!r} does not apply to a problem "
+                                f"with {type(p.constraints).__name__}")
+    return kind
+
+
 def certificate_for(p: ConstrainedProblem, params: DynamicsParams,
                     variant: Optional[str] = None, eq: Optional[Equilibrium] = None):
     """Lyapunov certificate of one variant: "eq", "ineq", "ts" or "rank".
@@ -182,13 +192,7 @@ def certificate_for(p: ConstrainedProblem, params: DynamicsParams,
     solved equilibrium eq, which it needs. Raises InvalidInputError when
     the variant does not apply to p's constraints.
     """
-    kind = {EqualityConstraints: "eq", InequalityConstraints: "ineq",
-            TwoSidedConstraints: "ts"}[type(p.constraints)]
-    if variant not in (None, kind) and (variant, kind) != ("rank", "ineq"):
-        raise InvalidInputError(
-            f"variant {variant!r} does not apply to a problem with "
-            f"{type(p.constraints).__name__}"
-        )
+    kind = _variant_kind(p, variant)
     if variant == "rank":
         if eq is None:
             raise ValueError("the rank-relaxed certificate needs the equilibrium eq")
@@ -199,16 +203,9 @@ def certificate_for(p: ConstrainedProblem, params: DynamicsParams,
     return build_certificate_ineq(p, params)
 
 
-def trajectory_rows(traj, eq: State):
-    """Rows (t, dist_x, dist_lambda, V) of a trajectory recorded against eq.
-
-    Returned as a lazy iterator, so long trajectories are never held as
-    Python rows.
-    """
-    U = traj.zs - eq.stacked()[None, :]
-    dist_x = np.linalg.norm(U[:, : traj.n], axis=1)
-    dist_lam = np.linalg.norm(U[:, traj.n:], axis=1)
-    return zip(traj.times, dist_x, dist_lam, traj.v_values)
+def trajectory_rows(traj):
+    """Lazy rows (t, dist_x, dist_lambda, V) of a trajectory simulated with cert and eq."""
+    return zip(traj.times, traj.dist_x, traj.dist_lambda, traj.v_values)
 
 
 def pick_step_size(p: ConstrainedProblem, params: DynamicsParams, cert,
@@ -275,7 +272,7 @@ def run_from_origin(p: ConstrainedProblem, params: DynamicsParams, eq: Equilibri
     stride = math.ceil(math.ceil(horizon / delta) / MAX_RECORDED_ROWS)
     traj = simulate(vector_field(p, params), np.zeros(p.dim_n + p.dim_m), delta,
                     horizon, cert=cert, eq=eq.state, record_every=stride)
-    return OriginRun(cert, delta, str(certified), traj, trajectory_rows(traj, eq.state),
+    return OriginRun(cert, delta, str(certified), traj, trajectory_rows(traj),
                      fit_decay_rate(traj.times, traj.distances))
 
 

@@ -45,8 +45,8 @@ class Trajectory:
     """Recorded Euler iterates on the stacked state z = (x, lam).
 
     zs has one row per recorded step; n is the primal dimension used to
-    split rows back into State objects. v_values and distances are filled
-    when simulate was given a certificate / equilibrium to measure against.
+    split rows back into State objects. v_values and the distances to z*
+    are filled when simulate was given a certificate / equilibrium.
     """
 
     times: np.ndarray
@@ -54,6 +54,8 @@ class Trajectory:
     n: int
     v_values: Optional[np.ndarray] = None
     distances: Optional[np.ndarray] = None
+    dist_x: Optional[np.ndarray] = None
+    dist_lambda: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if len(self.times) != len(self.zs):
@@ -175,9 +177,9 @@ def simulate(field, z0, delta: float, horizon: float,
     """Integrate for ceil(horizon/delta) Euler steps, recording iterates.
 
     cert (a LyapunovCertificate) and eq (the equilibrium State) are
-    optional: with eq the distances ||z - z*|| are recorded, with both the
-    Lyapunov values as well. record_every thins the recording for long
-    runs; step 0 and the final step are always kept.
+    optional: with eq the distances to z* are recorded (of z, x and lam),
+    with both the Lyapunov values as well. record_every thins the
+    recording for long runs; step 0 and the final step are always kept.
 
     The affine field takes its steps in blocks (euler_block: many
     iterates from one matrix product); other fields step one at a time,
@@ -208,16 +210,17 @@ def simulate(field, z0, delta: float, horizon: float,
         zs[i: i + len(rec)] = rec
         i += len(rec)
 
-    times = rec_idx * delta
-    v_values = None
-    distances = None
+    traj = Trajectory(times=rec_idx * delta, zs=zs, n=n)
     if z_star is not None:
         U = zs - z_star[None, :]
-        distances = np.linalg.norm(U, axis=1)
         if cert is not None:
-            v_values = np.einsum("ij,ij->i", U @ cert.P, U)
-    return Trajectory(times=times, zs=zs, n=n, v_values=v_values,
-                      distances=distances)
+            traj.v_values = np.einsum("ij,ij->i", U @ cert.P, U)
+        # np.linalg.norm's arithmetic from one in-place square, no zs-sized temporary
+        U *= U
+        traj.distances = np.sqrt(U.sum(axis=1))
+        traj.dist_x = np.sqrt(U[:, :n].sum(axis=1))
+        traj.dist_lambda = np.sqrt(U[:, n:].sum(axis=1))
+    return traj
 
 
 def lipschitz_bound(p: ConstrainedProblem, params: DynamicsParams) -> float:

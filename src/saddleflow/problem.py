@@ -20,7 +20,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidBandError, RankDeficientError
+from .errors import (DimensionMismatchError, InvalidBandError, NotSymmetricError,
+                     RankDeficientError)
 
 # Relative eigenvalue threshold below which A A^T counts as singular.
 RANK_TOL = 1e-10
@@ -83,8 +84,6 @@ class QuadraticObjective(ObjectiveOracle):
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise DimensionMismatchError(f"W must be square, got shape {W.shape}")
         if not np.allclose(W, W.T, rtol=1e-12, atol=1e-12 * max(1.0, abs(W).max())):
-            from .errors import NotSymmetricError
-
             raise NotSymmetricError("W must be symmetric")
         n = W.shape[0]
         if q is None:

@@ -1,16 +1,12 @@
 """Exact decay rates of the linear time-invariant equality flow.
 
 With a quadratic objective f(x) = 1/2 x^T W x + q^T x, the equality flow
-is dz/dt = G z + const with
-
-    G = [[-W,    -A^T],
-         [eta A,  0  ]],
-
-so the exact exponential decay rate is the negated spectral abscissa of G
-(Hurwitz for W > 0 and full-row-rank A). Raising the dual gain eta speeds
-the rate up only until the leading eigenvalues go complex; past that knee
-the rate saturates. The certified rate tau_eq(eta)/2 is always a lower
-bound on the true rate.
+is dz/dt = G z + const with G = [[-W, -A^T], [eta A, 0]], the flow matrix
+at B = W, so the exact exponential decay rate is the negated spectral
+abscissa of G (Hurwitz for W > 0 and full-row-rank A). Raising the dual
+gain eta speeds the rate up only until the leading eigenvalues go complex;
+past that knee the rate saturates. The certified rate tau_eq(eta)/2 is
+always a lower bound on the true rate.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import build_certificate_eq
-from .errors import DimensionMismatchError, NotSymmetricError
+from .dynamics import _flow_matrix, _with_primal
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -62,35 +58,31 @@ def lti_matrix(W, A=None, eta: float = 1.0) -> LtiSystem:
     A may be empty (zero rows): the flow is then plain gradient descent
     on the quadratic. W must be symmetric positive definite.
     """
-    W = np.atleast_2d(np.asarray(W, dtype=float))
+    return _lti_system(*_validated(W, A), eta)
+
+
+def _validated(W, A):
+    """W, checked by QuadraticObjective, and A as an (m, n) array (m may be 0)."""
+    W = QuadraticObjective(np.atleast_2d(W)).W
     n = W.shape[0]
-    if W.shape != (n, n):
-        raise DimensionMismatchError(f"W must be square, got {W.shape}")
-    scale = max(1.0, float(np.abs(W).max()))
-    if not np.allclose(W, W.T, rtol=1e-12, atol=1e-12 * scale):
-        raise NotSymmetricError("W must be symmetric")
-    if np.linalg.eigvalsh(W)[0] <= 0:
-        raise ValueError("W must be positive definite")
-    if A is None:
-        A = np.zeros((0, n))
-    A = np.asarray(A, dtype=float).reshape(-1, n)
-    m = A.shape[0]
-    G = np.zeros((n + m, n + m))
-    G[:n, :n] = -W
-    G[:n, n:] = -A.T
-    G[n:, :n] = eta * A
-    abscissa = float(np.max(np.real(np.linalg.eigvals(G))))
-    return LtiSystem(G=G, abscissa=abscissa)
+    return W, np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
+
+
+def _lti_system(W, A, eta: float) -> LtiSystem:
+    G = _with_primal(*_flow_matrix(A, eta), W)[0]
+    return LtiSystem(G=G, abscissa=float(np.max(np.real(np.linalg.eigvals(G)))))
+
+
+def _equality_problem(W, A) -> ConstrainedProblem:
+    """The problem (W, A, b = 0) that certified rates are taken on."""
+    return ConstrainedProblem(QuadraticObjective(np.atleast_2d(W)),
+                              EqualityConstraints(A=A, b=np.zeros(np.atleast_2d(A).shape[0])),
+                              bounds=spectral_bounds(A, require_full_rank=False))
 
 
 def certified_rate(W, A, eta: float) -> float:
     """Certified lower bound tau_eq(eta)/2 on the true decay rate."""
-    p = ConstrainedProblem(
-        QuadraticObjective(np.atleast_2d(W)),
-        EqualityConstraints(A=A, b=np.zeros(np.atleast_2d(A).shape[0])),
-        bounds=spectral_bounds(A, require_full_rank=False),
-    )
-    return build_certificate_eq(p, DynamicsParams(eta=eta)).tau / 2.0
+    return build_certificate_eq(_equality_problem(W, A), DynamicsParams(eta=eta)).tau / 2.0
 
 
 def eta_sweep(W, A, eta_grid) -> EtaSweepResult:
@@ -98,9 +90,10 @@ def eta_sweep(W, A, eta_grid) -> EtaSweepResult:
     etas = np.atleast_1d(np.asarray(eta_grid, dtype=float))
     if etas.size == 0 or np.any(etas <= 0):
         raise ValueError("eta grid must be nonempty and positive")
-    rates = np.asarray([lti_matrix(W, A, e).rate for e in etas])
-    certified = np.asarray([certified_rate(W, A, e) for e in etas])
-    return EtaSweepResult(etas=etas, rates=rates, certified=certified)
+    p = _equality_problem(W, A)
+    rates = [_lti_system(p.objective.W, p.constraints.A, e).rate for e in etas]
+    certified = [build_certificate_eq(p, DynamicsParams(eta=e)).tau / 2.0 for e in etas]
+    return EtaSweepResult(etas=etas, rates=np.asarray(rates), certified=np.asarray(certified))
 
 
 def saturation_knee(W, A, eta0: float = 1e-2, decades: int = 8,
@@ -111,11 +104,11 @@ def saturation_knee(W, A, eta0: float = 1e-2, decades: int = 8,
     the knee is the first grid point with rate(10 eta) <= per_decade *
     rate(eta). Returns the last grid point if no knee is found.
     """
-    eta = eta0
+    W, A = _validated(W, A)
+    eta, r0 = eta0, _lti_system(W, A, eta0).rate
     for _ in range(decades):
-        r0 = lti_matrix(W, A, eta).rate
-        r1 = lti_matrix(W, A, 10.0 * eta).rate
+        r1 = _lti_system(W, A, 10.0 * eta).rate
         if r1 <= per_decade * r0:
             return eta
-        eta *= 10.0
+        eta, r0 = 10.0 * eta, r1
     return eta

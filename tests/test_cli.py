@@ -76,6 +76,19 @@ def test_variant_mismatch_is_usage_error(capsys):
     assert "does not apply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--problem", "logistic", "--n", "3", "--m", "2", "--variant", "eq"],
+    ["certify", "--problem", "eq-qp", "--variant", "rank"],
+], ids=["simulate-eq-on-logistic", "certify-rank-on-eq-qp"])
+def test_variant_mismatch_exits_before_the_solve(argv, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_equilibrium ran before the variant check")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", refuse)
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 2
+    assert "does not apply" in capsys.readouterr().err
+
+
 def test_simulate_seeded_qp(tmp_path, capsys):
     rc = run_cli(["simulate", "--problem", "eq-qp", "--seed", "42",
                   "--horizon", "5", "--out", str(tmp_path)])

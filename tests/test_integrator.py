@@ -126,6 +126,22 @@ def test_simulate_seeded_qp_distance_bound():
             simulate(field, z0, 1e-3, 5.0, cert=cert, eq=bad)
 
 
+@pytest.mark.parametrize("seed,n,m", [(42, 5, 2), (3, 12, 9)])
+def test_simulate_distances_are_linalg_norms(seed, n, m):
+    # the recorded distances keep np.linalg.norm's bits, so fitted rates do
+    p = gen_equality_qp(seed, n, m)
+    params = DynamicsParams()
+    cert = build_certificate_eq(p, params)
+    eq = solve_equilibrium(p, params)
+    traj = simulate(vector_field(p, params), np.zeros(n + m), 1e-3, 2.0,
+                    cert=cert, eq=eq.state)
+    U = traj.zs - eq.state.stacked()
+    assert np.array_equal(traj.distances, np.linalg.norm(U, axis=1))
+    assert np.array_equal(traj.dist_x, np.linalg.norm(U[:, :n], axis=1))
+    assert np.array_equal(traj.dist_lambda, np.linalg.norm(U[:, n:], axis=1))
+    assert np.array_equal(traj.v_values, np.einsum("ij,ij->i", U @ cert.P, U))
+
+
 def test_simulate_record_every_keeps_endpoints():
     traj = simulate(lambda z: -z, np.array([1.0]), 0.1, 1.0, record_every=4)
     assert traj.times[0] == 0.0

@@ -25,6 +25,8 @@ def test_pure_gradient_flow():
     assert np.allclose(sys.G, [[-1.0]])
     assert sys.abscissa == pytest.approx(-1.0)
     assert sys.rate == pytest.approx(1.0)
+    W = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert np.array_equal(lti_matrix(W, np.zeros((0, 2)), eta=5.0).G, -W)
 
 
 def test_scalar_saddle_eta_one():
