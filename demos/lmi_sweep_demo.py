@@ -36,7 +36,8 @@ def main():
         print(f"  c = {cert.c:.6g}, tau = {cert.tau:.6g}")
         print(f"  sweep over {report.samples_checked} matrix samples: "
               f"min margin {report.min_margin:.6g} -> "
-              f"{'pass' if report.passed else 'FAIL'}")
+              f"{'pass' if report.passed else 'FAIL'}, verdict {report.verdict} "
+              f"(resolution {report.resolution:.3g})")
 
         loose = dataclasses.replace(cert, tau=10.0 * cert.tau)
         probe = lmi_sweep(loose, p, params, b_samples=100, seed=0)

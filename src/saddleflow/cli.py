@@ -182,6 +182,7 @@ def _cmd_certify(args) -> int:
     print(f"LMI sweep: {report.samples_checked} samples, "
           f"min margin {report.min_margin:.6g}, "
           f"{'pass' if report.passed else 'FAIL'}")
+    print(f"verdict {report.verdict} (resolution {report.resolution:.6g})")
     if args.out:
         out = _out_dir(args)
         fileio.write_csv(out / "lmi_report.csv",
@@ -199,6 +200,10 @@ def _cmd_certify(args) -> int:
             "variant": cert.variant.value,
             "worst_b_sample": report.worst_sample,
             "worst_gamma_vertex": report.worst_vertex,
+            "resolution": report.resolution,
+            "verdict": report.verdict,
+            "eigvalsh_matrices": report.eigvalsh_matrices,
+            "screened_matrices": report.screened_matrices,
         })
     return 0 if report.passed else 1
 

@@ -351,6 +351,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
         "kappa1": p.bounds.kappa1,
         "kappa2": p.bounds.kappa2,
         "validated": report.passed,
+        "validation_notes": "; ".join(report.notes).replace("\n", " ") or "none",
     }
     if spec.kind == KIND_LOGISTIC_INEQ:
         meta["n_data"] = spec.n_data

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line front end (via run_cli)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,25 @@ def test_certify_writes_report(tmp_path, capsys):
     meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
     assert "worst_gamma_vertex = None" in meta
     assert sum(line.startswith("worst_b_sample = ") for line in meta) == 1
+    assert "verdict = pass" in meta
+
+
+def test_certify_inconclusive_verdict_exits_on_passed(tmp_path, capsys):
+    # the paper's logistic certificate: the margins are rounding noise, so
+    # the verdict is inconclusive, and the exit code follows passed
+    rc = run_cli(["certify", "--problem", "logistic", "--seed", "7", "--n", "10",
+                  "--m", "8", "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "min margin" in out and ", pass\n" in out
+    resolution = re.search(r"^verdict inconclusive \(resolution (\S+)\)$", out, re.M)
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines())
+    assert meta["verdict"] == "inconclusive"
+    assert float(meta["resolution"]) == pytest.approx(float(resolution.group(1)), rel=1e-5)
+    assert int(meta["eigvalsh_matrices"]) + int(meta["screened_matrices"]) == 25_600
+    raw = (tmp_path / "lmi_report.csv").read_text(encoding="utf-8").splitlines()
+    assert raw[0] == "variant,samples_checked,min_margin,passed"
 
 
 def test_certify_metadata_names_the_worst_vertex(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Tests for problem generators, rate fitting, and experiment artifacts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+from saddleflow import experiments
 
 from saddleflow import (
     DynamicsParams,
@@ -159,6 +162,22 @@ def test_run_experiment_artifacts(tmp_path):
     assert "kind = equality-qp" in meta
     assert "start = origin (x = 0, lambda = 0)" in meta
     assert "delta_certified_eta1 = True" in meta
+    assert "validation_notes = none" in meta
+
+
+def test_run_experiment_writes_validation_notes(tmp_path, monkeypatch):
+    def with_notes(*args, real=experiments.validate_problem, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, passed=False,
+                                   notes=("rank deficient", "two\nlines"))
+
+    monkeypatch.setattr(experiments, "validate_problem", with_notes)
+    spec = ExperimentSpec(kind=KIND_EQUALITY_QP, seed=42, n=5, m=2,
+                          params=DynamicsParams(eta=1.0, rho=1.0), horizon=0.1)
+    run_experiment(spec, tmp_path)
+    meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
+    assert "validated = False" in meta
+    assert "validation_notes = rank deficient; two lines" in meta
 
 
 def test_run_experiment_zero_horizon(tmp_path):
