@@ -331,12 +331,19 @@ def _lmi_margins(cert, G, rest, B, shift=None):
     With a shift, the stack M first takes one batched Cholesky
     factorization of M - shift I: None if it succeeds, the margins of M
     only if it fails. The shift is applied to M's diagonal in place and
-    undone exactly, so the stack costs no second copy.
+    undone exactly, so the stack costs no second copy. M and its
+    symmetric part take the arithmetic (and bits) of -(G^T P + P G) - tau P
+    and 0.5 (M + M^T) in place, except the sum with the transpose, which
+    runs faster into a new stack than over its own operand.
     """
     G = _with_primal(G, rest, B)
     P = cert.P
-    M = -(np.swapaxes(G, 1, 2) @ P + P @ G) - cert.tau * P
-    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+    M = P @ G
+    M += np.swapaxes(G, 1, 2) @ P
+    np.negative(M, out=M)
+    M -= cert.tau * P
+    M = M + np.swapaxes(M, 1, 2)
+    M *= 0.5
     if shift is not None:
         diagonal = np.arange(len(P))
         kept = M[:, diagonal, diagonal]

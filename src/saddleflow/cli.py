@@ -146,7 +146,7 @@ def _cmd_simulate(args) -> int:
     _variant_kind(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
     eq = solve_equilibrium(p, params, tol=min(args.tol, 1e-9))
-    run = run_from_origin(p, params, eq, args.horizon, args.delta, args.variant)
+    (run,) = run_from_origin(p, [params], eq, args.horizon, args.delta, args.variant)
     traj, cert = run.trajectory, run.cert
     out = _out_dir(args)
     fileio.write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, run.rows)

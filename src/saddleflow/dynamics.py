@@ -31,6 +31,7 @@ from .problem import (
     InequalityConstraints,
     QuadraticObjective,
     TwoSidedConstraints,
+    _matvec,
     _readonly,
 )
 
@@ -268,9 +269,9 @@ class AffineVectorField:
 
 
 # Most Euler steps one euler_block call takes, and the largest power table
-# it keeps (in float64 entries, 8 MB): wide systems get shorter blocks,
-# which costs nothing there because one step already outweighs the
-# per-call overhead.
+# the affine field keeps (in float64 entries, 8 MB): wide systems get
+# shorter affine blocks, which costs nothing there because one step
+# already outweighs the per-call overhead.
 _BLOCK_STEPS = 256
 _BLOCK_TABLE_FLOATS = 1 << 20
 # Powers with an entry above this are dropped from the table. For a state
@@ -340,44 +341,68 @@ class _SmoothEqualityField:
 class _AugmentedField:
     """Inequality or two-sided augmented flow on stacked vectors.
 
+    params is one DynamicsParams, for states z of shape (d,), or a
+    sequence of them sharing rho, for (K, d) stacks of states: column k
+    then follows the flow at the k-th eta.
+
     euler_update performs z + delta * field(z) with the dual block written
     as the convex combination (1 - a) lam + a m, a = delta eta / rho. The
     two forms agree algebraically; the combination keeps lam >= 0 exact in
     floating point for the inequality flow whenever a <= 1 and m >= 0.
+    Each column of a stack takes the form its own a allows, and every
+    product is _matvec's, so a column gets the bits of its own run.
     """
 
-    def __init__(self, p: ConstrainedProblem, params: DynamicsParams):
+    def __init__(self, p: ConstrainedProblem, params):
         self.grad = p.objective.grad
         self.A = p.constraints.A
         self.At = p.constraints.A.T.copy()
-        self.eta = params.eta
-        self.rho = params.rho
+        if isinstance(params, DynamicsParams):
+            self.eta, self.rho = params.eta, params.rho
+        else:
+            rhos = {q.rho for q in params}
+            if len(rhos) != 1:
+                raise ValueError(f"stacked columns need one shared rho, got {sorted(rhos)}")
+            self.eta = np.array([[q.eta] for q in params])
+            self.rho = rhos.pop()
         self.n = p.dim_n
         if isinstance(p.constraints, InequalityConstraints):
-            self.multiplier = _multiplier_map("inequality", p.constraints.b, params.rho)
+            self.multiplier = _multiplier_map("inequality", p.constraints.b, self.rho)
         else:
             self.multiplier = _multiplier_map(
-                "two-sided", (p.constraints.b_lo, p.constraints.b_hi), params.rho)
+                "two-sided", (p.constraints.b_lo, p.constraints.b_hi), self.rho)
 
     def __call__(self, z):
-        x = z[: self.n]
-        lam = z[self.n:]
-        m = self.multiplier(self.A @ x, lam)
+        x = z[..., : self.n]
+        lam = z[..., self.n:]
+        m = self.multiplier(_matvec(self.A, x), lam)
         return np.concatenate(
-            [-self.grad(x) - self.At @ m, (self.eta / self.rho) * (m - lam)]
+            [-self.grad(x) - _matvec(self.At, m), (self.eta / self.rho) * (m - lam)], axis=-1
         )
 
     def euler_update(self, z, delta):
-        x = z[: self.n]
-        lam = z[self.n:]
-        m = self.multiplier(self.A @ x, lam)
+        """One Euler step of delta; for a stack, delta may be one step per column."""
+        x = z[..., : self.n]
+        lam = z[..., self.n:]
+        if getattr(delta, "ndim", 0) == 1:
+            delta = delta[:, None]
+        m = self.multiplier(_matvec(self.A, x), lam)
         a = delta * self.eta / self.rho
-        x_next = x + delta * (-self.grad(x) - self.At @ m)
-        if a <= 1.0:
+        x_next = x + delta * (-self.grad(x) - _matvec(self.At, m))
+        small = a <= 1.0  # one bool, or one per column
+        if small is True or (small is not False and small.all()):
             lam_next = (1.0 - a) * lam + a * m
         else:
-            lam_next = lam + a * (m - lam)
-        return np.concatenate([x_next, lam_next])
+            lam_next = np.where(small, (1.0 - a) * lam + a * m, lam + a * (m - lam))
+        return np.concatenate([x_next, lam_next], axis=-1)
+
+    def euler_block(self, z, delta, k):
+        """The next min(k, _BLOCK_STEPS) Euler iterates from z, as the rows of
+        one block: euler_update applied in turn, so each has its bits."""
+        rows = np.empty((min(k, _BLOCK_STEPS),) + z.shape)
+        for i in range(len(rows)):
+            rows[i] = z = self.euler_update(z, delta)
+        return rows
 
 
 def _flow_matrix(A, eta: float, rho: float = 1.0, gammas=None):

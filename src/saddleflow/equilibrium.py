@@ -143,13 +143,17 @@ def _integrate_to_equilibrium(p, params, tol, z0, max_steps):
     constants are conservative, while the flow itself converges at its
     true (much faster) rate. The cap keeps inequality multipliers
     nonnegative exactly. The residual and the divergence guard are
-    checked every KKT_CHECK_EVERY steps and at max_steps.
+    checked every KKT_CHECK_EVERY steps and at max_steps; a block of
+    steps ends at the next check, so no step is taken past the one that
+    passes.
     """
     field = vector_field(p, params)
     delta = _fallback_step(lipschitz_bound(p, params), params)
     n = p.dim_n
     f, step, z, _ = _as_stacked(field, z0)
-    for rec in _euler_iterates(_advance(f, step), z, delta, max_steps, KKT_CHECK_EVERY):
+    advance = _advance(f, step)
+    for rec in _euler_iterates(lambda z, d, k: advance(z, d, min(k, KKT_CHECK_EVERY)),
+                               z, delta, max_steps, KKT_CHECK_EVERY):
         for z in rec:
             if kkt_residual(p, State(x=z[:n], lam=z[n:])).total <= tol:
                 return z[:n], z[n:]

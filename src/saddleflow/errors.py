@@ -50,7 +50,16 @@ class NonFiniteFieldError(SaddleflowError, FloatingPointError):
 
 
 class DivergedError(SaddleflowError, RuntimeError):
-    """The simulated state left the trust region (norm above 1e12)."""
+    """The simulated state left the trust region (norm above 1e12).
+
+    step is the first checked step found beyond it and, in a stacked run,
+    column the stack column it was found in (otherwise None).
+    """
+
+    def __init__(self, message, step=None, column=None):
+        super().__init__(message)
+        self.step = step
+        self.column = column
 
 
 class MaxIterationsError(SaddleflowError, RuntimeError):

@@ -28,10 +28,21 @@ from .certificates import (
     build_certificate_rank,
     condition_number,
 )
-from .dynamics import State, vector_field
+from .dynamics import State, _AugmentedField, vector_field
 from .equilibrium import Equilibrium, solve_equilibrium
-from .errors import InvalidInputError, RankDeficientError
-from .integrator import Trajectory, _fallback_step, choose_step_size, lipschitz_bound, simulate
+from .errors import DivergedError, InvalidInputError, RankDeficientError
+from .integrator import (
+    DIVERGENCE_NORM,
+    Trajectory,
+    _euler_iterates,
+    _fallback_step,
+    _recorded,
+    _Recorder,
+    _step_count,
+    choose_step_size,
+    lipschitz_bound,
+    simulate,
+)
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -237,43 +248,101 @@ class OriginRun:
     """A run from the origin (x = 0, lambda = 0), made by run_from_origin.
 
     delta_certified is "True", "False" (the fallback heuristic) or
-    "user-supplied"; rows are trajectory_rows, to be read once.
+    "user-supplied"; the run takes `steps` steps and records every
+    record_every-th; its trajectory keeps no states (zs is None); rows are
+    trajectory_rows, to be read once.
     """
 
     cert: LyapunovCertificate
     delta: float
     delta_certified: str
+    steps: int
+    record_every: int
     trajectory: Optional[Trajectory]
     rows: Iterable
     measured_rate: float
 
 
-def run_from_origin(p: ConstrainedProblem, params: DynamicsParams, eq: Equilibrium,
+def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
                     horizon: float, delta: Optional[float] = None,
-                    variant: Optional[str] = None) -> OriginRun:
-    """Certify, pick the step and run the flow from the origin towards eq.
+                    variant: Optional[str] = None) -> list:
+    """Certify, pick the step and run the flow from the origin towards eq,
+    once per DynamicsParams of grid; returns one OriginRun per entry.
 
-    In order: certificate_for(variant); delta, or pick_step_size; the
-    horizon check (InvalidInputError below one step); simulate from z = 0,
-    recording every ceil(steps / MAX_RECORDED_ROWS)-th step; the CSV rows
-    and fit_decay_rate. A zero horizon stops after the step: no
-    trajectory, no rows, a NaN rate.
+    Per entry, in order: certificate_for(variant); delta, or
+    pick_step_size; the horizon check (InvalidInputError below one step).
+    Then every run goes from z = 0, recording every
+    ceil(steps / MAX_RECORDED_ROWS)-th step, and gets its CSV rows and
+    fit_decay_rate. The equality flows run one simulate each (the affine
+    one already steps in blocks); the augmented flows run as one stack
+    (_run_stack). A zero horizon stops after the step: no trajectory, no
+    rows, a NaN rate.
     """
-    cert = certificate_for(p, params, variant, eq)
-    if delta is not None:
-        delta, certified = float(delta), "user-supplied"
-    else:
-        delta, certified = pick_step_size(p, params, cert, horizon)
+    plans = []
+    for params in grid:
+        cert = certificate_for(p, params, variant, eq)
+        if delta is not None:
+            step, certified = float(delta), "user-supplied"
+        else:
+            step, certified = pick_step_size(p, params, cert, horizon)
+        if horizon != 0 and horizon < step:
+            raise InvalidInputError(f"horizon {horizon:g} is shorter than one step "
+                                    f"(delta {step:g} at eta {params.eta:g})")
+        stride = max(1, math.ceil(math.ceil(horizon / step) / MAX_RECORDED_ROWS))
+        plans.append((cert, step, str(certified), _step_count(horizon, step), stride))
     if horizon == 0:
-        return OriginRun(cert, delta, str(certified), None, [], float("nan"))
-    if horizon < delta:
-        raise InvalidInputError(f"horizon {horizon:g} is shorter than one step "
-                                f"(delta {delta:g} at eta {params.eta:g})")
-    stride = math.ceil(math.ceil(horizon / delta) / MAX_RECORDED_ROWS)
-    traj = simulate(vector_field(p, params), np.zeros(p.dim_n + p.dim_m), delta,
-                    horizon, cert=cert, eq=eq.state, record_every=stride)
-    return OriginRun(cert, delta, str(certified), traj, trajectory_rows(traj),
-                     fit_decay_rate(traj.times, traj.distances))
+        return [OriginRun(*plan, None, [], float("nan")) for plan in plans]
+    z0 = np.zeros(p.dim_n + p.dim_m)
+    if isinstance(p.constraints, EqualityConstraints):
+        trajs = []
+        for params, (cert, step, _, _, stride) in zip(grid, plans):
+            traj = simulate(vector_field(p, params), z0, step, horizon,
+                            cert=cert, eq=eq.state, record_every=stride)
+            traj.zs = None  # one trajectory's states in memory at a time
+            trajs.append(traj)
+    else:
+        recorders = [_Recorder(p.dim_n, step, steps, stride, eq.state.stacked(), cert.P)
+                     for cert, step, _, steps, stride in plans]
+        _run_stack(p, grid, recorders)
+        trajs = [rec.trajectory() for rec in recorders]
+    return [OriginRun(*plan, traj, trajectory_rows(traj),
+                      fit_decay_rate(traj.times, traj.distances))
+            for plan, traj in zip(plans, trajs)]
+
+
+def _run_stack(p: ConstrainedProblem, grid, recorders):
+    """Euler runs of p's augmented flow from the origin, one per entry of
+    grid, stepped as one (K, d) stack.
+
+    Column c takes recorders[c].steps steps of recorders[c].delta at
+    grid[c] and hands recorders[c] the states it records; it leaves the
+    stack once it has taken them. The stack goes through the one Euler
+    kernel, whose divergence guard looks at every step of every column:
+    DivergedError names the eta and the step. Keeps no states.
+    """
+    steps = np.array([rec.steps for rec in recorders])
+    deltas = np.array([rec.delta for rec in recorders])
+    z = np.zeros((len(grid), p.dim_n + p.dim_m))
+    for rec in recorders:
+        rec.add(z[:1])
+    done = 0
+    for end in np.unique(steps):
+        live = np.flatnonzero(steps >= end)
+        field = _AugmentedField(p, [grid[c] for c in live])
+        k = done
+        try:
+            for rows in _euler_iterates(field.euler_block, z[live], deltas[live],
+                                        end - done, 1):
+                for i, c in enumerate(live):
+                    rec = recorders[c]
+                    rec.add(_recorded(rows[:, i], k, rec.stride, rec.steps))
+                k += len(rows)
+        except DivergedError as exc:
+            c, at = int(live[exc.column]), done + exc.step
+            raise DivergedError(f"eta {grid[c].eta:g}: state norm passed "
+                                f"{DIVERGENCE_NORM:g} by step {at}", step=at, column=c) from None
+        z[live] = rows[-1]
+        done = end
 
 
 def _plot_script() -> str:
@@ -358,9 +427,8 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
         meta["reg"] = float(spec.reg)
         meta["n_data_provenance"] = "implementation default, not part of the benchmark definition"
         meta["reg_provenance"] = "implementation default, not part of the benchmark definition"
-    for eta in etas:
-        params = DynamicsParams(eta=float(eta), rho=spec.params.rho)
-        run = run_from_origin(p, params, eq, spec.horizon, spec.delta)
+    grid = [DynamicsParams(eta=float(eta), rho=spec.params.rho) for eta in etas]
+    for params, run in zip(grid, run_from_origin(p, grid, eq, spec.horizon, spec.delta)):
         tag = f"{params.eta:g}"
         paths.append(fileio.write_csv(out / f"trajectory_eta{tag}.csv",
                                       TRAJECTORY_HEADER, run.rows))
@@ -370,9 +438,10 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
                              run.cert.tau / 2.0, spectral))
         meta[f"delta_eta{tag}"] = run.delta
         meta[f"delta_certified_eta{tag}"] = run.delta_certified
+        meta[f"steps_eta{tag}"] = run.steps
+        meta[f"record_every_eta{tag}"] = run.record_every
         meta[f"c_eta{tag}"] = run.cert.c
         meta[f"tau_eta{tag}"] = run.cert.tau
-        del run  # one trajectory in memory at a time
 
     paths.append(fileio.write_csv(
         out / "summary.csv",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dynamics import State, StateDerivative, _stacked_state
 from .errors import DivergedError, NonFiniteFieldError
-from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints
+from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, _matvec
 
 DIVERGENCE_NORM = 1e12
 _DIVERGENCE_NORM2 = DIVERGENCE_NORM * DIVERGENCE_NORM
@@ -44,9 +44,10 @@ class StepCertificate:
 class Trajectory:
     """Recorded Euler iterates on the stacked state z = (x, lam).
 
-    zs has one row per recorded step; n is the primal dimension used to
-    split rows back into State objects. v_values and the distances to z*
-    are filled when simulate was given a certificate / equilibrium.
+    zs has one row per recorded step, or is None for a run that kept no
+    states (run_from_origin's); n is the primal dimension used to split
+    rows back into State objects. v_values and the distances to z* are
+    filled when simulate was given a certificate / equilibrium.
     """
 
     times: np.ndarray
@@ -58,13 +59,15 @@ class Trajectory:
     dist_lambda: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if len(self.times) != len(self.zs):
+        if self.zs is not None and len(self.times) != len(self.zs):
             raise ValueError("times and states must have equal length")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
 
     @property
     def states(self):
+        if self.zs is None:
+            raise ValueError("this run kept no states")
         return [State(x=row[: self.n], lam=row[self.n:]) for row in self.zs]
 
     def __len__(self):
@@ -109,17 +112,34 @@ def _advance(f, step):
     return lambda z, delta, k: step(z, delta)[None]
 
 
+def _step_count(horizon: float, delta: float) -> int:
+    """Euler steps of delta in a run to t = horizon: ceil(horizon / delta)."""
+    return int(math.ceil(horizon / delta - 1e-9))
+
+
+def _recorded(rows, start, stride, steps):
+    """The rows, states after steps start + 1, start + 2, ..., that a run
+    of `steps` steps records: the multiples of stride and the last step."""
+    rec = rows[stride - 1 - start % stride::stride]
+    if start + len(rows) == steps and steps % stride:
+        rec = np.concatenate([rec, rows[-1:]])
+    return rec
+
+
 def _euler_iterates(advance, z, delta, steps, stride):
     """Take `steps` Euler steps from z, yielding the recorded states.
 
     The recorded steps are the multiples of stride and the last step.
-    Each yield is a 2-D array holding the recorded states among the rows
-    of one advance(z, delta, k) call (see _advance), so a blocked field
-    yields many at a time and a single step one or none. The divergence
-    guard runs on every recorded state and only there: a norm above
-    DIVERGENCE_NORM (NaN included) raises DivergedError naming the first
-    such step. This is the one Euler loop of the package; simulate and
-    the equilibrium solver both iterate it.
+    Each yield is an array holding the recorded states among the rows of
+    one advance(z, delta, k) call (see _advance), so a blocked field
+    yields many at a time and a single step one or none. z may be one
+    state or a (K, d) stack of them, and each row of a stack's block is
+    then a stack too. The divergence guard runs on every recorded state
+    and only there: a norm above DIVERGENCE_NORM (NaN included) raises
+    DivergedError naming the first such step, and the column of a stack.
+    This is the one Euler loop of the package; simulate, the stacked
+    runs of experiments.run_from_origin and the equilibrium solver all
+    iterate it.
     """
     k = 0
     due = stride  # the next recorded multiple of stride
@@ -129,18 +149,62 @@ def _euler_iterates(advance, z, delta, steps, stride):
         start, k = k, k + len(rows)
         if k < due and k < steps:
             continue
-        rec = rows[due - start - 1::stride]
-        if k == steps and k % stride:
-            rec = np.concatenate([rec, rows[-1:]])
+        rec = _recorded(rows, start, stride, steps)
         first, due = due, (k // stride + 1) * stride
         # The sum of squared norms clears the common case in one product;
         # only when it fails is each recorded row looked at.
         if not (np.vdot(rec, rec) <= _DIVERGENCE_NORM2):
-            bad = ~(np.einsum("ij,ij->i", rec, rec) <= _DIVERGENCE_NORM2)
+            bad = ~(np.einsum("i...j,i...j->i...", rec, rec) <= _DIVERGENCE_NORM2)
             if bad.any():
-                at = min(first + int(bad.argmax()) * stride, steps)
-                raise DivergedError(f"state norm passed {DIVERGENCE_NORM:g} by step {at}")
+                row, *column = np.unravel_index(bad.argmax(), bad.shape)
+                at = min(first + int(row) * stride, steps)
+                raise DivergedError(f"state norm passed {DIVERGENCE_NORM:g} by step {at}",
+                                    step=at, column=int(column[0]) if column else None)
         yield rec
+
+
+class _Recorder:
+    """What a run records, filled in block by block as its states come.
+
+    A run of `steps` steps of delta records step 0, the multiples of
+    stride and the last step. Given z*, each recorded state adds its
+    distances to z* (of z, x and lam), and given P as well its Lyapunov
+    value V = (z - z*)^T P (z - z*). P (z - z*) is one _matvec product per
+    state, so no value depends on how the states come in blocks.
+    """
+
+    def __init__(self, n, delta, steps, stride, z_star=None, P=None):
+        idx = np.arange(0, steps + 1, stride)
+        if idx[-1] != steps:
+            idx = np.append(idx, steps)
+        self.n, self.delta, self.steps, self.stride = n, delta, steps, stride
+        self.times = idx * delta
+        self.z_star, self.P = z_star, P
+        self.filled = 0
+        self.distances = self.dist_x = self.dist_lambda = self.v_values = None
+        if z_star is not None:
+            self.distances, self.dist_x, self.dist_lambda = np.empty((3, len(idx)))
+        if P is not None:
+            self.v_values = np.empty(len(idx))
+
+    def add(self, rec):
+        """Take rec, the next recorded states, one per row."""
+        i, self.filled = self.filled, self.filled + len(rec)
+        if self.z_star is None:
+            return
+        U = rec - self.z_star
+        if self.P is not None:
+            self.v_values[i: self.filled] = np.einsum("ij,ij->i", _matvec(self.P, U), U)
+        # np.linalg.norm's arithmetic from one in-place square
+        U *= U
+        self.distances[i: self.filled] = np.sqrt(U.sum(axis=1))
+        self.dist_x[i: self.filled] = np.sqrt(U[:, : self.n].sum(axis=1))
+        self.dist_lambda[i: self.filled] = np.sqrt(U[:, self.n:].sum(axis=1))
+
+    def trajectory(self, zs=None) -> Trajectory:
+        return Trajectory(times=self.times, zs=zs, n=self.n, v_values=self.v_values,
+                          distances=self.distances, dist_x=self.dist_x,
+                          dist_lambda=self.dist_lambda)
 
 
 def euler_step(field, s, delta: float):
@@ -181,13 +245,14 @@ def simulate(field, z0, delta: float, horizon: float,
     with both the Lyapunov values as well. record_every thins the
     recording for long runs; step 0 and the final step are always kept.
 
-    The affine field takes its steps in blocks (euler_block: many
-    iterates from one matrix product); other fields step one at a time,
-    through their euler_update when they have one (the augmented fields
-    do), otherwise as z + delta * field(z). Raises Diverged when the state
-    norm is above 1e12 at a recorded step, so every step unless
-    record_every > 1 (inadmissible step sizes blow up geometrically, so
-    this trips fast).
+    The affine field takes its steps in blocks of iterates from one
+    matrix product, and the augmented fields in blocks of their
+    euler_update (both through euler_block); other fields step one at a
+    time, as z + delta * field(z). The distances and Lyapunov values are
+    taken block by block (_Recorder). Raises Diverged when the state norm
+    is above 1e12 at a recorded step, so every step unless record_every
+    > 1 (inadmissible step sizes blow up geometrically, so this trips
+    fast).
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -197,30 +262,16 @@ def simulate(field, z0, delta: float, horizon: float,
         raise ValueError("recording Lyapunov values requires the equilibrium")
     f, step, z, n = _as_stacked(field, z0)
     z_star = None if eq is None else _stacked_state(eq, z.shape[0], "eq")
-    steps = int(math.ceil(horizon / delta - 1e-9))
+    steps = _step_count(horizon, delta)
     stride = max(int(record_every), 1)
-
-    rec_idx = np.arange(0, steps + 1, stride)
-    if rec_idx[-1] != steps:
-        rec_idx = np.append(rec_idx, steps)
-    zs = np.empty((len(rec_idx), z.shape[0]))
+    recorder = _Recorder(n, delta, steps, stride, z_star, None if cert is None else cert.P)
+    zs = np.empty((len(recorder.times), z.shape[0]))
     zs[0] = z
-    i = 1
+    recorder.add(zs[:1])
     for rec in _euler_iterates(_advance(f, step), z, delta, steps, stride):
-        zs[i: i + len(rec)] = rec
-        i += len(rec)
-
-    traj = Trajectory(times=rec_idx * delta, zs=zs, n=n)
-    if z_star is not None:
-        U = zs - z_star[None, :]
-        if cert is not None:
-            traj.v_values = np.einsum("ij,ij->i", U @ cert.P, U)
-        # np.linalg.norm's arithmetic from one in-place square, no zs-sized temporary
-        U *= U
-        traj.distances = np.sqrt(U.sum(axis=1))
-        traj.dist_x = np.sqrt(U[:, :n].sum(axis=1))
-        traj.dist_lambda = np.sqrt(U[:, n:].sum(axis=1))
-    return traj
+        zs[recorder.filled: recorder.filled + len(rec)] = rec
+        recorder.add(rec)
+    return recorder.trajectory(zs)
 
 
 def lipschitz_bound(p: ConstrainedProblem, params: DynamicsParams) -> float:

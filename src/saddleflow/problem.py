@@ -33,6 +33,17 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _matvec(M, x):
+    """M @ x for a vector x, and row by row for a (K, n) stack of them.
+
+    Each row of a stack gets exactly the bits of M @ row: matmul runs one
+    matrix-vector product per row, where a matrix-matrix product would
+    round differently. Every product of a stacked Euler step goes through
+    here.
+    """
+    return M @ x if x.ndim == 1 else np.matmul(M, x[..., None])[..., 0]
+
+
 class ObjectiveOracle:
     """Black-box objective with declared strong convexity and smoothness.
 
@@ -49,7 +60,13 @@ class ObjectiveOracle:
 
     The declared (mu, ell) are trusted by certificate builders; use
     :func:`validate_problem` to spot-check them against sampled secants.
+    grad also takes a (K, n) stack of points, one gradient per row; a
+    user's callable is mapped over the rows.
     """
+
+    # Whether _grad itself takes a (K, n) stack, with the bits of one
+    # call per row.
+    _stacks = False
 
     def __init__(self, value: Callable, grad: Callable, mu: float, ell: float):
         if not (mu > 0):
@@ -65,7 +82,11 @@ class ObjectiveOracle:
         return float(self._value(np.asarray(x, dtype=float)))
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+        """The gradient at x, or at each row of a (K, n) stack of points."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1 and not self._stacks:
+            return np.array([self._grad(row) for row in x], dtype=float)
+        return np.asarray(self._grad(x), dtype=float)
 
     def __repr__(self):
         return f"{type(self).__name__}(mu={self.mu:g}, ell={self.ell:g})"
@@ -78,6 +99,8 @@ class QuadraticObjective(ObjectiveOracle):
     equilibrium solves, spectral analysis of the linearized flow).
     mu and ell are the extreme eigenvalues of W.
     """
+
+    _stacks = True
 
     def __init__(self, W, q=None):
         W = np.asarray(W, dtype=float)
@@ -102,7 +125,7 @@ class QuadraticObjective(ObjectiveOracle):
         return 0.5 * x @ (self.W @ x) + self.q @ x
 
     def _qgrad(self, x):
-        return self.W @ x + self.q
+        return _matvec(self.W, x) + self.q
 
 
 class LogisticObjective(ObjectiveOracle):
@@ -113,6 +136,8 @@ class LogisticObjective(ObjectiveOracle):
     (1/4) D^T D, so mu = reg and ell = reg + lambda_max(D^T D)/4. Values
     use log1p-style accumulation, so large logits do not overflow.
     """
+
+    _stacks = True
 
     def __init__(self, D, y, reg: float):
         D = np.asarray(D, dtype=float)
@@ -127,6 +152,10 @@ class LogisticObjective(ObjectiveOracle):
             raise ValueError(f"reg must be positive, got {reg}")
         self.D = _readonly(D)
         self.y = _readonly(y)
+        # -D^T and -y for the gradient, in the layout the plain expressions
+        # -D.T @ v and -y * u would build on every call
+        self._neg_dt = -self.D.T
+        self._neg_y = -self.y
         self.reg = float(reg)
         from scipy.special import expit  # here, so importing saddleflow loads no scipy
         self._expit = expit
@@ -134,12 +163,12 @@ class LogisticObjective(ObjectiveOracle):
         super().__init__(self._lvalue, self._lgrad, reg, ell)
 
     def _lvalue(self, x):
-        u = -self.y * (self.D @ x)
+        u = self._neg_y * (self.D @ x)
         return float(np.sum(np.logaddexp(0.0, u))) + 0.5 * self.reg * float(x @ x)
 
     def _lgrad(self, x):
-        u = -self.y * (self.D @ x)
-        return -self.D.T @ (self.y * self._expit(u)) + self.reg * x
+        u = self._neg_y * _matvec(self.D, x)
+        return _matvec(self._neg_dt, self.y * self._expit(u)) + self.reg * x
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from saddleflow import (
     soft_threshold,
     vector_field,
 )
+from saddleflow.dynamics import _AugmentedField
 
 UNIT = DynamicsParams(eta=1.0, rho=1.0)
 
@@ -316,3 +317,31 @@ def test_state_stacking_roundtrip():
     assert np.allclose(z, [1.0, 2.0, 3.0])
     back = State.from_stacked(z, 2)
     assert np.allclose(back.x, s.x) and np.allclose(back.lam, s.lam)
+
+
+def test_stacked_euler_steps_match_each_column():
+    # a (K, d) stack steps every column with its own eta and delta, and
+    # with the dual form its own a = delta eta / rho picks (a > 1 on the
+    # last column): each column gets the bits of its own one-column step
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((3, 4))
+    grid = [DynamicsParams(eta=eta, rho=0.8) for eta in (0.5, 2.0, 6.0)]
+    delta = np.array([0.1, 0.3, 0.25])  # a = 0.0625, 0.75, 1.875
+    for cons in (InequalityConstraints(A=A, b=rng.standard_normal(3)),
+                 TwoSidedConstraints(A=A, b_lo=-np.ones(3), b_hi=np.ones(3))):
+        p = ConstrainedProblem(QuadraticObjective(np.eye(4)), cons)
+        stacked = _AugmentedField(p, grid)
+        Z = rng.standard_normal((3, 7))
+        step, dz = stacked.euler_update(Z, delta), stacked(Z)
+        block = stacked.euler_block(Z, delta, 5)
+        assert block.shape == (5, 3, 7)
+        for k, params in enumerate(grid):
+            field = vector_field(p, params)
+            assert np.array_equal(dz[k], field(Z[k]))
+            assert np.array_equal(step[k], field.euler_update(Z[k], delta[k]))
+            z = Z[k]
+            for row in block[:, k]:
+                z = field.euler_update(z, delta[k])
+                assert np.array_equal(row, z)
+    with pytest.raises(ValueError, match="shared rho"):
+        _AugmentedField(p, [UNIT, DynamicsParams(eta=1.0, rho=2.0)])

@@ -9,9 +9,13 @@ import pytest
 from saddleflow import experiments
 
 from saddleflow import (
+    ConstrainedProblem,
+    DivergedError,
     DynamicsParams,
     ExperimentSpec,
+    InequalityConstraints,
     InvalidInputError,
+    QuadraticObjective,
     build_certificate_eq,
     build_problem,
     fit_decay_rate,
@@ -19,9 +23,12 @@ from saddleflow import (
     gen_logistic_ineq,
     pick_step_size,
     run_experiment,
+    simulate,
+    solve_equilibrium,
     validate_problem,
+    vector_field,
 )
-from saddleflow.experiments import KIND_EQUALITY_QP, KIND_LOGISTIC_INEQ
+from saddleflow.experiments import KIND_EQUALITY_QP, KIND_LOGISTIC_INEQ, run_from_origin
 from saddleflow.fileio import read_csv
 
 
@@ -162,6 +169,7 @@ def test_run_experiment_artifacts(tmp_path):
     assert "kind = equality-qp" in meta
     assert "start = origin (x = 0, lambda = 0)" in meta
     assert "delta_certified_eta1 = True" in meta
+    assert "steps_eta1 = 163840" in meta and "record_every_eta1 = 1" in meta
     assert "validation_notes = none" in meta
 
 
@@ -201,3 +209,75 @@ def test_run_experiment_deterministic(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+# The benchmark's eta grid, 0.25:4:8:log.
+BENCH_GRID = [DynamicsParams(eta=float(eta))
+              for eta in np.logspace(np.log10(0.25), np.log10(4.0), 8)]
+
+
+def _runs_match_simulate(p, grid, eq, horizon, delta=None):
+    """run_from_origin's runs against one simulate per grid entry: the
+    recorded times, distances and rates bit for bit, V within 1e-13."""
+    runs = run_from_origin(p, grid, eq, horizon, delta)
+    for params, run in zip(grid, runs):
+        ref = simulate(vector_field(p, params), np.zeros(p.dim_n + p.dim_m), run.delta,
+                       horizon, cert=run.cert, eq=eq.state, record_every=run.record_every)
+        traj = run.trajectory
+        assert traj.zs is None and traj.times[-1] == run.steps * run.delta
+        for name in ("times", "distances", "dist_x", "dist_lambda"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
+        np.testing.assert_allclose(traj.v_values, ref.v_values, rtol=1e-13, atol=0)
+        assert run.measured_rate == fit_decay_rate(ref.times, ref.distances)
+    return runs
+
+
+@pytest.mark.parametrize("seed", [3, 66, 145])
+def test_stacked_sweep_matches_per_column_runs(seed):
+    # three of the benchmark's logistic problems; the columns take
+    # different step counts, so they leave the stack one by one
+    p = gen_logistic_ineq(seed, n=10, m=8)
+    eq = solve_equilibrium(p, DynamicsParams(), tol=1e-6)
+    runs = _runs_match_simulate(p, BENCH_GRID, eq, 25.0)
+    assert len({run.steps for run in runs}) > 1
+
+
+def test_stacked_columns_record_at_their_own_strides(monkeypatch):
+    monkeypatch.setattr(experiments, "MAX_RECORDED_ROWS", 300)
+    p = gen_logistic_ineq(3, n=10, m=8)
+    eq = solve_equilibrium(p, DynamicsParams(), tol=1e-6)
+    runs = _runs_match_simulate(p, BENCH_GRID, eq, 20.0)
+    assert len({run.record_every for run in runs}) > 1
+    assert any(run.steps % run.record_every for run in runs)
+
+
+def _small_ineq_qp():
+    rng = np.random.default_rng(12)
+    return ConstrainedProblem(QuadraticObjective(np.eye(4)),
+                              InequalityConstraints(A=0.5 * rng.standard_normal((3, 4)),
+                                                    b=rng.standard_normal(3)))
+
+
+def test_stacked_user_step_takes_each_columns_dual_form():
+    # a user delta of 0.9 puts a = delta eta / rho above one on the last
+    # column only, which then takes the lam + a (m - lam) form
+    p = _small_ineq_qp()
+    grid = [DynamicsParams(eta=eta) for eta in (0.5, 1.0, 1.5)]
+    eq = solve_equilibrium(p, DynamicsParams())
+    runs = _runs_match_simulate(p, grid, eq, 30.0, delta=0.9)
+    assert [run.delta * params.eta > 1.0 for run, params in zip(runs, grid)] == [
+        False, False, True]
+    assert {run.delta_certified for run in runs} == {"user-supplied"}
+
+
+def test_stacked_run_names_the_diverging_column():
+    p = _small_ineq_qp()
+    grid = [DynamicsParams(eta=eta) for eta in (0.5, 40.0, 1.0)]
+    eq = solve_equilibrium(p, DynamicsParams())
+    with pytest.raises(DivergedError) as alone:
+        simulate(vector_field(p, grid[1]), np.zeros(7), 0.9, 90.0)
+    step = alone.value.step
+    want = rf"^eta 40: state norm passed 1e\+12 by step {step}$"
+    with pytest.raises(DivergedError, match=want) as stacked:
+        run_from_origin(p, grid, eq, 90.0, delta=0.9)
+    assert (stacked.value.step, stacked.value.column) == (step, 1)

@@ -128,7 +128,8 @@ def test_simulate_seeded_qp_distance_bound():
 
 @pytest.mark.parametrize("seed,n,m", [(42, 5, 2), (3, 12, 9)])
 def test_simulate_distances_are_linalg_norms(seed, n, m):
-    # the recorded distances keep np.linalg.norm's bits, so fitted rates do
+    # the recorded distances keep np.linalg.norm's bits, so fitted rates do;
+    # V takes P (z - z*) as one matrix-vector product per row
     p = gen_equality_qp(seed, n, m)
     params = DynamicsParams()
     cert = build_certificate_eq(p, params)
@@ -139,7 +140,8 @@ def test_simulate_distances_are_linalg_norms(seed, n, m):
     assert np.array_equal(traj.distances, np.linalg.norm(U, axis=1))
     assert np.array_equal(traj.dist_x, np.linalg.norm(U[:, :n], axis=1))
     assert np.array_equal(traj.dist_lambda, np.linalg.norm(U[:, n:], axis=1))
-    assert np.array_equal(traj.v_values, np.einsum("ij,ij->i", U @ cert.P, U))
+    PU = np.stack([cert.P @ u for u in U])
+    assert np.array_equal(traj.v_values, np.einsum("ij,ij->i", PU, U))
 
 
 def test_simulate_record_every_keeps_endpoints():

@@ -20,6 +20,7 @@ from saddleflow import (
     spectral_bounds,
     validate_problem,
 )
+from saddleflow.problem import _matvec
 
 # Oracle fixtures for spectral_bounds (hand eigenvalues of A A^T).
 #   A = I2          -> A A^T = I2,        spectrum {1, 1}
@@ -234,3 +235,48 @@ def test_spectral_bounds_container_ordering():
         SpectralBounds(kappa1=2.0, kappa2=1.0)
     with pytest.raises(ValueError):
         SpectralBounds(kappa1=0.0, kappa2=1.0)
+
+
+def test_matvec_rows_have_the_bits_of_one_product():
+    # a stacked product gives each row exactly M @ row, for either memory
+    # layout of M and for rows sliced out of a wider stack
+    rng = np.random.default_rng(21)
+    for r, c in ((7, 3), (10, 8), (8, 10), (100, 50), (18, 18)):
+        for M in (rng.standard_normal((r, c)), np.asfortranarray(rng.standard_normal((r, c)))):
+            X = rng.standard_normal((6, c + 4))[:, 2: c + 2]
+            got = _matvec(M, X)
+            assert got.shape == (6, r)
+            for row, x in zip(got, X):
+                assert np.array_equal(row, M @ x)
+            assert np.array_equal(_matvec(M, X[0]), M @ X[0])
+
+
+def test_stacked_gradients_match_row_by_row():
+    # grad of a (K, n) stack is grad of each row, bit for bit; a user's
+    # callable only ever sees single points
+    from scipy.special import expit
+
+    rng = np.random.default_rng(22)
+    D = rng.standard_normal((30, 6))
+    y = rng.integers(0, 2, 30) * 2.0 - 1.0
+    W = rng.standard_normal((6, 6))
+    seen = []
+
+    def user_grad(x):
+        seen.append(x.shape)
+        return 2.0 * x
+
+    logistic = LogisticObjective(D, y, 0.1)
+    objectives = (logistic, QuadraticObjective(W @ W.T + np.eye(6), rng.standard_normal(6)),
+                  ObjectiveOracle(lambda x: float(x @ x), user_grad, 2.0, 2.0))
+    X = rng.standard_normal((5, 6))
+    for obj in objectives:
+        got = obj.grad(X)
+        assert got.shape == (5, 6)
+        for row, x in zip(got, X):
+            assert np.array_equal(row, obj.grad(x))
+    assert set(seen) == {(6,)}
+    # the stored -D^T and -y keep the bits of the plain expression
+    x = X[0]
+    plain = -logistic.D.T @ (y * expit(-y * (D @ x))) + 0.1 * x
+    assert np.array_equal(logistic.grad(x), plain)
