@@ -54,6 +54,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saddleflow",
@@ -64,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, horizon=False):
         sp.add_argument("--problem", default="eq-qp",
                         help="generator name (eq-qp, logistic) or a problem file path")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--n", type=int, default=None, help="primal dimension")
         sp.add_argument("--m", type=int, default=None, help="constraint count")
         sp.add_argument("--n-data", type=int, default=100,

@@ -268,10 +268,10 @@ class AffineVectorField:
             return z + ((powers[: k * dim] @ z).reshape(k, dim) + offsets[:k])
 
 
-# Most Euler steps one euler_block call takes, and the largest power table
-# the affine field keeps (in float64 entries, 8 MB): wide systems get
-# shorter affine blocks, which costs nothing there because one step
-# already outweighs the per-call overhead.
+# Most Euler steps one block of the integrator takes (integrator._advance),
+# and the largest power table the affine field keeps (in float64 entries,
+# 8 MB): wide systems get shorter affine blocks, which costs nothing there
+# because one step already outweighs the per-call overhead.
 _BLOCK_STEPS = 256
 _BLOCK_TABLE_FLOATS = 1 << 20
 # Powers with an entry above this are dropped from the table. For a state
@@ -395,14 +395,6 @@ class _AugmentedField:
         else:
             lam_next = np.where(small, (1.0 - a) * lam + a * m, lam + a * (m - lam))
         return np.concatenate([x_next, lam_next], axis=-1)
-
-    def euler_block(self, z, delta, k):
-        """The next min(k, _BLOCK_STEPS) Euler iterates from z, as the rows of
-        one block: euler_update applied in turn, so each has its bits."""
-        rows = np.empty((min(k, _BLOCK_STEPS),) + z.shape)
-        for i in range(len(rows)):
-            rows[i] = z = self.euler_update(z, delta)
-        return rows
 
 
 def _flow_matrix(A, eta: float, rho: float = 1.0, gammas=None):

@@ -17,7 +17,7 @@ import numpy as np
 from .certificates import ACTIVE_TOL
 from .dynamics import State, _flow_matrix, _stacked_state, _with_primal, vector_field
 from .errors import MaxIterationsError
-from .integrator import _advance, _as_stacked, _euler_iterates, _fallback_step, lipschitz_bound
+from .integrator import _advance, _euler_iterates, _fallback_step, _Recorder, lipschitz_bound
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -142,19 +142,19 @@ def _integrate_to_equilibrium(p, params, tol, z0, max_steps):
     certified step can be impractically small when the certificate
     constants are conservative, while the flow itself converges at its
     true (much faster) rate. The cap keeps inequality multipliers
-    nonnegative exactly. The residual and the divergence guard are
-    checked every KKT_CHECK_EVERY steps and at max_steps; a block of
-    steps ends at the next check, so no step is taken past the one that
-    passes.
+    nonnegative exactly. The residual is checked every KKT_CHECK_EVERY
+    steps and at max_steps (the states a _Recorder of that stride picks).
+    A block takes at most KKT_CHECK_EVERY steps, so it ends at the next
+    check and no step is taken past the one that passes (an affine block
+    from a shorter power table may run a few steps past it).
     """
-    field = vector_field(p, params)
     delta = _fallback_step(lipschitz_bound(p, params), params)
     n = p.dim_n
-    f, step, z, _ = _as_stacked(field, z0)
-    advance = _advance(f, step)
-    for rec in _euler_iterates(lambda z, d, k: advance(z, d, min(k, KKT_CHECK_EVERY)),
-                               z, delta, max_steps, KKT_CHECK_EVERY):
-        for z in rec:
+    advance = _advance(vector_field(p, params))
+    recorder = _Recorder(z0, n, delta, max_steps, KKT_CHECK_EVERY)
+    for rows in _euler_iterates(lambda z, d, k: advance(z, d, min(k, KKT_CHECK_EVERY)),
+                                z0, delta, max_steps):
+        for z in recorder.add(rows):
             if kkt_residual(p, State(x=z[:n], lam=z[n:])).total <= tol:
                 return z[:n], z[n:]
     raise MaxIterationsError(

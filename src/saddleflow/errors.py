@@ -52,8 +52,8 @@ class NonFiniteFieldError(SaddleflowError, FloatingPointError):
 class DivergedError(SaddleflowError, RuntimeError):
     """The simulated state left the trust region (norm above 1e12).
 
-    step is the first checked step found beyond it and, in a stacked run,
-    column the stack column it was found in (otherwise None).
+    Every Euler step is checked: step is the first one beyond it and, in a
+    stacked run, column the stack column it is in (otherwise None).
     """
 
     def __init__(self, message, step=None, column=None):

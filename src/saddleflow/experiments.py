@@ -34,9 +34,9 @@ from .errors import DivergedError, InvalidInputError, RankDeficientError
 from .integrator import (
     DIVERGENCE_NORM,
     Trajectory,
+    _advance,
     _euler_iterates,
     _fallback_step,
-    _recorded,
     _Recorder,
     _step_count,
     choose_step_size,
@@ -80,6 +80,13 @@ def _full_rank_matrix(rng, m, n, attempts=100):
     )
 
 
+def _check_seed(seed):
+    """seed, if it is a nonnegative integer (what SeedSequence takes)."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
+
+
 def gen_equality_qp(seed: int, n: int = 5, m: int = 2) -> ConstrainedProblem:
     """Random strongly convex QP with equality constraints.
 
@@ -89,7 +96,7 @@ def gen_equality_qp(seed: int, n: int = 5, m: int = 2) -> ConstrainedProblem:
     """
     if not (1 <= m <= n):
         raise InvalidInputError(f"need 1 <= m <= n, got n={n}, m={m}")
-    ss_w, ss_a, ss_b = np.random.SeedSequence(seed).spawn(3)
+    ss_w, ss_a, ss_b = np.random.SeedSequence(_check_seed(seed)).spawn(3)
     W0 = np.random.default_rng(ss_w).standard_normal((n, n))
     W = 10.0 * np.eye(n) + W0 @ W0.T
     A = _full_rank_matrix(np.random.default_rng(ss_a), m, n)
@@ -116,7 +123,7 @@ def gen_logistic_ineq(seed: int, n: int = 50, m: int = 40,
         raise InvalidInputError(f"need n_data >= 1, got {n_data}")
     if reg <= 0:
         raise InvalidInputError(f"reg must be positive, got {reg}")
-    ss_d, ss_y, ss_a, ss_b = np.random.SeedSequence(seed).spawn(4)
+    ss_d, ss_y, ss_a, ss_b = np.random.SeedSequence(_check_seed(seed)).spawn(4)
     D = np.random.default_rng(ss_d).standard_normal((n_data, n))
     y = np.random.default_rng(ss_y).integers(0, 2, size=n_data) * 2.0 - 1.0
     A = _full_rank_matrix(np.random.default_rng(ss_a), m, n)
@@ -146,6 +153,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in (KIND_EQUALITY_QP, KIND_LOGISTIC_INEQ):
             raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
+        _check_seed(self.seed)
         if self.n < 1 or self.m < 1:
             raise InvalidInputError("n and m must be at least 1")
         if self.kind == KIND_LOGISTIC_INEQ and self.n_data < 1:
@@ -288,8 +296,9 @@ def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
         if horizon != 0 and horizon < step:
             raise InvalidInputError(f"horizon {horizon:g} is shorter than one step "
                                     f"(delta {step:g} at eta {params.eta:g})")
-        stride = max(1, math.ceil(math.ceil(horizon / step) / MAX_RECORDED_ROWS))
-        plans.append((cert, step, str(certified), _step_count(horizon, step), stride))
+        steps = _step_count(horizon, step)
+        stride = max(1, -(-steps // MAX_RECORDED_ROWS))
+        plans.append((cert, step, str(certified), steps, stride))
     if horizon == 0:
         return [OriginRun(*plan, None, [], float("nan")) for plan in plans]
     z0 = np.zeros(p.dim_n + p.dim_m)
@@ -301,7 +310,7 @@ def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
             traj.zs = None  # one trajectory's states in memory at a time
             trajs.append(traj)
     else:
-        recorders = [_Recorder(p.dim_n, step, steps, stride, eq.state.stacked(), cert.P)
+        recorders = [_Recorder(z0, p.dim_n, step, steps, stride, eq.state.stacked(), cert.P)
                      for cert, step, _, steps, stride in plans]
         _run_stack(p, grid, recorders)
         trajs = [rec.trajectory() for rec in recorders]
@@ -315,28 +324,21 @@ def _run_stack(p: ConstrainedProblem, grid, recorders):
     grid, stepped as one (K, d) stack.
 
     Column c takes recorders[c].steps steps of recorders[c].delta at
-    grid[c] and hands recorders[c] the states it records; it leaves the
-    stack once it has taken them. The stack goes through the one Euler
+    grid[c], handing recorders[c] its states; then it leaves the stack. The stack goes through the one Euler
     kernel, whose divergence guard looks at every step of every column:
     DivergedError names the eta and the step. Keeps no states.
     """
     steps = np.array([rec.steps for rec in recorders])
     deltas = np.array([rec.delta for rec in recorders])
     z = np.zeros((len(grid), p.dim_n + p.dim_m))
-    for rec in recorders:
-        rec.add(z[:1])
     done = 0
     for end in np.unique(steps):
         live = np.flatnonzero(steps >= end)
-        field = _AugmentedField(p, [grid[c] for c in live])
-        k = done
+        advance = _advance(_AugmentedField(p, [grid[c] for c in live]))
         try:
-            for rows in _euler_iterates(field.euler_block, z[live], deltas[live],
-                                        end - done, 1):
+            for rows in _euler_iterates(advance, z[live], deltas[live], end - done):
                 for i, c in enumerate(live):
-                    rec = recorders[c]
-                    rec.add(_recorded(rows[:, i], k, rec.stride, rec.steps))
-                k += len(rows)
+                    recorders[c].add(rows[:, i])
         except DivergedError as exc:
             c, at = int(live[exc.column]), done + exc.step
             raise DivergedError(f"eta {grid[c].eta:g}: state norm passed "

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import State, StateDerivative, _stacked_state
+from .dynamics import _BLOCK_STEPS, State, StateDerivative, _stacked_state
 from .errors import DivergedError, NonFiniteFieldError
 from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, _matvec
 
@@ -75,13 +75,12 @@ class Trajectory:
 
 
 def _as_stacked(field, z0):
-    """Normalize (field, z0) to the stacked convention: (f, step, z, n).
+    """Normalize (field, z0) to the stacked convention: (f, z, n).
 
     f maps z = (x, lam) to dz. A plain callable paired with a State input
     is treated as a State-level field (returning a StateDerivative); field
     objects from dynamics.vector_field carry their own split and are used
-    as is. step(z, delta) is one explicit Euler step: the field's own
-    euler_update when it has one, otherwise z + delta * f(z).
+    as is.
     """
     f = field
     if isinstance(z0, State):
@@ -93,23 +92,36 @@ def _as_stacked(field, z0):
     else:
         z = np.atleast_1d(np.asarray(z0, dtype=float))
         n = getattr(field, "n", z.shape[0])
-    step = getattr(f, "euler_update", None)
-    if step is None:
-        def step(zv, delta, _f=f):
-            return zv + delta * np.asarray(_f(zv), dtype=float)
-    return f, step, z, n
+    return f, z, n
 
 
-def _advance(f, step):
+def _step(f):
+    """step(z, delta), one explicit Euler step of the stacked field f: its
+    own euler_update when it has one, otherwise z + delta * f(z)."""
+    return getattr(f, "euler_update", None) or (
+        lambda z, delta: z + delta * np.asarray(f(z), dtype=float))
+
+
+def _advance(f):
     """advance(z, delta, k): the next 1..k Euler iterates as rows.
 
-    The field's euler_block where it has one (many steps per call),
-    otherwise one step(z, delta) per call.
+    The affine field's euler_block as it is (one matrix product per
+    block); any other field takes min(k, _BLOCK_STEPS) calls of _step(f),
+    each row with the bits of its own step. Overflow past a divergence is
+    left to the kernel's guard, as in the affine block.
     """
     block = getattr(f, "euler_block", None)
     if block is not None:
         return block
-    return lambda z, delta, k: step(z, delta)[None]
+    step = _step(f)
+
+    def advance(z, delta, k):
+        rows = np.empty((min(k, _BLOCK_STEPS),) + z.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(rows)):
+                rows[i] = z = step(z, delta)
+        return rows
+    return advance
 
 
 def _step_count(horizon: float, delta: float) -> int:
@@ -117,81 +129,69 @@ def _step_count(horizon: float, delta: float) -> int:
     return int(math.ceil(horizon / delta - 1e-9))
 
 
-def _recorded(rows, start, stride, steps):
-    """The rows, states after steps start + 1, start + 2, ..., that a run
-    of `steps` steps records: the multiples of stride and the last step."""
-    rec = rows[stride - 1 - start % stride::stride]
-    if start + len(rows) == steps and steps % stride:
-        rec = np.concatenate([rec, rows[-1:]])
-    return rec
+def _euler_iterates(advance, z, delta, steps):
+    """Take `steps` Euler steps from z, yielding each block of iterates.
 
-
-def _euler_iterates(advance, z, delta, steps, stride):
-    """Take `steps` Euler steps from z, yielding the recorded states.
-
-    The recorded steps are the multiples of stride and the last step.
-    Each yield is an array holding the recorded states among the rows of
-    one advance(z, delta, k) call (see _advance), so a blocked field
-    yields many at a time and a single step one or none. z may be one
-    state or a (K, d) stack of them, and each row of a stack's block is
-    then a stack too. The divergence guard runs on every recorded state
-    and only there: a norm above DIVERGENCE_NORM (NaN included) raises
-    DivergedError naming the first such step, and the column of a stack.
-    This is the one Euler loop of the package; simulate, the stacked
-    runs of experiments.run_from_origin and the equilibrium solver all
-    iterate it.
+    A block is the rows of one advance(z, delta, k) call (see _advance),
+    the states after the next steps in order; for a (K, d) stack of
+    states each row is a stack too. Every step is guarded: a norm above
+    DIVERGENCE_NORM (NaN included) raises DivergedError naming the first
+    such step, and the column of a stack. This is the one Euler loop of
+    the package (simulate, experiments._run_stack and the equilibrium
+    solver); a _Recorder picks the states each of them keeps.
     """
     k = 0
-    due = stride  # the next recorded multiple of stride
     while k < steps:
         rows = advance(z, delta, steps - k)
-        z = rows[-1]
-        start, k = k, k + len(rows)
-        if k < due and k < steps:
-            continue
-        rec = _recorded(rows, start, stride, steps)
-        first, due = due, (k // stride + 1) * stride
         # The sum of squared norms clears the common case in one product;
-        # only when it fails is each recorded row looked at.
-        if not (np.vdot(rec, rec) <= _DIVERGENCE_NORM2):
-            bad = ~(np.einsum("i...j,i...j->i...", rec, rec) <= _DIVERGENCE_NORM2)
+        # only when it fails is each row looked at.
+        if not (np.vdot(rows, rows) <= _DIVERGENCE_NORM2):
+            bad = ~(np.einsum("i...j,i...j->i...", rows, rows) <= _DIVERGENCE_NORM2)
             if bad.any():
                 row, *column = np.unravel_index(bad.argmax(), bad.shape)
-                at = min(first + int(row) * stride, steps)
+                at = k + int(row) + 1
                 raise DivergedError(f"state norm passed {DIVERGENCE_NORM:g} by step {at}",
                                     step=at, column=int(column[0]) if column else None)
-        yield rec
+        z, k = rows[-1], k + len(rows)
+        yield rows
 
 
 class _Recorder:
-    """What a run records, filled in block by block as its states come.
+    """The recording rule of every run, applied block by block.
 
-    A run of `steps` steps of delta records step 0, the multiples of
-    stride and the last step. Given z*, each recorded state adds its
-    distances to z* (of z, x and lam), and given P as well its Lyapunov
-    value V = (z - z*)^T P (z - z*). P (z - z*) is one _matvec product per
-    state, so no value depends on how the states come in blocks.
+    A run of `steps` steps of delta from z0 records step 0 (when the
+    recorder is built), the multiples of stride and the last step. Given
+    z*, each recorded state adds its distances to z* (of z, x and lam),
+    and given P its Lyapunov value V = (z - z*)^T P (z - z*) as well, one
+    _matvec product per state, so no value depends on the block split.
+    keep=True keeps the states too (simulate's zs).
     """
 
-    def __init__(self, n, delta, steps, stride, z_star=None, P=None):
-        idx = np.arange(0, steps + 1, stride)
-        if idx[-1] != steps:
-            idx = np.append(idx, steps)
+    def __init__(self, z0, n, delta, steps, stride, z_star=None, P=None, keep=False):
+        size = -(-steps // stride) + 1
         self.n, self.delta, self.steps, self.stride = n, delta, steps, stride
-        self.times = idx * delta
         self.z_star, self.P = z_star, P
-        self.filled = 0
+        self.zs = np.empty((size, len(z0))) if keep else None
         self.distances = self.dist_x = self.dist_lambda = self.v_values = None
         if z_star is not None:
-            self.distances, self.dist_x, self.dist_lambda = np.empty((3, len(idx)))
+            self.distances, self.dist_x, self.dist_lambda = np.empty((3, size))
         if P is not None:
-            self.v_values = np.empty(len(idx))
+            self.v_values = np.empty(size)
+        self.taken, self.filled = -1, 0  # z0 is the state after step 0
+        self.add(np.asarray(z0)[None])
 
-    def add(self, rec):
-        """Take rec, the next recorded states, one per row."""
+    def add(self, rows):
+        """Take rows, the states after the next len(rows) steps, and
+        return the ones recorded among them."""
+        start, self.taken = self.taken, self.taken + len(rows)
+        rec = rows[self.stride - 1 - start % self.stride::self.stride]
+        if self.taken == self.steps and self.steps % self.stride:
+            rec = np.concatenate([rec, rows[-1:]])
         i, self.filled = self.filled, self.filled + len(rec)
+        if self.zs is not None:
+            self.zs[i: self.filled] = rec
         if self.z_star is None:
-            return
+            return rec
         U = rec - self.z_star
         if self.P is not None:
             self.v_values[i: self.filled] = np.einsum("ij,ij->i", _matvec(self.P, U), U)
@@ -200,11 +200,13 @@ class _Recorder:
         self.distances[i: self.filled] = np.sqrt(U.sum(axis=1))
         self.dist_x[i: self.filled] = np.sqrt(U[:, : self.n].sum(axis=1))
         self.dist_lambda[i: self.filled] = np.sqrt(U[:, self.n:].sum(axis=1))
+        return rec
 
-    def trajectory(self, zs=None) -> Trajectory:
-        return Trajectory(times=self.times, zs=zs, n=self.n, v_values=self.v_values,
-                          distances=self.distances, dist_x=self.dist_x,
-                          dist_lambda=self.dist_lambda)
+    def trajectory(self) -> Trajectory:
+        steps = np.minimum(np.arange(self.filled) * self.stride, self.steps)
+        return Trajectory(times=steps * self.delta, zs=self.zs, n=self.n,
+                          v_values=self.v_values, distances=self.distances,
+                          dist_x=self.dist_x, dist_lambda=self.dist_lambda)
 
 
 def euler_step(field, s, delta: float):
@@ -216,8 +218,8 @@ def euler_step(field, s, delta: float):
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    _, step, z, n = _as_stacked(field, s)
-    out = step(z, delta)
+    f, z, n = _as_stacked(field, s)
+    out = _step(f)(z, delta)
     if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("field returned non-finite values")
     return State.from_stacked(out, n) if isinstance(s, State) else out
@@ -225,7 +227,7 @@ def euler_step(field, s, delta: float):
 
 def rk4_step(field, s, delta: float):
     """Classic fourth-order step; reference accuracy only, no certificate."""
-    f, _, z, n = _as_stacked(field, s)
+    f, z, n = _as_stacked(field, s)
     k1 = np.asarray(f(z), dtype=float)
     k2 = np.asarray(f(z + 0.5 * delta * k1), dtype=float)
     k3 = np.asarray(f(z + 0.5 * delta * k2), dtype=float)
@@ -246,13 +248,12 @@ def simulate(field, z0, delta: float, horizon: float,
     recording for long runs; step 0 and the final step are always kept.
 
     The affine field takes its steps in blocks of iterates from one
-    matrix product, and the augmented fields in blocks of their
-    euler_update (both through euler_block); other fields step one at a
-    time, as z + delta * field(z). The distances and Lyapunov values are
-    taken block by block (_Recorder). Raises Diverged when the state norm
-    is above 1e12 at a recorded step, so every step unless record_every
-    > 1 (inadmissible step sizes blow up geometrically, so this trips
-    fast).
+    matrix product; other fields in blocks of up to 256 steps of their
+    euler_update or of z + delta * field(z) (_advance). The distances and
+    Lyapunov values are taken block by block (_Recorder). Raises
+    DivergedError when the state norm passes 1e12, naming the first such
+    step whatever record_every is (inadmissible step sizes blow up
+    geometrically, so this trips fast).
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -260,18 +261,14 @@ def simulate(field, z0, delta: float, horizon: float,
         raise ValueError(f"horizon must be at least delta, got {horizon} < {delta}")
     if cert is not None and eq is None:
         raise ValueError("recording Lyapunov values requires the equilibrium")
-    f, step, z, n = _as_stacked(field, z0)
+    f, z, n = _as_stacked(field, z0)
     z_star = None if eq is None else _stacked_state(eq, z.shape[0], "eq")
     steps = _step_count(horizon, delta)
-    stride = max(int(record_every), 1)
-    recorder = _Recorder(n, delta, steps, stride, z_star, None if cert is None else cert.P)
-    zs = np.empty((len(recorder.times), z.shape[0]))
-    zs[0] = z
-    recorder.add(zs[:1])
-    for rec in _euler_iterates(_advance(f, step), z, delta, steps, stride):
-        zs[recorder.filled: recorder.filled + len(rec)] = rec
-        recorder.add(rec)
-    return recorder.trajectory(zs)
+    recorder = _Recorder(z, n, delta, steps, max(int(record_every), 1), z_star,
+                         None if cert is None else cert.P, keep=True)
+    for rows in _euler_iterates(_advance(f), z, delta, steps):
+        recorder.add(rows)
+    return recorder.trajectory()
 
 
 def lipschitz_bound(p: ConstrainedProblem, params: DynamicsParams) -> float:

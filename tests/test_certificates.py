@@ -15,7 +15,6 @@ from saddleflow import (
     EqualityConstraints,
     InequalityConstraints,
     InfeasibleError,
-    LyapunovCertificate,
     NoSlackError,
     ObjectiveOracle,
     QuadraticObjective,

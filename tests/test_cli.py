@@ -136,6 +136,19 @@ def test_simulate_thins_to_max_recorded_rows(tmp_path, monkeypatch, capsys):
     assert f"simulated {len(rows)} recorded steps" in capsys.readouterr().out
 
 
+def test_simulate_stride_counts_the_steps_the_run_takes(tmp_path, monkeypatch, capsys):
+    # horizon / delta is 1000 plus a rounding ulp: the run takes 1,000
+    # steps, so with 1,000 recorded rows allowed every step is recorded
+    monkeypatch.setattr(experiments, "MAX_RECORDED_ROWS", 1000)
+    rc = run_cli(["simulate", "--problem", "eq-qp", "--seed", "42",
+                  "--delta", "0.0010038001900095005",
+                  "--horizon", "1.0038001900095006", "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "trajectory.csv")
+    assert len(rows) == 1001
+    assert "simulated 1001 recorded steps" in capsys.readouterr().out
+
+
 def test_simulate_rank_variant_solves_the_equilibrium_once(tmp_path, monkeypatch,
                                                            capsys):
     calls = []
@@ -280,6 +293,11 @@ def test_bad_grid_and_bad_problem_are_usage_errors(tmp_path, capsys):
         bad_runs.append(["kkt-check", "--problem", str(path)])
     good = tmp_path / "good.txt"
     good.write_text(SMALL_PROBLEM, encoding="utf-8")
+    # negative seeds, on a generator and on a problem file (where only the
+    # LMI sweep draws from the seed)
+    for command in ("simulate", "certify", "sweep-eta", "spectrum", "kkt-check", "gen"):
+        bad_runs.append([command, "--out", str(tmp_path), "--seed", "-1"])
+    bad_runs.append(["certify", "--problem", str(good), "--seed", "-1"])
     assert run_cli(["kkt-check", "--problem", str(good)]) == 0
     capsys.readouterr()
     for argv in bad_runs:

@@ -23,6 +23,7 @@ from saddleflow import (
     vector_field,
 )
 from saddleflow.dynamics import _AugmentedField
+from saddleflow.integrator import _advance
 
 UNIT = DynamicsParams(eta=1.0, rho=1.0)
 
@@ -333,7 +334,7 @@ def test_stacked_euler_steps_match_each_column():
         stacked = _AugmentedField(p, grid)
         Z = rng.standard_normal((3, 7))
         step, dz = stacked.euler_update(Z, delta), stacked(Z)
-        block = stacked.euler_block(Z, delta, 5)
+        block = _advance(stacked)(Z, delta, 5)
         assert block.shape == (5, 3, 7)
         for k, params in enumerate(grid):
             field = vector_field(p, params)

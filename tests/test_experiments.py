@@ -90,6 +90,13 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=5, m=2, params=params,
                        eta_grid=[1.0, -2.0])
+    for seed in (-1, 1.5):
+        with pytest.raises(InvalidInputError, match="seed"):
+            ExperimentSpec(kind=KIND_EQUALITY_QP, seed=seed, n=5, m=2, params=params)
+        with pytest.raises(InvalidInputError, match="seed"):
+            gen_equality_qp(seed)
+        with pytest.raises(InvalidInputError, match="seed"):
+            gen_logistic_ineq(seed, 5, 2)
     for horizon in (-1.0, math.inf, math.nan):
         with pytest.raises(InvalidInputError):
             ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=5, m=2, params=params,

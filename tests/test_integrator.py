@@ -18,7 +18,6 @@ from saddleflow import (
     State,
     Trajectory,
     build_certificate_eq,
-    build_certificate_ineq,
     choose_step_size,
     condition_number,
     euler_step,
@@ -32,7 +31,8 @@ from saddleflow import (
     vector_field,
 )
 from saddleflow.dynamics import _BLOCK_STEPS
-from saddleflow.integrator import _euler_iterates
+from saddleflow.integrator import _advance, _as_stacked, _euler_iterates, _Recorder
+from saddleflow.problem import LogisticObjective
 
 # Oracle fixtures for the contraction factor r = exp(-tau d/2) + kP nu^2 d^2/2
 # at tau = nu = kappa_P = 1 (hand formula evaluations).
@@ -201,47 +201,121 @@ def test_simulate_affine_matches_plain_callable():
             np.testing.assert_allclose(fast.distances, ref.distances, rtol=1e-9, atol=0)
 
 
-def test_euler_kernel_records_and_guards_across_any_block_split():
-    # a stepper that returns a random number of rows per call; the state
-    # counts steps, and passes the divergence norm from step `blow` on
+def _counting_advance(rng, widest, blow):
+    """A stepper that returns a random number of rows per call. Each row
+    of the state counts steps in its first entry and passes the divergence
+    norm from step blow[c] on in column c (a one-state run has one column)."""
+    def advance(z, delta, k):
+        width = int(rng.integers(1, min(k, widest) + 1))
+        ahead = np.arange(1, width + 1).reshape((width,) + (1,) * (z.ndim - 1))
+        steps = z[..., 0] + ahead
+        return np.stack([steps, np.where(steps >= blow, 1e13, 0.0)], axis=-1)
+    return advance
+
+
+def test_euler_kernel_guards_every_step_across_any_block_split():
+    # one state or a stack of three, each column diverging from its own
+    # step: the kernel names the first diverged step, and the lowest column
+    # diverged at it, whatever the block split
     rng = np.random.default_rng(5)
     for _ in range(300):
+        steps, widest = (int(v) for v in rng.integers(1, [60, 9]))
+        for shape in ((), (3,)):
+            blow = rng.integers(1, 2 * steps, size=shape)
+            advance = _counting_advance(rng, widest, blow)
+            z = np.zeros(shape + (2,))
+            first = int(np.min(blow))
+            if first <= steps:
+                with pytest.raises(DivergedError, match=f"by step {first}$") as exc:
+                    list(_euler_iterates(advance, z, 1.0, steps))
+                assert exc.value.step == first
+                assert exc.value.column == (int(np.argmin(blow)) if shape else None)
+            else:
+                blocks = list(_euler_iterates(advance, z, 1.0, steps))
+                counted = np.concatenate(blocks)[..., 0]
+                assert counted.reshape(steps, -1)[:, 0].tolist() == list(range(1, steps + 1))
+
+
+def test_recorder_keeps_step_zero_the_multiples_of_its_stride_and_the_last():
+    rng = np.random.default_rng(6)
+    for _ in range(300):
         steps, stride, widest = (int(v) for v in rng.integers(1, [60, 20, 9]))
-        blow = int(rng.integers(1, 2 * steps))
-
-        def advance(z, delta, k):
-            idx = z[0] + np.arange(1, int(rng.integers(1, min(k, widest) + 1)) + 1)
-            return np.stack([idx, np.where(idx >= blow, 1e13, 0.0)], axis=1)
-
+        recorder = _Recorder(np.zeros(2), 1, 0.5, steps, stride, z_star=np.zeros(2),
+                             keep=True)
+        advance = _counting_advance(rng, widest, steps + 1)
+        picked = [recorder.add(rows)[:, 0] for rows in
+                  _euler_iterates(advance, np.zeros(2), 1.0, steps)]
         want = [s for s in range(1, steps + 1) if s % stride == 0 or s == steps]
-        tripped = [s for s in want if s >= blow]
-        if tripped:
-            with pytest.raises(DivergedError, match=f"by step {tripped[0]}$"):
-                list(_euler_iterates(advance, np.zeros(2), 1.0, steps, stride))
-        else:
-            rows = np.concatenate(list(_euler_iterates(advance, np.zeros(2), 1.0,
-                                                       steps, stride)))
-            assert rows[:, 0].tolist() == want
+        assert np.concatenate(picked).tolist() == want
+        traj = recorder.trajectory()
+        assert traj.zs[:, 0].tolist() == [0] + want
+        assert traj.times.tolist() == [0.5 * s for s in [0] + want]
+        assert traj.distances.tolist() == [0] + want
+
+
+def test_simulate_names_the_same_diverged_step_at_any_record_every():
+    # inadmissible steps on an affine, a plain-callable and an augmented
+    # field: the guard looks at every step, so thinning the recording does
+    # not move the step it names (the first one past the divergence norm)
+    rng = np.random.default_rng(13)
+    p = ConstrainedProblem(QuadraticObjective(np.eye(4)),
+                           InequalityConstraints(A=0.5 * rng.standard_normal((3, 4)),
+                                                 b=rng.standard_normal(3)))
+    affine = vector_field(gen_equality_qp(42), DynamicsParams())
+    cases = [(affine, np.ones(7), 0.4), (lambda z: affine(z), np.ones(7), 0.4),
+             (vector_field(p, DynamicsParams(eta=40.0)), np.zeros(7), 0.9)]
+    for field, z0, delta in cases:
+        z, first = z0, 0
+        while np.linalg.norm(z) <= 1e12:
+            z, first = euler_step(field, z, delta), first + 1
+        assert first % 7, "pick a case whose diverged step is not a multiple of 7"
+        for record_every in (1, 7):
+            with pytest.raises(DivergedError, match=f"by step {first}$") as exc:
+                simulate(field, z0, delta, 1000 * delta, record_every=record_every)
+            assert exc.value.step == first
+
+
+def test_generic_block_is_iterated_euler_step():
+    # a State-level callable and the equality field of a non-quadratic
+    # objective: _advance's block of _BLOCK_STEPS rows has, row by row, the
+    # bits of euler_step applied in turn
+    rng = np.random.default_rng(14)
+    n, m = 5, 2
+    p = ConstrainedProblem(LogisticObjective(rng.standard_normal((20, n)),
+                                             np.sign(rng.standard_normal(20)), 0.1),
+                           EqualityConstraints(A=rng.standard_normal((m, n)),
+                                               b=rng.standard_normal(m)))
+    params = DynamicsParams(eta=1.5)
+    smooth = vector_field(p, params)
+    assert not hasattr(smooth, "euler_block") and not hasattr(smooth, "euler_update")
+    s0 = State(x=rng.standard_normal(n), lam=rng.standard_normal(m))
+    for field, start in ((lambda s: pdgd_eq_field(p, params, s), s0), (smooth, s0.stacked())):
+        f, z, _ = _as_stacked(field, start)
+        for k in (3, 10 * _BLOCK_STEPS):
+            rows = _advance(f)(z, 0.01, k)
+            assert rows.shape == (min(k, _BLOCK_STEPS), n + m)
+            s = start
+            for row in rows:
+                s = euler_step(field, s, 0.01)
+                assert np.array_equal(row, s.stacked() if isinstance(s, State) else s)
 
 
 def test_blocked_affine_divergence_matches_step_by_step():
     # inadmissible deltas: |1 + delta lambda(G)| is in the thousands on the
     # QP, so the power table is cut short, and 1e50 on the scalar field, so
-    # the unrecorded rows between every 7th step overflow to inf. The
-    # blocked rows still trip the guard at the same recorded step as the
-    # generic path, without warnings.
+    # the rows of a block past the divergence overflow to inf. The affine
+    # blocks and the generic blocks of a plain callable trip the guard at
+    # the same step, without warnings.
     p = gen_equality_qp(42)
     cases = [(vector_field(p, DynamicsParams()), np.ones(p.dim_n + p.dim_m), 100.0),
              (AffineVectorField(np.array([[1e50]]), np.zeros(1), n=1), np.ones(1), 1.0)]
     for field, z0, delta in cases:
         for record_every in (1, 7):
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("error")
                 with pytest.raises(DivergedError) as ref:
                     simulate(lambda z: field(z), z0, delta, 1000 * delta,
                              record_every=record_every)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
                 with pytest.raises(DivergedError) as fast:
                     simulate(field, z0, delta, 1000 * delta, record_every=record_every)
             assert str(fast.value) == str(ref.value)
