@@ -27,6 +27,7 @@ from .experiments import (
     ExperimentSpec,
     _variant_kind,
     certificate_for,
+    equilibrium_metadata,
     gen_equality_qp,
     gen_logistic_ineq,
     run_experiment,
@@ -169,6 +170,7 @@ def _cmd_simulate(args) -> int:
         "c": cert.c,
         "tau": cert.tau,
         "variant": cert.variant.value,
+        **equilibrium_metadata(eq),
     })
     print(f"simulated {len(traj)} recorded steps to t={traj.times[-1]:g}")
     print(f"final distance {traj.distances[-1]:.6g}, measured rate "
@@ -272,6 +274,9 @@ def _cmd_kkt_check(args) -> int:
     print(f"dual             {res.dual:.3e}")
     print(f"complementarity  {res.complementarity:.3e}")
     print(f"active set       {list(eq.active_set)}")
+    how = f"; {eq.fallback_reason}" if eq.fallback_reason else ""
+    print(f"method           {eq.method}, {eq.newton_iterations} Newton iterations, "
+          f"{eq.euler_steps} Euler steps{how}")
     ok = res.total <= args.tol
     print(f"total {res.total:.3e} {'<=' if ok else '>'} tol {args.tol:g}")
     return 0 if ok else 1

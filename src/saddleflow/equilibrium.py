@@ -10,7 +10,7 @@ which cannot both be nonzero for the same row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,16 +18,18 @@ from .certificates import ACTIVE_TOL
 from .dynamics import State, _flow_matrix, _stacked_state, _with_primal, vector_field
 from .errors import MaxIterationsError
 from .integrator import _advance, _euler_iterates, _fallback_step, _Recorder, lipschitz_bound
-from .problem import (
-    ConstrainedProblem,
-    DynamicsParams,
-    EqualityConstraints,
-    InequalityConstraints,
-    QuadraticObjective,
-)
+from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, InequalityConstraints
 
 # Euler steps between KKT residual checks while integrating to equilibrium.
 KKT_CHECK_EVERY = 100
+# Default budget of Euler steps for an integrated equilibrium.
+MAX_EULER_STEPS = 10_000_000
+# Newton iterations before the solver falls back to integrating the flow.
+NEWTON_MAX_ITER = 50
+# A damped Newton step must cut |F| by this fraction of its damping t;
+# t is halved from 1 and Newton stalls below the smallest t.
+NEWTON_ARMIJO = 1e-4
+NEWTON_MIN_DAMPING = 2.0 ** -30
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,21 @@ class KktResidual:
 
 @dataclass(frozen=True)
 class Equilibrium:
+    """The solved equilibrium, and how the solve went.
+
+    method is "newton" or "integration"; newton_iterations and
+    euler_steps count the work of each; fallback_reason says why Newton
+    stalled, when it did. These four are outside ==.
+    """
+
     x_star: np.ndarray
     lambda_star: np.ndarray
     residual: KktResidual
     active_set: tuple
+    method: str = field(kw_only=True, compare=False)
+    newton_iterations: int = field(default=0, kw_only=True, compare=False)
+    euler_steps: int = field(default=0, kw_only=True, compare=False)
+    fallback_reason: str = field(default="", kw_only=True, compare=False)
 
     @property
     def state(self) -> State:
@@ -80,19 +93,6 @@ def kkt_residual(p: ConstrainedProblem, s: State) -> KktResidual:
     return KktResidual(stationarity, primal, 0.0, comp)
 
 
-def _fd_jacobian(grad, x):
-    """Forward-difference Jacobian of the gradient (exact for quadratics)."""
-    n = x.shape[0]
-    g0 = grad(x)
-    J = np.empty((n, n))
-    for i in range(n):
-        h = 1e-7 * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        J[:, i] = (grad(xp) - g0) / h
-    return 0.5 * (J + J.T)
-
-
 def _active_set(p: ConstrainedProblem, x: np.ndarray) -> tuple:
     A = p.constraints.A
     if isinstance(p.constraints, EqualityConstraints):
@@ -107,36 +107,69 @@ def _active_set(p: ConstrainedProblem, x: np.ndarray) -> tuple:
     return tuple(int(j) for j in np.flatnonzero(mask))
 
 
-def _solve_equality_newton(p, tol, x0=None):
-    """Newton on the KKT residual with matrix -G(B) at eta = 1, B the Hessian:
-    W (one step from the origin for a quadratic), otherwise _fd_jacobian."""
-    A, b = p.constraints.A, p.constraints.b
-    n, m = p.dim_n, p.dim_m
+def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
+    """Damped semismooth Newton on F(z) = 0, F the flow's field at eta = 1.
 
-    def newton_step(B, r1, r2):
-        K = -_with_primal(*_flow_matrix(A, 1.0), B)[0]  # [[B, A^T], [-A, 0]]
-        return np.linalg.solve(K, np.concatenate([-r1, r2]))
+    The equilibrium does not depend on eta, so eta = 1 serves every flow.
+    Each step solves G(B, Gamma(z)) s = -F(z), the generalized Jacobian of
+    F: B the objective's Hessian, Gamma(z) the 0/1 pattern of the
+    constraints whose effective multiplier is nonzero (the penalty clip
+    passes its argument there). From the origin of an equality QP the
+    first step is the exact KKT solve. The step is halved until |F| falls
+    by the Armijo fraction. Returns (equilibrium, iterations, None) once
+    the KKT residual is at most tol, or (None, iterations, reason) when
+    Newton stalls: a non-finite field or step, a singular Jacobian, no
+    descent, or NEWTON_MAX_ITER iterations.
+    """
+    n = p.dim_n
+    A = p.constraints.A
+    flow = vector_field(p, DynamicsParams(eta=1.0, rho=rho))
+    equality = isinstance(p.constraints, EqualityConstraints)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = flow(z)
+        norm = float(np.linalg.norm(F))
+        for k in range(NEWTON_MAX_ITER + 1):
+            if not np.isfinite(norm):
+                why = "non-finite field"
+                break
+            s = State(x=z[:n], lam=z[n:])
+            res = kkt_residual(p, s)
+            if res.total <= tol:
+                return _equilibrium(p, s, res, method="newton", newton_iterations=k), k, None
+            if k == NEWTON_MAX_ITER:
+                why = "iteration cap"
+                break
+            gammas = None
+            if not equality:
+                gammas = (flow.multiplier(A @ z[:n], z[n:]) != 0.0)[None].astype(float)
+            G = _with_primal(*_flow_matrix(A, 1.0, rho, gammas), p.objective.hess(z[:n]))[0]
+            try:
+                step = np.linalg.solve(G, -F)
+            except np.linalg.LinAlgError:
+                why = "singular Jacobian"
+                break
+            if not np.all(np.isfinite(step)):
+                why = "non-finite step"
+                break
+            t = 1.0
+            while t >= NEWTON_MIN_DAMPING:
+                trial = z + t * step
+                F_trial = flow(trial)
+                norm_trial = float(np.linalg.norm(F_trial))
+                if norm_trial <= (1.0 - NEWTON_ARMIJO * t) * norm:
+                    break
+                t *= 0.5
+            else:
+                why = "no descent"
+                break
+            z, F, norm = trial, F_trial, norm_trial
+    return None, k, f"newton stalled at iteration {k}, |F| = {norm:.3g}: {why}"
 
-    if isinstance(p.objective, QuadraticObjective):
-        sol = newton_step(p.objective.W, p.objective.q, -b)
-        return sol[:n], sol[n:]
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    lam = np.zeros(m)
-    for _ in range(100):
-        r1 = p.objective.grad(x) + A.T @ lam
-        r2 = A @ x - b
-        if max(np.linalg.norm(r1), np.linalg.norm(r2)) <= tol:
-            return x, lam
-        step = newton_step(_fd_jacobian(p.objective.grad, x), r1, r2)
-        x = x + step[:n]
-        lam = lam + step[n:]
-        if not np.all(np.isfinite(x)):
-            break
-    return None
 
-
-def _integrate_to_equilibrium(p, params, tol, z0, max_steps):
-    """Drive the flow until the KKT residual drops below tol.
+def _integrate_to_equilibrium(p: ConstrainedProblem, params: DynamicsParams, tol: float,
+                              z0=None, max_steps: int = MAX_EULER_STEPS) -> Equilibrium:
+    """Drive the flow from z0 (default the origin) until the KKT residual
+    drops below tol: the solver's fallback, and the sweep's equilibrium.
 
     The step is the stability heuristic min(1/(2 nu), rho/eta): the
     certified step can be impractically small when the certificate
@@ -148,47 +181,54 @@ def _integrate_to_equilibrium(p, params, tol, z0, max_steps):
     check and no step is taken past the one that passes (an affine block
     from a shorter power table may run a few steps past it).
     """
-    delta = _fallback_step(lipschitz_bound(p, params), params)
     n = p.dim_n
+    z0 = np.zeros(n + p.dim_m) if z0 is None else z0
+    delta = _fallback_step(lipschitz_bound(p, params), params)
     advance = _advance(vector_field(p, params))
     recorder = _Recorder(z0, n, delta, max_steps, KKT_CHECK_EVERY)
+    checks = 0
     for rows in _euler_iterates(lambda z, d, k: advance(z, d, min(k, KKT_CHECK_EVERY)),
                                 z0, delta, max_steps):
         for z in recorder.add(rows):
-            if kkt_residual(p, State(x=z[:n], lam=z[n:])).total <= tol:
-                return z[:n], z[n:]
+            checks += 1
+            s = State(x=z[:n], lam=z[n:])
+            res = kkt_residual(p, s)
+            if res.total <= tol:
+                return _equilibrium(p, s, res, method="integration",
+                                    euler_steps=min(checks * KKT_CHECK_EVERY, max_steps))
     raise MaxIterationsError(
         f"KKT residual did not reach {tol:g} within {max_steps} steps"
     )
 
 
+def _equilibrium(p, s: State, res: KktResidual, **how) -> Equilibrium:
+    return Equilibrium(x_star=s.x, lambda_star=s.lam, residual=res,
+                       active_set=_active_set(p, s.x), **how)
+
+
 def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
                       tol: float = 1e-9, z0: State = None,
-                      max_steps: int = 10_000_000) -> Equilibrium:
+                      max_steps: int = MAX_EULER_STEPS) -> Equilibrium:
     """Compute the unique primal-dual equilibrium of p's flow.
 
-    Equality constraints: Newton on the stacked KKT residual, which is a
-    single exact linear solve for quadratic objectives; integration of the
-    flow is the fallback if Newton stalls. Inequality and two-sided
-    constraints: integrate the augmented flow from z0 (default the origin)
-    until the total KKT residual is at most tol.
+    Damped semismooth Newton on the flow's field from z0 (default the
+    origin) until the total KKT residual is at most tol; for an equality
+    QP from the origin that is one exact linear solve. If Newton stalls,
+    the flow is integrated from z0 instead, for at most max_steps Euler
+    steps. The result records which method ran, its Newton iterations
+    and Euler steps, and why Newton stalled.
     """
     if params is None:
         params = DynamicsParams()
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    n, m = p.dim_n, p.dim_m
-    start = np.zeros(n + m) if z0 is None else _stacked_state(z0, n + m, "z0")
-    out = None
-    if isinstance(p.constraints, EqualityConstraints):
-        out = _solve_equality_newton(p, tol, x0=start[:n] if z0 is not None else None)
-    if out is None:
-        out = _integrate_to_equilibrium(p, params, tol, start, max_steps)
-    s = State(*out)
-    res = kkt_residual(p, s)
-    if res.total > tol:
-        raise MaxIterationsError(
-            f"equilibrium residual {res.total:g} exceeds tolerance {tol:g}"
-        )
-    return Equilibrium(x_star=s.x, lambda_star=s.lam, residual=res,
-                       active_set=_active_set(p, s.x))
+    size = p.dim_n + p.dim_m
+    start = np.zeros(size) if z0 is None else _stacked_state(z0, size, "z0")
+    eq, iterations, stalled = _newton(p, params.rho, tol, start)
+    if eq is not None:
+        return eq
+    try:
+        eq = _integrate_to_equilibrium(p, params, tol, start, max_steps)
+    except MaxIterationsError as exc:
+        raise MaxIterationsError(f"{exc} ({stalled})") from None
+    return replace(eq, newton_iterations=iterations, fallback_reason=stalled)

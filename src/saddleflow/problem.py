@@ -44,6 +44,19 @@ def _matvec(M, x):
     return M @ x if x.ndim == 1 else np.matmul(M, x[..., None])[..., 0]
 
 
+def _fd_jacobian(grad, x):
+    """Forward-difference Jacobian of the gradient (exact for quadratics)."""
+    n = x.shape[0]
+    g0 = grad(x)
+    J = np.empty((n, n))
+    for i in range(n):
+        h = 1e-7 * (1.0 + abs(x[i]))
+        xp = x.copy()
+        xp[i] += h
+        J[:, i] = (grad(xp) - g0) / h
+    return 0.5 * (J + J.T)
+
+
 class ObjectiveOracle:
     """Black-box objective with declared strong convexity and smoothness.
 
@@ -57,6 +70,9 @@ class ObjectiveOracle:
         Strong convexity modulus, mu > 0.
     ell : float
         Gradient Lipschitz constant, ell >= mu.
+    hess : callable, optional
+        Maps an n-vector to the n-by-n Hessian of f. Without it, hess(x)
+        is a forward-difference Jacobian of grad.
 
     The declared (mu, ell) are trusted by certificate builders; use
     :func:`validate_problem` to spot-check them against sampled secants.
@@ -68,13 +84,15 @@ class ObjectiveOracle:
     # call per row.
     _stacks = False
 
-    def __init__(self, value: Callable, grad: Callable, mu: float, ell: float):
+    def __init__(self, value: Callable, grad: Callable, mu: float, ell: float,
+                 hess: Callable = None):
         if not (mu > 0):
             raise ValueError(f"mu must be positive, got {mu}")
         if not (ell >= mu):
             raise ValueError(f"ell must be at least mu, got ell={ell} < mu={mu}")
         self._value = value
         self._grad = grad
+        self._hess = hess
         self.mu = float(mu)
         self.ell = float(ell)
 
@@ -87,6 +105,13 @@ class ObjectiveOracle:
         if x.ndim > 1 and not self._stacks:
             return np.array([self._grad(row) for row in x], dtype=float)
         return np.asarray(self._grad(x), dtype=float)
+
+    def hess(self, x) -> np.ndarray:
+        """The Hessian at an n-vector x (the equilibrium solver's Newton matrix)."""
+        x = np.asarray(x, dtype=float)
+        if self._hess is None:
+            return _fd_jacobian(self.grad, x)
+        return np.asarray(self._hess(x), dtype=float)
 
     def __repr__(self):
         return f"{type(self).__name__}(mu={self.mu:g}, ell={self.ell:g})"
@@ -119,13 +144,17 @@ class QuadraticObjective(ObjectiveOracle):
             raise ValueError(f"W must be positive definite, min eigenvalue {eigs[0]:g}")
         self.W = _readonly(W)
         self.q = _readonly(q)
-        super().__init__(self._qvalue, self._qgrad, float(eigs[0]), float(eigs[-1]))
+        super().__init__(self._qvalue, self._qgrad, float(eigs[0]), float(eigs[-1]),
+                         hess=self._qhess)
 
     def _qvalue(self, x):
         return 0.5 * x @ (self.W @ x) + self.q @ x
 
     def _qgrad(self, x):
         return _matvec(self.W, x) + self.q
+
+    def _qhess(self, x):
+        return self.W
 
 
 class LogisticObjective(ObjectiveOracle):
@@ -160,7 +189,7 @@ class LogisticObjective(ObjectiveOracle):
         from scipy.special import expit  # here, so importing saddleflow loads no scipy
         self._expit = expit
         ell = reg + 0.25 * float(np.linalg.eigvalsh(D.T @ D)[-1])
-        super().__init__(self._lvalue, self._lgrad, reg, ell)
+        super().__init__(self._lvalue, self._lgrad, reg, ell, hess=self._lhess)
 
     def _lvalue(self, x):
         u = self._neg_y * (self.D @ x)
@@ -169,6 +198,12 @@ class LogisticObjective(ObjectiveOracle):
     def _lgrad(self, x):
         u = self._neg_y * _matvec(self.D, x)
         return _matvec(self._neg_dt, self.y * self._expit(u)) + self.reg * x
+
+    def _lhess(self, x):
+        # D^T diag(s (1 - s)) D + reg I, s the sigmoid of the margins
+        u = self.D @ x
+        w = self._expit(u) * self._expit(-u)
+        return self.D.T @ (w[:, None] * self.D) + self.reg * np.eye(len(x))
 
 
 @dataclass(frozen=True)

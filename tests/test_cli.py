@@ -120,8 +120,11 @@ def test_simulate_seeded_qp(tmp_path, capsys):
     assert header == ["t", "dist_x", "dist_lambda", "V"]
     assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(5.0, abs=1e-9)
     assert rows[-1][3] < rows[0][3]
-    meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8")
+    meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
     assert "delta_certified = True" in meta
+    assert "equilibrium_method = newton" in meta
+    assert "equilibrium_newton_iterations = 1" in meta
+    assert "equilibrium_fallback_reason = none" in meta
 
 
 def test_simulate_thins_to_max_recorded_rows(tmp_path, monkeypatch, capsys):
@@ -191,7 +194,10 @@ def test_kkt_check_logistic(capsys):
     rc = run_cli(["kkt-check", "--problem", "logistic", "--seed", "7",
                   "--n", "6", "--m", "3", "--n-data", "20"])
     assert rc == 0
-    assert "complementarity" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "complementarity" in out
+    assert re.search(r"^method           newton, \d+ Newton iterations, 0 Euler steps$",
+                     out, re.M)
 
 
 def test_sweep_eta_artifacts(tmp_path, capsys):

@@ -9,17 +9,21 @@ from saddleflow import (
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
+    LogisticObjective,
     MaxIterationsError,
+    ObjectiveOracle,
     QuadraticObjective,
     State,
     TwoSidedConstraints,
     aug_pdgd_field,
     aug_pdgd_ts_field,
     gen_equality_qp,
+    gen_logistic_ineq,
     kkt_residual,
     pdgd_eq_field,
     solve_equilibrium,
 )
+from saddleflow.equilibrium import _integrate_to_equilibrium
 
 UNIT = DynamicsParams(eta=1.0, rho=1.0)
 
@@ -184,15 +188,89 @@ def test_two_sided_kkt_residual_by_hand():
     assert res.primal == pytest.approx(1.0)
 
 
-def test_max_iterations_error_on_tiny_budget():
+def _wrong_hessian_qp(hess=lambda x: -np.eye(3)):
+    """min 1/2 ||x||^2 under two random inequalities, with an oracle whose
+    Hessian is wrong (the true one is I), so Newton cannot succeed."""
     rng = np.random.default_rng(33)
-    p = ConstrainedProblem(
-        QuadraticObjective(np.eye(3)),
-        InequalityConstraints(A=rng.standard_normal((2, 3)),
-                              b=rng.standard_normal(2) - 2.0),
-    )
-    with pytest.raises(MaxIterationsError):
-        solve_equilibrium(p, UNIT, max_steps=3)
+    objective = ObjectiveOracle(lambda x: 0.5 * x @ x, lambda x: x, 1.0, 1.0, hess=hess)
+    return ConstrainedProblem(objective, InequalityConstraints(
+        A=rng.standard_normal((2, 3)), b=rng.standard_normal(2) - 2.0))
+
+
+def test_max_iterations_error_on_tiny_budget():
+    # Newton stalls, so the flow is integrated, for at most max_steps steps
+    with pytest.raises(MaxIterationsError, match="within 3 steps.*newton stalled"):
+        solve_equilibrium(_wrong_hessian_qp(), UNIT, max_steps=3)
+
+
+@pytest.mark.parametrize("hess, why", [
+    (lambda x: -np.eye(3), "no descent"),
+    (lambda x: np.zeros((3, 3)), "singular Jacobian"),
+    (lambda x: np.full((3, 3), np.nan), "non-finite step"),
+    (lambda x: 1e-3 * np.eye(3), "iteration cap"),
+])
+def test_stalled_newton_falls_back_to_integration(hess, why):
+    p = _wrong_hessian_qp(hess)
+    eq = solve_equilibrium(p, UNIT)
+    assert eq.method == "integration" and eq.euler_steps > 0
+    assert eq.fallback_reason.startswith(f"newton stalled at iteration {eq.newton_iterations}, ")
+    assert eq.fallback_reason.endswith(why)
+    assert eq.residual.total <= 1e-9
+    right = solve_equilibrium(ConstrainedProblem(QuadraticObjective(np.eye(3)),
+                                                 p.constraints), UNIT)
+    assert right.method == "newton"
+    assert np.max(np.abs(eq.state.stacked() - right.state.stacked())) <= 1e-8
+
+
+def _newton_against_integration_problems():
+    rng = np.random.default_rng(21)
+    D, y = rng.standard_normal((30, 4)), rng.choice([-1.0, 1.0], size=30)
+    return {
+        "logistic seed 3": gen_logistic_ineq(3, n=10, m=8),
+        "logistic seed 7": gen_logistic_ineq(7, n=10, m=8),
+        # criterion 6's two-sided QP
+        "two-sided": ConstrainedProblem(
+            QuadraticObjective(np.diag([1.0, 2.0, 3.0]), np.array([1.0, -2.0, 0.5])),
+            TwoSidedConstraints(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+                                np.array([-0.2, -0.05]), np.array([0.2, 0.05]))),
+        "logistic equality": ConstrainedProblem(
+            LogisticObjective(D, y, 0.1),
+            EqualityConstraints(A=rng.standard_normal((2, 4)), b=rng.standard_normal(2))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_newton_against_integration_problems()))
+def test_newton_agrees_with_integration(name):
+    # the fast path against its slow reference, both stopped at KKT 1e-9
+    p = _newton_against_integration_problems()[name]
+    fast = solve_equilibrium(p, UNIT, tol=1e-9)
+    slow = _integrate_to_equilibrium(p, UNIT, 1e-9)
+    assert fast.method == "newton" and slow.method == "integration"
+    assert np.max(np.abs(fast.state.stacked() - slow.state.stacked())) <= 1e-8
+    assert fast.active_set == slow.active_set
+
+
+def test_newton_counts_on_logistic_seed_3():
+    eq = solve_equilibrium(gen_logistic_ineq(3, n=10, m=8), UNIT, tol=1e-9)
+    assert eq.method == "newton" and eq.fallback_reason == ""
+    assert 1 <= eq.newton_iterations <= 12
+    assert eq.euler_steps == 0
+
+
+def test_equality_qp_is_one_exact_kkt_solve():
+    # from the origin the first Newton step is the KKT solve
+    # [[W, A^T], [-A, 0]] z = (-q, -b), bit for bit
+    rng = np.random.default_rng(4)
+    p = gen_equality_qp(42)
+    p = ConstrainedProblem(QuadraticObjective(p.objective.W, rng.standard_normal(5)),
+                           p.constraints)
+    W, q = p.objective.W, p.objective.q
+    A, b = p.constraints.A, p.constraints.b
+    K = np.block([[W, A.T], [-A, np.zeros((2, 2))]])
+    exact = np.linalg.solve(K, np.concatenate([-q, -b]))
+    eq = solve_equilibrium(p, DynamicsParams(eta=3.0, rho=2.0))
+    assert eq.state.stacked().tobytes() == exact.tobytes()
+    assert (eq.method, eq.newton_iterations, eq.euler_steps) == ("newton", 1, 0)
 
 
 def test_z0_accepts_plain_arrays_and_states():

@@ -28,6 +28,7 @@ from saddleflow import (
     validate_problem,
     vector_field,
 )
+from saddleflow.equilibrium import _integrate_to_equilibrium
 from saddleflow.experiments import KIND_EQUALITY_QP, KIND_LOGISTIC_INEQ, run_from_origin
 from saddleflow.fileio import read_csv
 
@@ -178,6 +179,18 @@ def test_run_experiment_artifacts(tmp_path):
     assert "delta_certified_eta1 = True" in meta
     assert "steps_eta1 = 163840" in meta and "record_every_eta1 = 1" in meta
     assert "validation_notes = none" in meta
+    assert "equilibrium_method = newton" in meta
+
+
+def test_logistic_sweep_keeps_the_integrated_equilibrium(tmp_path):
+    spec = ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=3, n=4, m=2, n_data=20,
+                          params=DynamicsParams(), horizon=0.0)
+    run_experiment(spec, tmp_path)
+    eq = _integrate_to_equilibrium(build_problem(spec), DynamicsParams(), 1e-9)
+    meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
+    assert "equilibrium_method = integration" in meta
+    assert f"equilibrium_euler_steps = {eq.euler_steps}" in meta
+    assert "equilibrium_fallback_reason = none" in meta
 
 
 def test_run_experiment_writes_validation_notes(tmp_path, monkeypatch):

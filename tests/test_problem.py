@@ -20,7 +20,7 @@ from saddleflow import (
     spectral_bounds,
     validate_problem,
 )
-from saddleflow.problem import _matvec
+from saddleflow.problem import _fd_jacobian, _matvec
 
 # Oracle fixtures for spectral_bounds (hand eigenvalues of A A^T).
 #   A = I2          -> A A^T = I2,        spectrum {1, 1}
@@ -280,3 +280,25 @@ def test_stacked_gradients_match_row_by_row():
     x = X[0]
     plain = -logistic.D.T @ (y * expit(-y * (D @ x))) + 0.1 * x
     assert np.array_equal(logistic.grad(x), plain)
+
+
+def test_analytic_hessians_match_finite_differences():
+    rng = np.random.default_rng(8)
+    M = rng.standard_normal((6, 6))
+    quadratic = QuadraticObjective(M @ M.T + np.eye(6), rng.standard_normal(6))
+    logistic = LogisticObjective(rng.standard_normal((40, 6)),
+                                 rng.choice([-1.0, 1.0], size=40), 0.1)
+    for objective in (quadratic, logistic):
+        for _ in range(5):
+            x = 2.0 * rng.standard_normal(6)
+            H = objective.hess(x)
+            assert H.shape == (6, 6)
+            err = np.linalg.norm(H - _fd_jacobian(objective.grad, x))
+            assert err <= 1e-5 * np.linalg.norm(H)
+    assert quadratic.hess(np.zeros(6)) is quadratic.W
+
+
+def test_oracle_without_hess_takes_finite_differences():
+    oracle = ObjectiveOracle(lambda x: float(np.sum(np.cosh(x))), np.sinh, 1.0, 10.0)
+    x = np.array([0.3, -1.2])
+    np.testing.assert_allclose(oracle.hess(x), np.diag(np.cosh(x)), rtol=1e-5)
