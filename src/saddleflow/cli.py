@@ -62,6 +62,19 @@ def _seed(text: str) -> int:
     return value
 
 
+# The flags a subcommand may add to the problem-selection group; each
+# subcommand registers only those its _cmd_* function reads.
+_FLAGS = {
+    "--eta": dict(type=_positive, default=1.0),
+    "--rho": dict(type=_positive, default=1.0),
+    "--tol": dict(type=_positive, default=1e-8),
+    "--variant": dict(choices=["eq", "ineq", "ts", "rank"], default=None,
+                      help="certificate variant (default: by problem)"),
+    "--delta": dict(type=_positive, default=None),
+    "--horizon": dict(type=_finite, default=5.0),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saddleflow",
@@ -69,7 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, horizon=False):
+    def command(name, help, *flags):
+        # no prefixes: "sweep-eta --eta 2" would otherwise read as --eta-grid 2
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.add_argument("--problem", default="eq-qp",
                         help="generator name (eq-qp, logistic) or a problem file path")
         sp.add_argument("--seed", type=_seed, default=0)
@@ -79,28 +94,23 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="logistic dataset size")
         sp.add_argument("--reg", type=_positive, default=0.1,
                         help="logistic ridge weight")
-        sp.add_argument("--eta", type=_positive, default=1.0)
-        sp.add_argument("--rho", type=_positive, default=1.0)
-        sp.add_argument("--tol", type=_positive, default=1e-8)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--variant", choices=["eq", "ineq", "ts", "rank"],
-                        default=None, help="certificate variant (default: by problem)")
-        if horizon:
-            sp.add_argument("--delta", type=_positive, default=None)
-            sp.add_argument("--horizon", type=_finite, default=5.0)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        return sp
 
-    common(sub.add_parser("simulate", help="integrate the flow, write a trajectory"),
-           horizon=True)
-    common(sub.add_parser("certify", help="build a certificate and sweep the LMI"))
-    sp = sub.add_parser("sweep-eta", help="run the experiment driver over an eta grid")
-    common(sp, horizon=True)
-    sp.add_argument("--eta-grid", default="0.1:10:5:log",
-                    help="a:b:steps for linear, a:b:steps:log for logarithmic")
-    sp = sub.add_parser("spectrum", help="exact LTI decay rates over an eta grid")
-    common(sp)
-    sp.add_argument("--eta-grid", default="0.01:100:25:log")
-    common(sub.add_parser("kkt-check", help="solve and verify the equilibrium"))
-    common(sub.add_parser("gen", help="write the generated problem to a file"))
+    command("simulate", "integrate the flow, write a trajectory",
+            "--eta", "--rho", "--tol", "--variant", "--delta", "--horizon")
+    command("certify", "build a certificate and sweep the LMI",
+            "--eta", "--rho", "--tol", "--variant")
+    command("sweep-eta", "run the experiment driver over an eta grid",
+            "--rho", "--delta", "--horizon").add_argument(
+        "--eta-grid", default="0.1:10:5:log",
+        help="a:b:steps for linear, a:b:steps:log for logarithmic")
+    command("spectrum", "exact LTI decay rates over an eta grid").add_argument(
+        "--eta-grid", default="0.01:100:25:log")
+    command("kkt-check", "solve and verify the equilibrium", "--eta", "--rho", "--tol")
+    command("gen", "write the generated problem to a file")
     return parser
 
 
@@ -227,7 +237,7 @@ def _cmd_sweep_eta(args) -> int:
         seed=args.seed,
         n=p.dim_n,
         m=p.dim_m,
-        params=DynamicsParams(eta=args.eta, rho=args.rho),
+        params=DynamicsParams(rho=args.rho),
         eta_grid=grid,
         delta=args.delta,
         horizon=args.horizon,

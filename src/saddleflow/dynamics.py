@@ -165,33 +165,34 @@ def _check_state(p: ConstrainedProblem, s: State):
         )
 
 
-def _state_derivative(field, s: State) -> StateDerivative:
+def _state_field(p: ConstrainedProblem, params: DynamicsParams, s: State, name: str,
+                 constraints: type, what: str, field_class) -> StateDerivative:
+    """(dx, dlam) of field_class(p, params) at s, for the State-level wrapper
+    `name`, which takes only `what` constraints."""
+    if not isinstance(p.constraints, constraints):
+        raise ValueError(f"{name} requires {what} constraints")
+    _check_state(p, s)
+    field = field_class(p, params)
     dz = field(s.stacked())
     return StateDerivative(dx=dz[: field.n], dlam=dz[field.n:])
 
 
 def pdgd_eq_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> StateDerivative:
     """Plain primal-dual flow for equality constraints A x = b."""
-    if not isinstance(p.constraints, EqualityConstraints):
-        raise ValueError("pdgd_eq_field requires equality constraints")
-    _check_state(p, s)
-    return _state_derivative(_SmoothEqualityField(p, params), s)
+    return _state_field(p, params, s, "pdgd_eq_field", EqualityConstraints, "equality",
+                        _SmoothEqualityField)
 
 
 def aug_pdgd_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> StateDerivative:
     """Augmented primal-dual flow for inequality constraints A x <= b."""
-    if not isinstance(p.constraints, InequalityConstraints):
-        raise ValueError("aug_pdgd_field requires inequality constraints")
-    _check_state(p, s)
-    return _state_derivative(_AugmentedField(p, params), s)
+    return _state_field(p, params, s, "aug_pdgd_field", InequalityConstraints, "inequality",
+                        _AugmentedField)
 
 
 def aug_pdgd_ts_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> StateDerivative:
     """Augmented primal-dual flow for a two-sided band b_lo <= A x <= b_hi."""
-    if not isinstance(p.constraints, TwoSidedConstraints):
-        raise ValueError("aug_pdgd_ts_field requires two-sided constraints")
-    _check_state(p, s)
-    return _state_derivative(_AugmentedField(p, params), s)
+    return _state_field(p, params, s, "aug_pdgd_ts_field", TwoSidedConstraints, "two-sided",
+                        _AugmentedField)
 
 
 def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, s: State,
@@ -254,8 +255,7 @@ class AffineVectorField:
         row is computed from z directly, so rounding does not pile up within
         a block, and the table holds M^j - I rather than M^j, so the small
         increments do not lose their low bits to the identity. The table is
-        cached for the last delta as one tuple (replaced whole, so threads
-        sharing the field never see a mismatched one).
+        cached for the last delta, and rebuilt when a longer block is wanted.
         """
         dim = self.G.shape[0]
         want = _block_length(dim, k)

@@ -135,9 +135,18 @@ def gen_logistic_ineq(seed: int, n: int = 50, m: int = 40,
     )
 
 
+def _eta_tag(eta) -> str:
+    """eta as it appears in a sweep's file names and per-eta metadata keys."""
+    return f"{eta:g}"
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce one experiment run."""
+    """Everything needed to reproduce one experiment run.
+
+    params.rho holds for every run; params.eta is the one eta run when
+    eta_grid is None. Two grid values may not share a file tag (_eta_tag).
+    """
 
     kind: str
     seed: int
@@ -166,6 +175,14 @@ class ExperimentSpec:
             grid = np.atleast_1d(np.asarray(self.eta_grid, dtype=float))
             if grid.size == 0 or np.any(grid <= 0):
                 raise InvalidInputError("eta grid must be nonempty and positive")
+            seen = {}
+            for eta in map(float, grid):
+                tag = _eta_tag(eta)
+                if tag in seen:
+                    raise InvalidInputError(
+                        f"eta values {seen[tag]!r} and {eta!r} share the file tag "
+                        f"eta{tag}, so their artifacts would overwrite each other")
+                seen[tag] = eta
             object.__setattr__(self, "eta_grid", grid)
 
 
@@ -410,14 +427,17 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     p = build_problem(spec)
     report = validate_problem(p, samples=50, seed=spec.seed)
-    # The sweep's measured rates depend on the last digits of the
-    # equilibrium, and the benchmark's references pin the augmented flows'
-    # rates against the integrated one; the equality QP's Newton solve is
-    # one exact linear solve, bit for bit the same as before.
+    # The equilibrium does not depend on eta, so it is solved at eta = 1, as
+    # Newton does for every flow: the rates depend on the grid alone. The
+    # sweep's measured rates depend on the last digits of the equilibrium,
+    # and the benchmark's references pin the augmented flows' rates against
+    # the integrated one; the equality QP's Newton solve is one exact
+    # linear solve, bit for bit the same as before.
+    at_eta_1 = DynamicsParams(rho=spec.params.rho)
     if spec.kind == KIND_LOGISTIC_INEQ:
-        eq = _integrate_to_equilibrium(p, spec.params, 1e-9)
+        eq = _integrate_to_equilibrium(p, at_eta_1, 1e-9)
     else:
-        eq = solve_equilibrium(p, spec.params, tol=1e-9)
+        eq = solve_equilibrium(p, at_eta_1, tol=1e-9)
     etas = spec.eta_grid if spec.eta_grid is not None else np.array([spec.params.eta])
     linear = isinstance(p.objective, QuadraticObjective) and isinstance(
         p.constraints, EqualityConstraints)
@@ -447,7 +467,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
         meta["reg_provenance"] = "implementation default, not part of the benchmark definition"
     grid = [DynamicsParams(eta=float(eta), rho=spec.params.rho) for eta in etas]
     for params, run in zip(grid, run_from_origin(p, grid, eq, spec.horizon, spec.delta)):
-        tag = f"{params.eta:g}"
+        tag = _eta_tag(params.eta)
         paths.append(fileio.write_csv(out / f"trajectory_eta{tag}.csv",
                                       TRAJECTORY_HEADER, run.rows))
         spectral = (lti_matrix(p.objective.W, p.constraints.A, params.eta).rate

@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line front end (via run_cli)."""
 
+import argparse
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from saddleflow import cli, experiments
-from saddleflow.cli import UsageError, _parse_grid, run_cli
+from saddleflow.cli import UsageError, _build_parser, _parse_grid, run_cli
 from saddleflow.fileio import read_csv
 
 
@@ -310,3 +312,58 @@ def test_bad_grid_and_bad_problem_are_usage_errors(tmp_path, capsys):
         assert run_cli(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err, (argv, err)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# (subcommand, flag) pairs where the subcommand does not read the flag, so
+# does not take it
+REMOVED_FLAGS = [("sweep-eta", "--eta"), ("sweep-eta", "--tol"), ("sweep-eta", "--variant"),
+                 ("spectrum", "--eta"), ("spectrum", "--rho"), ("spectrum", "--tol"),
+                 ("spectrum", "--variant"), ("kkt-check", "--variant"),
+                 ("gen", "--eta"), ("gen", "--rho"), ("gen", "--tol"), ("gen", "--variant")]
+
+
+def _readme_flag_table():
+    """{subcommand: set of flags} from the README's flag table."""
+    lines = iter(README.read_text(encoding="utf-8").splitlines())
+    header = next(line for line in lines if line.startswith("| Flag |"))
+    commands = [cell.strip() for cell in header.strip("|").split("|")][2:]
+    next(lines)  # the | --- | row
+    table = {command: set() for command in commands}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        for command, mark in zip(commands, cells[2:]):
+            if mark == "x":
+                table[command].add(cells[0].strip("`"))
+    return table
+
+
+def test_parser_flags_match_the_readme_table():
+    (subparsers,) = [action for action in _build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    parsed = {name: set(sp._option_string_actions) - {"-h", "--help"}
+              for name, sp in subparsers.choices.items()}
+    assert parsed == _readme_flag_table()
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+def test_removed_flags_are_usage_errors(command, flag, tmp_path, capsys):
+    value = "eq" if flag == "--variant" else "2"
+    assert run_cli([command, flag, value, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["1:1.000004:5", "1:1:3"])
+def test_sweep_eta_grid_sharing_a_tag_exits_before_out(grid, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["sweep-eta", "--problem", "eq-qp", "--seed", "1", "--eta-grid", grid,
+                    "--horizon", "0.01", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "share the file tag eta1" in err and "Traceback" not in err
+    assert not out.exists()

@@ -91,6 +91,18 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=5, m=2, params=params,
                        eta_grid=[1.0, -2.0])
+    # values that print alike in the artifact names (cli grids 1:1.000004:5
+    # and 1:1:3); the benchmark's grids 0.25:4:8:log and 1:1:1 stay valid
+    for grid, values in ((np.linspace(1.0, 1.000004, 5), "1.0 and 1.000001"),
+                         (np.linspace(1.0, 1.0, 3), "1.0 and 1.0")):
+        with pytest.raises(InvalidInputError,
+                           match=f"eta values {values} share the file tag eta1,"):
+            ExperimentSpec(kind=KIND_EQUALITY_QP, seed=1, n=5, m=2, params=params,
+                           eta_grid=grid)
+    for grid in (np.logspace(np.log10(0.25), np.log10(4.0), 8), np.linspace(1.0, 1.0, 1)):
+        spec = ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=0, n=3, m=2, params=params,
+                              eta_grid=grid)
+        assert np.array_equal(spec.eta_grid, grid)
     for seed in (-1, 1.5):
         with pytest.raises(InvalidInputError, match="seed"):
             ExperimentSpec(kind=KIND_EQUALITY_QP, seed=seed, n=5, m=2, params=params)
@@ -180,6 +192,19 @@ def test_run_experiment_artifacts(tmp_path):
     assert "steps_eta1 = 163840" in meta and "record_every_eta1 = 1" in meta
     assert "validation_notes = none" in meta
     assert "equilibrium_method = newton" in meta
+
+
+def test_sweep_solves_its_equilibrium_at_eta_1(tmp_path):
+    # with a grid, params.eta runs nowhere: every artifact is the same
+    grid = np.logspace(np.log10(0.25), np.log10(4.0), 8)
+    written = {}
+    for eta in (1.0, 2.0):
+        spec = ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=3, n=10, m=8,
+                              params=DynamicsParams(eta=eta), eta_grid=grid, horizon=50.0)
+        paths = run_experiment(spec, tmp_path / f"eta{eta:g}")
+        written[eta] = {path.name: path.read_bytes() for path in paths}
+    assert len(written[1.0]) == 11
+    assert written[2.0] == written[1.0]
 
 
 def test_logistic_sweep_keeps_the_integrated_equilibrium(tmp_path):
