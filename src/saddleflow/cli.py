@@ -88,28 +88,26 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--problem", default="eq-qp",
                         help="generator name (eq-qp, logistic) or a problem file path")
         sp.add_argument("--seed", type=_seed, default=0)
-        sp.add_argument("--n", type=int, default=None, help="primal dimension")
-        sp.add_argument("--m", type=int, default=None, help="constraint count")
-        sp.add_argument("--n-data", type=int, default=100,
-                        help="logistic dataset size")
-        sp.add_argument("--reg", type=_positive, default=0.1,
-                        help="logistic ridge weight")
+        sp.add_argument("--n", type=int, help="primal dimension")
+        sp.add_argument("--m", type=int, help="constraint count")
+        sp.add_argument("--n-data", type=int, help="logistic dataset size")
+        sp.add_argument("--reg", type=_positive, help="logistic ridge weight")
         sp.add_argument("--out", default=None, help="output directory")
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
         return sp
 
     command("simulate", "integrate the flow, write a trajectory",
-            "--eta", "--rho", "--tol", "--variant", "--delta", "--horizon")
+            "--eta", "--rho", "--variant", "--delta", "--horizon")
     command("certify", "build a certificate and sweep the LMI",
-            "--eta", "--rho", "--tol", "--variant")
+            "--eta", "--rho", "--variant")
     command("sweep-eta", "run the experiment driver over an eta grid",
             "--rho", "--delta", "--horizon").add_argument(
         "--eta-grid", default="0.1:10:5:log",
         help="a:b:steps for linear, a:b:steps:log for logarithmic")
     command("spectrum", "exact LTI decay rates over an eta grid").add_argument(
         "--eta-grid", default="0.01:100:25:log")
-    command("kkt-check", "solve and verify the equilibrium", "--eta", "--rho", "--tol")
+    command("kkt-check", "solve and verify the equilibrium", "--rho", "--tol")
     command("gen", "write the generated problem to a file")
     return parser
 
@@ -133,22 +131,38 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, steps)
 
 
+# Each generator --problem names, its experiment kind and the generator
+# flags it reads; a problem file reads none of them.
+_GENERATORS = {
+    "eq-qp": (gen_equality_qp, KIND_EQUALITY_QP, ("n", "m")),
+    "logistic": (gen_logistic_ineq, KIND_LOGISTIC_INEQ, ("n", "m", "n_data", "reg")),
+}
+
+
+def _generator_args(args) -> dict:
+    """The generator flags given on the command line; the generators hold
+    the defaults of the rest."""
+    return {key: getattr(args, key) for key in ("n", "m", "n_data", "reg")
+            if getattr(args, key) is not None}
+
+
 def _load_problem(args):
+    """(problem, kind) of --problem; kind is None for a problem file. A
+    generator flag the problem does not read is a usage error."""
     name = args.problem
-    if name == "eq-qp":
-        n = args.n if args.n is not None else 5
-        m = args.m if args.m is not None else 2
-        return gen_equality_qp(args.seed, n, m), KIND_EQUALITY_QP
-    if name == "logistic":
-        n = args.n if args.n is not None else 50
-        m = args.m if args.m is not None else 40
-        return gen_logistic_ineq(args.seed, n, m, args.n_data, args.reg), KIND_LOGISTIC_INEQ
-    path = Path(name)
-    if path.exists():
-        return fileio.load_problem(path), None
-    raise UsageError(
-        f"--problem must be 'eq-qp', 'logistic' or an existing file; got {name!r}"
-    )
+    generator, kind, reads = _GENERATORS.get(name, (None, None, ()))
+    if generator is None and not Path(name).exists():
+        raise UsageError(
+            f"--problem must be 'eq-qp', 'logistic' or an existing file; got {name!r}"
+        )
+    given = _generator_args(args)
+    unread = ["--" + key.replace("_", "-") for key in given if key not in reads]
+    if unread:
+        where = f"--problem {name}" if generator else "a problem file"
+        raise UsageError(f"{' and '.join(unread)} not read with {where}")
+    if generator is None:
+        return fileio.load_problem(Path(name)), None
+    return generator(args.seed, **given), kind
 
 
 def _out_dir(args) -> Path:
@@ -163,7 +177,7 @@ def _cmd_simulate(args) -> int:
     p, _ = _load_problem(args)
     _variant_kind(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
-    eq = solve_equilibrium(p, params, tol=min(args.tol, 1e-9))
+    eq = solve_equilibrium(p, params)
     (run,) = run_from_origin(p, [params], eq, args.horizon, args.delta, args.variant)
     traj, cert = run.trajectory, run.cert
     out = _out_dir(args)
@@ -193,8 +207,7 @@ def _cmd_certify(args) -> int:
     p, _ = _load_problem(args)
     _variant_kind(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
-    eq = (solve_equilibrium(p, params, tol=min(args.tol, 1e-9))
-          if args.variant == "rank" else None)
+    eq = solve_equilibrium(p, params) if args.variant == "rank" else None
     cert = certificate_for(p, params, args.variant, eq)
     report = lmi_sweep(cert, p, params, b_samples=100, seed=args.seed)
     print(f"variant {cert.variant.value}: c = {cert.c:.6g}, tau = {cert.tau:.6g}")
@@ -235,14 +248,12 @@ def _cmd_sweep_eta(args) -> int:
     spec = ExperimentSpec(
         kind=kind,
         seed=args.seed,
-        n=p.dim_n,
-        m=p.dim_m,
         params=DynamicsParams(rho=args.rho),
         eta_grid=grid,
         delta=args.delta,
         horizon=args.horizon,
-        n_data=args.n_data,
-        reg=args.reg,
+        # the sizes p was generated with; n_data and reg only when given
+        **{"n": p.dim_n, "m": p.dim_m, **_generator_args(args)},
     )
     paths = run_experiment(spec, _out_dir(args))
     print(f"swept {grid.size} eta values; wrote {len(paths)} artifacts:")
@@ -276,8 +287,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_kkt_check(args) -> int:
     p, _ = _load_problem(args)
-    params = DynamicsParams(eta=args.eta, rho=args.rho)
-    eq = solve_equilibrium(p, params, tol=min(args.tol, 1e-9))
+    eq = solve_equilibrium(p, DynamicsParams(rho=args.rho), tol=min(args.tol, 1e-9))
     res = eq.residual
     print(f"stationarity     {res.stationarity:.3e}")
     print(f"primal           {res.primal:.3e}")

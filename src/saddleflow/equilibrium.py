@@ -30,6 +30,9 @@ NEWTON_MAX_ITER = 50
 # t is halved from 1 and Newton stalls below the smallest t.
 NEWTON_ARMIJO = 1e-4
 NEWTON_MIN_DAMPING = 2.0 ** -30
+# A Newton step no longer than this many ulps of max(1, |z|) is rounding:
+# when even it finds no descent, no method can lower the residual further.
+NEWTON_ROUNDING_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,8 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
     by the Armijo fraction. Returns (equilibrium, iterations, None) once
     the KKT residual is at most tol, or (None, iterations, reason) when
     Newton stalls: a non-finite field or step, a singular Jacobian, no
-    descent, or NEWTON_MAX_ITER iterations.
+    descent, or NEWTON_MAX_ITER iterations. No descent on a step below
+    rounding (NEWTON_ROUNDING_ULPS) raises MaxIterationsError instead.
     """
     n = p.dim_n
     A = p.constraints.A
@@ -160,21 +164,29 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
                     break
                 t *= 0.5
             else:
+                size, scale = float(np.linalg.norm(step)), max(1.0, float(np.linalg.norm(z)))
+                if size <= NEWTON_ROUNDING_ULPS * np.finfo(float).eps * scale:
+                    raise MaxIterationsError(
+                        f"KKT residual {res.total:.3g} did not reach {tol:g}: newton found "
+                        f"no descent at iteration {k} on a step of {size:.3g}, below the "
+                        f"rounding of |z| = {scale:.3g}")
                 why = "no descent"
                 break
             z, F, norm = trial, F_trial, norm_trial
     return None, k, f"newton stalled at iteration {k}, |F| = {norm:.3g}: {why}"
 
 
-def _integrate_to_equilibrium(p: ConstrainedProblem, params: DynamicsParams, tol: float,
+def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float,
                               z0=None, max_steps: int = MAX_EULER_STEPS) -> Equilibrium:
-    """Drive the flow from z0 (default the origin) until the KKT residual
-    drops below tol: the solver's fallback, and the sweep's equilibrium.
+    """Drive the flow at eta = 1 from z0 (default the origin) until the KKT
+    residual drops below tol: the solver's fallback, and the sweep's
+    equilibrium. The equilibrium does not depend on eta, so eta = 1
+    serves every flow, as in _newton.
 
-    The step is the stability heuristic min(1/(2 nu), rho/eta): the
-    certified step can be impractically small when the certificate
-    constants are conservative, while the flow itself converges at its
-    true (much faster) rate. The cap keeps inequality multipliers
+    The step is the stability heuristic min(1/(2 nu), rho/eta), here
+    min(1/(2 nu), rho): the certified step can be impractically small
+    when the certificate constants are conservative, while the flow
+    itself converges at its true (much faster) rate. The cap keeps inequality multipliers
     nonnegative exactly. The residual is checked every KKT_CHECK_EVERY
     steps and at max_steps (the states a _Recorder of that stride picks).
     A block takes at most KKT_CHECK_EVERY steps, so it ends at the next
@@ -182,6 +194,7 @@ def _integrate_to_equilibrium(p: ConstrainedProblem, params: DynamicsParams, tol
     from a shorter power table may run a few steps past it).
     """
     n = p.dim_n
+    params = DynamicsParams(rho=rho)
     z0 = np.zeros(n + p.dim_m) if z0 is None else z0
     delta = _fallback_step(lipschitz_bound(p, params), params)
     advance = _advance(vector_field(p, params))
@@ -211,12 +224,16 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
                       max_steps: int = MAX_EULER_STEPS) -> Equilibrium:
     """Compute the unique primal-dual equilibrium of p's flow.
 
+    The equilibrium is p's KKT point, which does not depend on eta, so
+    only params.rho is read: both methods run the flow at eta = 1.
     Damped semismooth Newton on the flow's field from z0 (default the
     origin) until the total KKT residual is at most tol; for an equality
     QP from the origin that is one exact linear solve. If Newton stalls,
     the flow is integrated from z0 instead, for at most max_steps Euler
-    steps. The result records which method ran, its Newton iterations
-    and Euler steps, and why Newton stalled.
+    steps. If Newton stalls on a step below rounding, the residual has
+    reached its floor, and MaxIterationsError says so at once. The result
+    records which method ran, its Newton iterations and Euler steps, and
+    why Newton stalled.
     """
     if params is None:
         params = DynamicsParams()
@@ -228,7 +245,7 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     if eq is not None:
         return eq
     try:
-        eq = _integrate_to_equilibrium(p, params, tol, start, max_steps)
+        eq = _integrate_to_equilibrium(p, params.rho, tol, start, max_steps)
     except MaxIterationsError as exc:
         raise MaxIterationsError(f"{exc} ({stalled})") from None
     return replace(eq, newton_iterations=iterations, fallback_reason=stalled)

@@ -308,8 +308,9 @@ def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
     ceil(steps / MAX_RECORDED_ROWS)-th step, and gets its CSV rows and
     fit_decay_rate. The equality flows run one simulate each (the affine
     one already steps in blocks); the augmented flows run as one stack
-    (_run_stack). A zero horizon stops after the step: no trajectory, no
-    rows, a NaN rate.
+    (_run_stack). Either way a DivergedError names the eta, the step and,
+    as its column, the grid index. A zero horizon stops after the step: no
+    trajectory, no rows, a NaN rate.
     """
     plans = []
     for params in grid:
@@ -327,18 +328,25 @@ def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
     if horizon == 0:
         return [OriginRun(*plan, None, [], float("nan")) for plan in plans]
     z0 = np.zeros(p.dim_n + p.dim_m)
-    if isinstance(p.constraints, EqualityConstraints):
-        trajs = []
-        for params, (cert, step, _, _, stride) in zip(grid, plans):
-            traj = simulate(vector_field(p, params), z0, step, horizon,
-                            cert=cert, eq=eq.state, record_every=stride)
-            traj.zs = None  # one trajectory's states in memory at a time
-            trajs.append(traj)
-    else:
-        recorders = [_Recorder(z0, p.dim_n, step, steps, stride, eq.state.stacked(), cert.P)
-                     for cert, step, _, steps, stride in plans]
-        _run_stack(p, grid, recorders)
-        trajs = [rec.trajectory() for rec in recorders]
+    c = 0  # the grid index of the equality run under way
+    try:
+        if isinstance(p.constraints, EqualityConstraints):
+            trajs = []
+            for c, (params, (cert, step, _, _, stride)) in enumerate(zip(grid, plans)):
+                traj = simulate(vector_field(p, params), z0, step, horizon,
+                                cert=cert, eq=eq.state, record_every=stride)
+                traj.zs = None  # one trajectory's states in memory at a time
+                trajs.append(traj)
+        else:
+            recorders = [_Recorder(z0, p.dim_n, step, steps, stride, eq.state.stacked(),
+                                   cert.P)
+                         for cert, step, _, steps, stride in plans]
+            _run_stack(p, grid, recorders)
+            trajs = [rec.trajectory() for rec in recorders]
+    except DivergedError as exc:
+        c = c if exc.column is None else exc.column
+        raise DivergedError(f"eta {grid[c].eta:g}: state norm passed {DIVERGENCE_NORM:g} "
+                            f"by step {exc.step}", step=exc.step, column=c) from None
     return [OriginRun(*plan, traj, trajectory_rows(traj),
                       fit_decay_rate(traj.times, traj.distances))
             for plan, traj in zip(plans, trajs)]
@@ -349,9 +357,10 @@ def _run_stack(p: ConstrainedProblem, grid, recorders):
     grid, stepped as one (K, d) stack.
 
     Column c takes recorders[c].steps steps of recorders[c].delta at
-    grid[c], handing recorders[c] its states; then it leaves the stack. The stack goes through the one Euler
-    kernel, whose divergence guard looks at every step of every column:
-    DivergedError names the eta and the step. Keeps no states.
+    grid[c], handing recorders[c] its states; then it leaves the stack.
+    The stack goes through the one Euler kernel, whose divergence guard
+    looks at every step of every column: DivergedError's column is the
+    grid index and its step counts from the origin. Keeps no states.
     """
     steps = np.array([rec.steps for rec in recorders])
     deltas = np.array([rec.delta for rec in recorders])
@@ -365,9 +374,9 @@ def _run_stack(p: ConstrainedProblem, grid, recorders):
                 for i, c in enumerate(live):
                     recorders[c].add(rows[:, i])
         except DivergedError as exc:
-            c, at = int(live[exc.column]), done + exc.step
-            raise DivergedError(f"eta {grid[c].eta:g}: state norm passed "
-                                f"{DIVERGENCE_NORM:g} by step {at}", step=at, column=c) from None
+            at = done + exc.step
+            raise DivergedError(f"state norm passed {DIVERGENCE_NORM:g} by step {at}",
+                                step=at, column=int(live[exc.column])) from None
         z[live] = rows[-1]
         done = end
 
@@ -427,17 +436,15 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     p = build_problem(spec)
     report = validate_problem(p, samples=50, seed=spec.seed)
-    # The equilibrium does not depend on eta, so it is solved at eta = 1, as
-    # Newton does for every flow: the rates depend on the grid alone. The
-    # sweep's measured rates depend on the last digits of the equilibrium,
-    # and the benchmark's references pin the augmented flows' rates against
-    # the integrated one; the equality QP's Newton solve is one exact
-    # linear solve, bit for bit the same as before.
-    at_eta_1 = DynamicsParams(rho=spec.params.rho)
+    # The equilibrium is solved at eta = 1 either way, so the rates depend
+    # on the grid alone. The sweep's measured rates depend on the last
+    # digits of the equilibrium, and the benchmark's references pin the
+    # augmented flows' rates against the integrated one; the equality QP's
+    # Newton solve is one exact linear solve, bit for bit the same as before.
     if spec.kind == KIND_LOGISTIC_INEQ:
-        eq = _integrate_to_equilibrium(p, at_eta_1, 1e-9)
+        eq = _integrate_to_equilibrium(p, spec.params.rho, 1e-9)
     else:
-        eq = solve_equilibrium(p, at_eta_1, tol=1e-9)
+        eq = solve_equilibrium(p, spec.params, tol=1e-9)
     etas = spec.eta_grid if spec.eta_grid is not None else np.array([spec.params.eta])
     linear = isinstance(p.objective, QuadraticObjective) and isinstance(
         p.constraints, EqualityConstraints)

@@ -23,9 +23,8 @@ import sys
 import saddleflow
 assert "scipy.special" not in sys.modules, "import saddleflow loaded scipy.special"
 from saddleflow.cli import run_cli
-for problem in ("eq-qp", "logistic"):
-    assert run_cli(["certify", "--problem", problem, "--n", "3", "--m", "2",
-                    "--n-data", "10"]) in (0, 1)
+for problem in (["eq-qp"], ["logistic", "--n-data", "10"]):
+    assert run_cli(["certify", "--problem", *problem, "--n", "3", "--m", "2"]) in (0, 1)
 assert "scipy.stats" not in sys.modules, "certify loaded scipy.stats"
 """
 

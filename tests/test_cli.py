@@ -2,6 +2,7 @@
 
 import argparse
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,14 @@ def test_simulate_diverges_with_huge_user_step(tmp_path, capsys):
     assert "DivergedError" in capsys.readouterr().err
 
 
+def test_sweep_eta_diverging_on_eq_qp_names_its_eta(tmp_path, capsys):
+    rc = run_cli(["sweep-eta", "--problem", "eq-qp", "--seed", "42", "--delta", "1",
+                  "--horizon", "50", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: DivergedError: eta 0.1: state norm passed 1e+12 by step 12\n")
+
+
 def test_gen_then_kkt_check_roundtrip(tmp_path, capsys):
     assert run_cli(["gen", "--problem", "eq-qp", "--seed", "42",
                     "--out", str(tmp_path)]) == 0
@@ -282,7 +291,7 @@ def test_bad_grid_and_bad_problem_are_usage_errors(tmp_path, capsys):
     bad_runs += [sim + ["--horizon", "nan"], sim + ["--horizon", "inf"],
                  sweep + ["--horizon", "inf"], sweep + ["--horizon", "nan"],
                  ["certify", "--eta", "inf"], ["certify", "--reg", "inf"],
-                 ["certify", "--tol", "inf"], ["certify", "--rho", "inf"],
+                 ["kkt-check", "--tol", "inf"], ["certify", "--rho", "inf"],
                  sim + ["--delta", "inf"], sim + ["--eta", "nan"],
                  ["spectrum", "--eta-grid", "1:inf:3"],
                  ["spectrum", "--eta-grid", "nan:1:3"],
@@ -321,7 +330,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 REMOVED_FLAGS = [("sweep-eta", "--eta"), ("sweep-eta", "--tol"), ("sweep-eta", "--variant"),
                  ("spectrum", "--eta"), ("spectrum", "--rho"), ("spectrum", "--tol"),
                  ("spectrum", "--variant"), ("kkt-check", "--variant"),
-                 ("gen", "--eta"), ("gen", "--rho"), ("gen", "--tol"), ("gen", "--variant")]
+                 ("gen", "--eta"), ("gen", "--rho"), ("gen", "--tol"), ("gen", "--variant"),
+                 ("simulate", "--tol"), ("certify", "--tol"), ("kkt-check", "--eta")]
 
 
 def _readme_flag_table():
@@ -341,12 +351,46 @@ def _readme_flag_table():
     return table
 
 
+def _readme_commands():
+    """(argv, stdout) of every line of README.md that starts with
+    `saddleflow` or `$ saddleflow`; stdout is the list of lines that
+    follow a `$ ` transcript line up to its closing fence, else None."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    commands = []
+    for i, line in enumerate(lines):
+        match = re.match(r"(\$ )?saddleflow (.*)", line)
+        if match:
+            stdout = lines[i + 1:lines.index("```", i)] if match.group(1) else None
+            commands.append((shlex.split(match.group(2)), stdout))
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_subcommand_and_a_transcript():
+    assert {argv[0] for argv, _ in README_COMMANDS} == set(cli._COMMANDS)
+    assert any(stdout for _, stdout in README_COMMANDS)
+
+
+@pytest.mark.parametrize("argv, stdout", README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_readme_commands_run(argv, stdout, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 0
+    if stdout is not None:
+        assert capsys.readouterr().out.splitlines() == stdout
+
+
 def test_parser_flags_match_the_readme_table():
     (subparsers,) = [action for action in _build_parser()._actions
                      if isinstance(action, argparse._SubParsersAction)]
     parsed = {name: set(sp._option_string_actions) - {"-h", "--help"}
               for name, sp in subparsers.choices.items()}
     assert parsed == _readme_flag_table()
+    assert {name: len(flags) for name, flags in parsed.items()} == {
+        "simulate": 12, "certify": 10, "sweep-eta": 11, "spectrum": 8, "kkt-check": 9,
+        "gen": 7}
 
 
 @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
@@ -357,6 +401,33 @@ def test_removed_flags_are_usage_errors(command, flag, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# (problem, flag) pairs where the chosen problem does not read the
+# generator flag; "file" is a problem file, which reads none of them
+REFUSED_GENERATOR_FLAGS = [("file", "--n"), ("file", "--m"), ("file", "--n-data"),
+                           ("file", "--reg"), ("eq-qp", "--n-data"), ("eq-qp", "--reg")]
+
+
+@pytest.mark.parametrize("problem, flag", REFUSED_GENERATOR_FLAGS,
+                         ids=[f"{p}{f}" for p, f in REFUSED_GENERATOR_FLAGS])
+def test_generator_flags_the_problem_does_not_read_are_usage_errors(problem, flag,
+                                                                    tmp_path, capsys):
+    if problem == "file":
+        assert run_cli(["gen", "--problem", "eq-qp", "--seed", "42",
+                        "--out", str(tmp_path)]) == 0
+        problem = str(tmp_path / "problem.txt")
+        where = "a problem file"
+    else:
+        where = f"--problem {problem}"
+    capsys.readouterr()
+    for command in ("simulate", "certify", "sweep-eta", "spectrum", "kkt-check", "gen"):
+        out = tmp_path / "out"
+        assert run_cli([command, "--problem", problem, flag, "3",
+                        "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} not read with {where}\n", (command, err)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["1:1.000004:5", "1:1:3"])

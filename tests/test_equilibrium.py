@@ -1,8 +1,11 @@
 """Tests for KKT residuals and equilibrium solving."""
 
+import time
+
 import numpy as np
 import pytest
 
+from saddleflow import equilibrium
 from saddleflow import (
     ConstrainedProblem,
     DimensionMismatchError,
@@ -222,6 +225,36 @@ def test_stalled_newton_falls_back_to_integration(hess, why):
     assert np.max(np.abs(eq.state.stacked() - right.state.stacked())) <= 1e-8
 
 
+def test_fallback_integrates_at_eta_1():
+    # the equilibrium does not depend on eta, and neither does the solve
+    p = _wrong_hessian_qp()
+    at_1 = solve_equilibrium(p, UNIT)
+    at_3 = solve_equilibrium(p, DynamicsParams(eta=3.0))
+    assert at_1.method == at_3.method == "integration"
+    assert at_3.state.stacked().tobytes() == at_1.state.stacked().tobytes()
+    assert (at_3.residual, at_3.active_set) == (at_1.residual, at_1.active_set)
+    assert (at_3.euler_steps, at_3.newton_iterations, at_3.fallback_reason) == (
+        at_1.euler_steps, at_1.newton_iterations, at_1.fallback_reason)
+
+
+@pytest.mark.parametrize("p, tol", [(gen_equality_qp(42), 1e-20),
+                                    (gen_logistic_ineq(3, n=10, m=8), 1e-17)],
+                         ids=["eq-qp seed 42", "logistic seed 3"])
+def test_tolerance_below_rounding_stops_at_once(p, tol, monkeypatch):
+    # Newton stalls on a step below rounding, where integrating cannot get
+    # lower either: the solve says so at once instead of integrating
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated below the rounding floor")
+
+    monkeypatch.setattr(equilibrium, "_integrate_to_equilibrium", refuse)
+    start = time.perf_counter()
+    with pytest.raises(MaxIterationsError,
+                       match=rf"KKT residual \S+ did not reach {tol:g}: newton found no "
+                             r"descent at iteration \d+ on a step of \S+, below the rounding"):
+        solve_equilibrium(p, UNIT, tol=tol)
+    assert time.perf_counter() - start < 1.0
+
+
 def _newton_against_integration_problems():
     rng = np.random.default_rng(21)
     D, y = rng.standard_normal((30, 4)), rng.choice([-1.0, 1.0], size=30)
@@ -244,7 +277,7 @@ def test_newton_agrees_with_integration(name):
     # the fast path against its slow reference, both stopped at KKT 1e-9
     p = _newton_against_integration_problems()[name]
     fast = solve_equilibrium(p, UNIT, tol=1e-9)
-    slow = _integrate_to_equilibrium(p, UNIT, 1e-9)
+    slow = _integrate_to_equilibrium(p, UNIT.rho, 1e-9)
     assert fast.method == "newton" and slow.method == "integration"
     assert np.max(np.abs(fast.state.stacked() - slow.state.stacked())) <= 1e-8
     assert fast.active_set == slow.active_set

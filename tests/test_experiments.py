@@ -211,7 +211,7 @@ def test_logistic_sweep_keeps_the_integrated_equilibrium(tmp_path):
     spec = ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=3, n=4, m=2, n_data=20,
                           params=DynamicsParams(), horizon=0.0)
     run_experiment(spec, tmp_path)
-    eq = _integrate_to_equilibrium(build_problem(spec), DynamicsParams(), 1e-9)
+    eq = _integrate_to_equilibrium(build_problem(spec), spec.params.rho, 1e-9)
     meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
     assert "equilibrium_method = integration" in meta
     assert f"equilibrium_euler_steps = {eq.euler_steps}" in meta
@@ -326,3 +326,15 @@ def test_stacked_run_names_the_diverging_column():
     with pytest.raises(DivergedError, match=want) as stacked:
         run_from_origin(p, grid, eq, 90.0, delta=0.9)
     assert (stacked.value.step, stacked.value.column) == (step, 1)
+
+
+def test_equality_run_names_the_diverging_eta():
+    # the equality flows run one simulate per eta; the error names the eta
+    # and its grid index all the same
+    p = gen_equality_qp(42)
+    grid = [DynamicsParams(eta=eta) for eta in (0.1, 1.0)]
+    eq = solve_equilibrium(p, DynamicsParams())
+    with pytest.raises(DivergedError,
+                       match=r"^eta 0\.1: state norm passed 1e\+12 by step 12$") as diverged:
+        run_from_origin(p, grid, eq, 50.0, delta=1.0)
+    assert (diverged.value.step, diverged.value.column) == (12, 0)
