@@ -21,15 +21,13 @@ from .certificates import lmi_sweep
 from .equilibrium import solve_equilibrium
 from .errors import InvalidInputError, SaddleflowError
 from .experiments import (
-    KIND_EQUALITY_QP,
-    KIND_LOGISTIC_INEQ,
     TRAJECTORY_HEADER,
-    ExperimentSpec,
     _variant_kind,
     certificate_for,
     equilibrium_metadata,
     gen_equality_qp,
     gen_logistic_ineq,
+    problem_metadata,
     run_experiment,
     run_from_origin,
 )
@@ -131,42 +129,40 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, steps)
 
 
-# Each generator --problem names, its experiment kind and the generator
-# flags it reads; a problem file reads none of them.
+# Each generator --problem names and the generator flags it reads; a
+# problem file reads none of them.
 _GENERATORS = {
-    "eq-qp": (gen_equality_qp, KIND_EQUALITY_QP, ("n", "m")),
-    "logistic": (gen_logistic_ineq, KIND_LOGISTIC_INEQ, ("n", "m", "n_data", "reg")),
+    "eq-qp": (gen_equality_qp, ("n", "m")),
+    "logistic": (gen_logistic_ineq, ("n", "m", "n_data", "reg")),
 }
 
 
-def _generator_args(args) -> dict:
-    """The generator flags given on the command line; the generators hold
-    the defaults of the rest."""
-    return {key: getattr(args, key) for key in ("n", "m", "n_data", "reg")
-            if getattr(args, key) is not None}
-
-
 def _load_problem(args):
-    """(problem, kind) of --problem; kind is None for a problem file. A
-    generator flag the problem does not read is a usage error."""
+    """The problem --problem names. A generator flag the problem does not
+    read is a usage error; the generators hold the defaults of the rest."""
     name = args.problem
-    generator, kind, reads = _GENERATORS.get(name, (None, None, ()))
+    generator, reads = _GENERATORS.get(name, (None, ()))
     if generator is None and not Path(name).exists():
         raise UsageError(
             f"--problem must be 'eq-qp', 'logistic' or an existing file; got {name!r}"
         )
-    given = _generator_args(args)
+    given = {key: getattr(args, key) for key in ("n", "m", "n_data", "reg")
+             if getattr(args, key) is not None}
     unread = ["--" + key.replace("_", "-") for key in given if key not in reads]
     if unread:
         where = f"--problem {name}" if generator else "a problem file"
         raise UsageError(f"{' and '.join(unread)} not read with {where}")
     if generator is None:
-        return fileio.load_problem(Path(name)), None
-    return generator(args.seed, **given), kind
+        return fileio.load_problem(Path(name))
+    return generator(args.seed, **given)
+
+
+def _out_path(args) -> Path:
+    return Path(args.out) if args.out else Path("saddleflow-out")
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out) if args.out else Path("saddleflow-out")
+    out = _out_path(args)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -174,7 +170,7 @@ def _out_dir(args) -> Path:
 def _cmd_simulate(args) -> int:
     if args.horizon == 0:
         raise UsageError("--horizon 0 takes no step")
-    p, _ = _load_problem(args)
+    p = _load_problem(args)
     _variant_kind(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
     eq = solve_equilibrium(p, params)
@@ -186,6 +182,7 @@ def _cmd_simulate(args) -> int:
         "command": "simulate",
         "problem": args.problem,
         "seed": args.seed,
+        **problem_metadata(p),
         "eta": params.eta,
         "rho": params.rho,
         "delta": run.delta,
@@ -204,7 +201,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    p, _ = _load_problem(args)
+    p = _load_problem(args)
     _variant_kind(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
     eq = solve_equilibrium(p, params) if args.variant == "rank" else None
@@ -225,6 +222,7 @@ def _cmd_certify(args) -> int:
             "command": "certify",
             "problem": args.problem,
             "seed": args.seed,
+            **problem_metadata(p),
             "eta": params.eta,
             "rho": params.rho,
             "c": cert.c,
@@ -241,29 +239,19 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep_eta(args) -> int:
-    p, kind = _load_problem(args)
-    if kind is None:
-        raise UsageError("sweep-eta needs a generator problem (eq-qp or logistic)")
-    grid = _parse_grid(args.eta_grid)
-    spec = ExperimentSpec(
-        kind=kind,
-        seed=args.seed,
-        params=DynamicsParams(rho=args.rho),
-        eta_grid=grid,
-        delta=args.delta,
-        horizon=args.horizon,
-        # the sizes p was generated with; n_data and reg only when given
-        **{"n": p.dim_n, "m": p.dim_m, **_generator_args(args)},
-    )
-    paths = run_experiment(spec, _out_dir(args))
-    print(f"swept {grid.size} eta values; wrote {len(paths)} artifacts:")
+    p = _load_problem(args)
+    grid = [DynamicsParams(eta=float(eta), rho=args.rho)
+            for eta in _parse_grid(args.eta_grid)]
+    # run_experiment makes the directory once every run has returned
+    paths = run_experiment(p, grid, args.horizon, _out_path(args), args.delta, args.seed)
+    print(f"swept {len(grid)} eta values; wrote {len(paths)} artifacts:")
     for path in paths:
         print(f"  {path}")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    p, _ = _load_problem(args)
+    p = _load_problem(args)
     if not (isinstance(p.objective, QuadraticObjective)
             and isinstance(p.constraints, EqualityConstraints)):
         raise UsageError("spectrum needs a quadratic objective with equality "
@@ -286,7 +274,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_kkt_check(args) -> int:
-    p, _ = _load_problem(args)
+    p = _load_problem(args)
     eq = solve_equilibrium(p, DynamicsParams(rho=args.rho), tol=min(args.tol, 1e-9))
     res = eq.residual
     print(f"stationarity     {res.stationarity:.3e}")
@@ -303,7 +291,7 @@ def _cmd_kkt_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    p, _ = _load_problem(args)
+    p = _load_problem(args)
     out = _out_dir(args)
     path = fileio.save_problem(out / "problem.txt", p)
     print(f"wrote {path}")

@@ -6,9 +6,11 @@ order), so individual matrices can be reproduced without replaying the
 whole generation. Bit-level determinism is promised within this
 implementation only; the generator structure is what ports.
 
-run_experiment sweeps the dual gain over a grid, certifying and simulating
-at each point, and leaves behind diff-friendly CSV artifacts plus a small
-plotting script.
+run_experiment sweeps the dual gain of a problem its caller has already
+loaded (a generator's or a problem file's) over a grid, certifying and
+simulating at each point, and leaves behind diff-friendly CSV artifacts
+plus a small plotting script. Its sidecar, like the CLI's, names the
+problem by problem_metadata, read off the problem itself.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ from .problem import (
     validate_problem,
 )
 from .spectral import lti_matrix
-
-KIND_EQUALITY_QP = "equality-qp"
-KIND_LOGISTIC_INEQ = "logistic-ineq"
 
 # Above this many Euler steps the certified step size is abandoned for the
 # stability heuristic; conservative certificates can demand absurd budgets.
@@ -140,58 +139,6 @@ def _eta_tag(eta) -> str:
     return f"{eta:g}"
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything needed to reproduce one experiment run.
-
-    params.rho holds for every run; params.eta is the one eta run when
-    eta_grid is None. Two grid values may not share a file tag (_eta_tag).
-    """
-
-    kind: str
-    seed: int
-    n: int
-    m: int
-    params: DynamicsParams
-    eta_grid: Optional[np.ndarray] = None
-    delta: Optional[float] = None
-    horizon: float = 5.0
-    n_data: int = 100
-    reg: float = 0.1
-
-    def __post_init__(self):
-        if self.kind not in (KIND_EQUALITY_QP, KIND_LOGISTIC_INEQ):
-            raise InvalidInputError(f"unknown experiment kind {self.kind!r}")
-        _check_seed(self.seed)
-        if self.n < 1 or self.m < 1:
-            raise InvalidInputError("n and m must be at least 1")
-        if self.kind == KIND_LOGISTIC_INEQ and self.n_data < 1:
-            raise InvalidInputError("n_data must be at least 1")
-        if self.delta is not None and self.delta <= 0:
-            raise InvalidInputError("delta must be positive when given")
-        if not 0 <= self.horizon < math.inf:
-            raise InvalidInputError("horizon must be nonnegative and finite")
-        if self.eta_grid is not None:
-            grid = np.atleast_1d(np.asarray(self.eta_grid, dtype=float))
-            if grid.size == 0 or np.any(grid <= 0):
-                raise InvalidInputError("eta grid must be nonempty and positive")
-            seen = {}
-            for eta in map(float, grid):
-                tag = _eta_tag(eta)
-                if tag in seen:
-                    raise InvalidInputError(
-                        f"eta values {seen[tag]!r} and {eta!r} share the file tag "
-                        f"eta{tag}, so their artifacts would overwrite each other")
-                seen[tag] = eta
-            object.__setattr__(self, "eta_grid", grid)
-
-
-def build_problem(spec: ExperimentSpec) -> ConstrainedProblem:
-    if spec.kind == KIND_EQUALITY_QP:
-        return gen_equality_qp(spec.seed, spec.n, spec.m)
-    return gen_logistic_ineq(spec.seed, spec.n, spec.m, spec.n_data, spec.reg)
-
-
 def fit_decay_rate(times, dists) -> float:
     """Least-squares slope of log distance over the final half, negated.
 
@@ -237,6 +184,19 @@ def certificate_for(p: ConstrainedProblem, params: DynamicsParams,
     if kind == "eq":
         return build_certificate_eq(p, params)
     return build_certificate_ineq(p, params)
+
+
+def problem_metadata(p: ConstrainedProblem) -> dict:
+    """metadata.txt entries saying which problem ran, read off p: the
+    objective and constraint types, n and m, and a logistic objective's
+    n_data and reg."""
+    meta = {"objective": type(p.objective).__name__,
+            "constraints": type(p.constraints).__name__,
+            "n": p.dim_n, "m": p.dim_m}
+    if isinstance(p.objective, LogisticObjective):
+        meta["n_data"] = p.objective.D.shape[0]
+        meta["reg"] = p.objective.reg
+    return meta
 
 
 def equilibrium_metadata(eq: Equilibrium) -> dict:
@@ -424,40 +384,59 @@ print("wrote", os.path.join(here, "rates.png"))
 """
 
 
-def run_experiment(spec: ExperimentSpec, out_dir) -> list:
-    """Run one experiment sweep and write its artifacts into out_dir.
+def run_experiment(p: ConstrainedProblem, grid, horizon: float, out_dir,
+                   delta: Optional[float] = None, seed: int = 0) -> list:
+    """Sweep p's flow over grid, one DynamicsParams per run, and write the
+    artifacts into out_dir.
 
     Per eta: a trajectory CSV (t, dist_x, dist_lambda, V) starting from
     the origin. Overall: summary.csv with measured, certified and (when
     the flow is linear) spectral rates, a metadata sidecar, and plot.py.
-    Returns the written paths.
+    seed seeds validate_problem and is recorded. Before anything is
+    solved: the grid must be nonempty with one rho and no two etas sharing
+    a file tag (_eta_tag), horizon nonnegative and finite, and delta, when
+    given, positive; InvalidInputError otherwise. out_dir is made only
+    once every run has returned. Returns the written paths.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    p = build_problem(spec)
-    report = validate_problem(p, samples=50, seed=spec.seed)
+    grid = list(grid)
+    if len({params.rho for params in grid}) != 1:
+        raise InvalidInputError("the grid must be nonempty and share one rho")
+    seen = {}
+    for params in grid:
+        tag = _eta_tag(params.eta)
+        if tag in seen:
+            raise InvalidInputError(
+                f"eta values {seen[tag]!r} and {params.eta!r} share the file tag "
+                f"eta{tag}, so their artifacts would overwrite each other")
+        seen[tag] = params.eta
+    if not 0 <= horizon < math.inf:
+        raise InvalidInputError("horizon must be nonnegative and finite")
+    if delta is not None and not delta > 0:
+        raise InvalidInputError("delta must be positive when given")
+    report = validate_problem(p, samples=50, seed=seed)
+    rho = grid[0].rho
     # The equilibrium is solved at eta = 1 either way, so the rates depend
     # on the grid alone. The sweep's measured rates depend on the last
     # digits of the equilibrium, and the benchmark's references pin the
     # augmented flows' rates against the integrated one; the equality QP's
     # Newton solve is one exact linear solve, bit for bit the same as before.
-    if spec.kind == KIND_LOGISTIC_INEQ:
-        eq = _integrate_to_equilibrium(p, spec.params.rho, 1e-9)
+    if isinstance(p.constraints, EqualityConstraints):
+        eq = solve_equilibrium(p, DynamicsParams(rho=rho), tol=1e-9)
     else:
-        eq = solve_equilibrium(p, spec.params, tol=1e-9)
-    etas = spec.eta_grid if spec.eta_grid is not None else np.array([spec.params.eta])
+        eq = _integrate_to_equilibrium(p, rho, 1e-9)
+    runs = run_from_origin(p, grid, eq, horizon, delta)
     linear = isinstance(p.objective, QuadraticObjective) and isinstance(
         p.constraints, EqualityConstraints)
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     paths = []
     summary_rows = []
     meta = {
-        "kind": spec.kind,
-        "seed": spec.seed,
-        "n": spec.n,
-        "m": spec.m,
-        "rho": float(spec.params.rho),
-        "horizon": float(spec.horizon),
+        "seed": seed,
+        **problem_metadata(p),
+        "rho": float(rho),
+        "horizon": float(horizon),
         "start": "origin (x = 0, lambda = 0)",
         "mu": p.objective.mu,
         "ell": p.objective.ell,
@@ -467,13 +446,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> list:
         "validation_notes": "; ".join(report.notes).replace("\n", " ") or "none",
         **equilibrium_metadata(eq),
     }
-    if spec.kind == KIND_LOGISTIC_INEQ:
-        meta["n_data"] = spec.n_data
-        meta["reg"] = float(spec.reg)
-        meta["n_data_provenance"] = "implementation default, not part of the benchmark definition"
-        meta["reg_provenance"] = "implementation default, not part of the benchmark definition"
-    grid = [DynamicsParams(eta=float(eta), rho=spec.params.rho) for eta in etas]
-    for params, run in zip(grid, run_from_origin(p, grid, eq, spec.horizon, spec.delta)):
+    for params, run in zip(grid, runs):
         tag = _eta_tag(params.eta)
         paths.append(fileio.write_csv(out / f"trajectory_eta{tag}.csv",
                                       TRAJECTORY_HEADER, run.rows))

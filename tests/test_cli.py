@@ -225,12 +225,55 @@ def test_sweep_eta_artifacts(tmp_path, capsys):
     assert len(rows) == 2
 
 
-def test_sweep_eta_rejects_problem_files(tmp_path, capsys):
-    assert run_cli(["gen", "--problem", "eq-qp", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    rc = run_cli(["sweep-eta", "--problem", str(tmp_path / "problem.txt")])
-    assert rc == 2
-    assert "generator problem" in capsys.readouterr().err
+@pytest.mark.parametrize("generator", [
+    ["--problem", "eq-qp", "--seed", "1", "--n", "4", "--m", "2"],
+    ["--problem", "logistic", "--seed", "3", "--n", "4", "--m", "2", "--n-data", "20"],
+], ids=["eq-qp", "logistic"])
+def test_sweep_eta_on_a_problem_file_matches_the_generator(generator, tmp_path, capsys):
+    assert run_cli(["gen", *generator, "--out", str(tmp_path / "gen")]) == 0
+    sweep = ["sweep-eta", "--eta-grid", "0.5:2:3", "--horizon", "2"]
+    assert run_cli([*sweep, *generator, "--out", str(tmp_path / "a")]) == 0
+    assert run_cli([*sweep, "--problem", str(tmp_path / "gen" / "problem.txt"),
+                    "--seed", generator[3], "--out", str(tmp_path / "b")]) == 0
+    names = sorted(path.name for path in (tmp_path / "a").iterdir()
+                   if path.name != "metadata.txt")
+    assert names == ["plot.py", "summary.csv", "trajectory_eta0.5.csv",
+                     "trajectory_eta1.25.csv", "trajectory_eta2.csv"]
+    for name in names:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+def test_sweep_eta_diverging_leaves_no_out(tmp_path, capsys):
+    out = tmp_path / "o2"
+    assert run_cli(["sweep-eta", "--problem", "eq-qp", "--seed", "42", "--delta", "1",
+                    "--horizon", "50", "--out", str(out)]) == 1
+    assert "DivergedError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _metadata(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+
+
+def test_sidecars_name_the_problem_they_ran(tmp_path, capsys):
+    logistic = ["--problem", "logistic", "--seed", "3", "--n", "4", "--m", "2",
+                "--n-data", "20"]
+    identity = {"objective": "LogisticObjective", "constraints": "InequalityConstraints",
+                "n": "4", "m": "2", "n_data": "20", "reg": "0.10000000000000001"}
+    runs = {"simulate": ["--horizon", "0.5"], "certify": [],
+            "sweep-eta": ["--eta-grid", "1:2:2", "--horizon", "0.5"]}
+    for command, extra in runs.items():
+        out = tmp_path / command
+        assert run_cli([command, *logistic, *extra, "--out", str(out)]) in (0, 1)
+        meta = _metadata(out / "metadata.txt")
+        assert {key: meta.get(key) for key in identity} == identity, command
+        assert not [key for key in meta if key == "kind" or key.endswith("_provenance")]
+    out = tmp_path / "eq-qp"
+    assert run_cli(["simulate", "--seed", "1", "--horizon", "0.01", "--out", str(out)]) == 0
+    meta = _metadata(out / "metadata.txt")
+    assert (meta["objective"], meta["constraints"], meta["n"], meta["m"]) == (
+        "QuadraticObjective", "EqualityConstraints", "5", "2")
+    assert "n_data" not in meta and "reg" not in meta
 
 
 def test_spectrum_seeded_qp(tmp_path, capsys):

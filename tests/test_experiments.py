@@ -12,12 +12,10 @@ from saddleflow import (
     ConstrainedProblem,
     DivergedError,
     DynamicsParams,
-    ExperimentSpec,
     InequalityConstraints,
     InvalidInputError,
     QuadraticObjective,
     build_certificate_eq,
-    build_problem,
     fit_decay_rate,
     gen_equality_qp,
     gen_logistic_ineq,
@@ -29,7 +27,7 @@ from saddleflow import (
     vector_field,
 )
 from saddleflow.equilibrium import _integrate_to_equilibrium
-from saddleflow.experiments import KIND_EQUALITY_QP, KIND_LOGISTIC_INEQ, run_from_origin
+from saddleflow.experiments import run_from_origin
 from saddleflow.fileio import read_csv
 
 
@@ -79,57 +77,77 @@ def test_logistic_generator_curvature_window():
         assert 0.2 - 1e-9 <= ratio <= 0.2 + 0.25 * lam_max + 1e-9
 
 
-def test_spec_validation():
-    params = DynamicsParams(eta=1.0, rho=1.0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(kind="nope", seed=0, n=5, m=2, params=params)
-    with pytest.raises(ValueError):
-        ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=0, m=2, params=params)
-    with pytest.raises(ValueError):
-        ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=5, m=2, params=params,
-                       delta=-0.1)
-    with pytest.raises(ValueError):
-        ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=5, m=2, params=params,
-                       eta_grid=[1.0, -2.0])
+class SolveReached(Exception):
+    pass
+
+
+@pytest.fixture
+def solve_fails(monkeypatch):
+    """Makes every equilibrium solve of run_experiment raise SolveReached."""
+    def reached(*args, **kwargs):
+        raise SolveReached
+
+    monkeypatch.setattr(experiments, "solve_equilibrium", reached)
+    monkeypatch.setattr(experiments, "_integrate_to_equilibrium", reached)
+
+
+def test_run_experiment_checks_its_inputs_before_solving(tmp_path, solve_fails):
+    p = gen_equality_qp(1, 5, 2)
+    out = tmp_path / "out"
+
+    def sweep(etas, horizon=1.0, delta=None, rho=1.0):
+        grid = [DynamicsParams(eta=float(eta), rho=rho) for eta in etas]
+        run_experiment(p, grid, horizon, out, delta)
+
     # values that print alike in the artifact names (cli grids 1:1.000004:5
-    # and 1:1:3); the benchmark's grids 0.25:4:8:log and 1:1:1 stay valid
+    # and 1:1:3)
     for grid, values in ((np.linspace(1.0, 1.000004, 5), "1.0 and 1.000001"),
                          (np.linspace(1.0, 1.0, 3), "1.0 and 1.0")):
         with pytest.raises(InvalidInputError,
                            match=f"eta values {values} share the file tag eta1,"):
-            ExperimentSpec(kind=KIND_EQUALITY_QP, seed=1, n=5, m=2, params=params,
-                           eta_grid=grid)
-    for grid in (np.logspace(np.log10(0.25), np.log10(4.0), 8), np.linspace(1.0, 1.0, 1)):
-        spec = ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=0, n=3, m=2, params=params,
-                              eta_grid=grid)
-        assert np.array_equal(spec.eta_grid, grid)
+            sweep(grid)
+    for horizon in (-1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="horizon"):
+            sweep([1.0], horizon=horizon)
+    for delta in (0.0, -0.1, math.nan):
+        with pytest.raises(InvalidInputError, match="delta"):
+            sweep([1.0], delta=delta)
+    with pytest.raises(InvalidInputError, match="share one rho"):
+        sweep([])
+    with pytest.raises(InvalidInputError, match="share one rho"):
+        run_experiment(p, [DynamicsParams(eta=1.0), DynamicsParams(eta=2.0, rho=2.0)],
+                       1.0, out)
+    assert not out.exists()
+    # the benchmark's grids 0.25:4:8:log and 1:1:1 pass the checks, on to the solve
+    for grid in (np.logspace(np.log10(0.25), np.log10(4.0), 8), [1.0]):
+        with pytest.raises(SolveReached):
+            sweep(grid, delta=0.01)
+    assert not out.exists()
+
+
+def test_generators_refuse_bad_seeds_and_sizes():
     for seed in (-1, 1.5):
-        with pytest.raises(InvalidInputError, match="seed"):
-            ExperimentSpec(kind=KIND_EQUALITY_QP, seed=seed, n=5, m=2, params=params)
         with pytest.raises(InvalidInputError, match="seed"):
             gen_equality_qp(seed)
         with pytest.raises(InvalidInputError, match="seed"):
             gen_logistic_ineq(seed, 5, 2)
-    for horizon in (-1.0, math.inf, math.nan):
+    for n, m in ((0, 2), (5, 0), (3, 4)):
         with pytest.raises(InvalidInputError):
-            ExperimentSpec(kind=KIND_EQUALITY_QP, seed=0, n=5, m=2, params=params,
-                           horizon=horizon)
+            gen_equality_qp(0, n, m)
+        with pytest.raises(InvalidInputError):
+            gen_logistic_ineq(0, n, m)
     for n_data in (0, -3):
-        with pytest.raises(InvalidInputError):
-            ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=0, n=5, m=2, params=params,
-                           n_data=n_data)
         with pytest.raises(InvalidInputError):
             gen_logistic_ineq(0, 5, 2, n_data=n_data)
 
 
-def test_build_problem_dispatch():
-    params = DynamicsParams(eta=1.0, rho=1.0)
-    spec = ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=7, n=6, m=3,
-                          params=params, n_data=20, reg=0.1)
-    p = build_problem(spec)
-    assert p.objective.D.shape == (20, 6)
-    spec = ExperimentSpec(kind=KIND_EQUALITY_QP, seed=42, n=5, m=2, params=params)
-    assert build_problem(spec).objective.W.shape == (5, 5)
+def test_problem_metadata_reads_the_problem():
+    assert experiments.problem_metadata(gen_equality_qp(1, 4, 2)) == {
+        "objective": "QuadraticObjective", "constraints": "EqualityConstraints",
+        "n": 4, "m": 2}
+    assert experiments.problem_metadata(gen_logistic_ineq(3, 4, 2, n_data=20, reg=0.3)) == {
+        "objective": "LogisticObjective", "constraints": "InequalityConstraints",
+        "n": 4, "m": 2, "n_data": 20, "reg": 0.3}
 
 
 def test_fit_decay_rate_exact_exponential():
@@ -161,9 +179,8 @@ def test_pick_step_size_heuristic_fallback():
 
 def test_run_experiment_artifacts(tmp_path):
     params = DynamicsParams(eta=1.0, rho=1.0)
-    spec = ExperimentSpec(kind=KIND_EQUALITY_QP, seed=42, n=5, m=2,
-                          params=params, eta_grid=[0.1, 1.0, 10.0], horizon=5.0)
-    paths = run_experiment(spec, tmp_path)
+    grid = [DynamicsParams(eta=eta) for eta in (0.1, 1.0, 10.0)]
+    paths = run_experiment(gen_equality_qp(42), grid, 5.0, tmp_path)
     names = sorted(p.name for p in paths)
     assert names == [
         "metadata.txt", "plot.py", "summary.csv",
@@ -186,7 +203,8 @@ def test_run_experiment_artifacts(tmp_path):
     cert = build_certificate_eq(gen_equality_qp(42), params)
     assert trows[-1][3] <= trows[0][3] * math.exp(-cert.tau * 5.0) * (1 + 1e-9)
     meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8")
-    assert "kind = equality-qp" in meta
+    assert "objective = QuadraticObjective\nconstraints = EqualityConstraints\n" in meta
+    assert "n = 5\nm = 2\n" in meta and "kind" not in meta
     assert "start = origin (x = 0, lambda = 0)" in meta
     assert "delta_certified_eta1 = True" in meta
     assert "steps_eta1 = 163840" in meta and "record_every_eta1 = 1" in meta
@@ -195,23 +213,28 @@ def test_run_experiment_artifacts(tmp_path):
 
 
 def test_sweep_solves_its_equilibrium_at_eta_1(tmp_path):
-    # with a grid, params.eta runs nowhere: every artifact is the same
-    grid = np.logspace(np.log10(0.25), np.log10(4.0), 8)
+    # the equilibrium does not depend on the grid's first eta: the grid
+    # and its reverse write the same trajectories, equilibrium and rates
+    p = gen_logistic_ineq(3, n=10, m=8)
+    grid = [DynamicsParams(eta=float(eta))
+            for eta in np.logspace(np.log10(0.25), np.log10(4.0), 8)]
     written = {}
-    for eta in (1.0, 2.0):
-        spec = ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=3, n=10, m=8,
-                              params=DynamicsParams(eta=eta), eta_grid=grid, horizon=50.0)
-        paths = run_experiment(spec, tmp_path / f"eta{eta:g}")
-        written[eta] = {path.name: path.read_bytes() for path in paths}
-    assert len(written[1.0]) == 11
-    assert written[2.0] == written[1.0]
+    for name, order in (("up", grid), ("down", grid[::-1])):
+        paths = run_experiment(p, order, 50.0, tmp_path / name)
+        written[name] = {path.name: path.read_bytes() for path in paths}
+    assert len(written["up"]) == 11
+    summary = written["up"].pop("summary.csv").splitlines()
+    assert summary[:1] + summary[:0:-1] == written["down"].pop("summary.csv").splitlines()
+    meta = {name: sorted(files.pop("metadata.txt").splitlines())
+            for name, files in written.items()}
+    assert meta["down"] == meta["up"]
+    assert written["down"] == written["up"]
 
 
 def test_logistic_sweep_keeps_the_integrated_equilibrium(tmp_path):
-    spec = ExperimentSpec(kind=KIND_LOGISTIC_INEQ, seed=3, n=4, m=2, n_data=20,
-                          params=DynamicsParams(), horizon=0.0)
-    run_experiment(spec, tmp_path)
-    eq = _integrate_to_equilibrium(build_problem(spec), spec.params.rho, 1e-9)
+    p = gen_logistic_ineq(3, n=4, m=2, n_data=20)
+    run_experiment(p, [DynamicsParams()], 0.0, tmp_path)
+    eq = _integrate_to_equilibrium(p, 1.0, 1e-9)
     meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
     assert "equilibrium_method = integration" in meta
     assert f"equilibrium_euler_steps = {eq.euler_steps}" in meta
@@ -225,19 +248,14 @@ def test_run_experiment_writes_validation_notes(tmp_path, monkeypatch):
                                    notes=("rank deficient", "two\nlines"))
 
     monkeypatch.setattr(experiments, "validate_problem", with_notes)
-    spec = ExperimentSpec(kind=KIND_EQUALITY_QP, seed=42, n=5, m=2,
-                          params=DynamicsParams(eta=1.0, rho=1.0), horizon=0.1)
-    run_experiment(spec, tmp_path)
+    run_experiment(gen_equality_qp(42), [DynamicsParams()], 0.1, tmp_path)
     meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
     assert "validated = False" in meta
     assert "validation_notes = rank deficient; two lines" in meta
 
 
 def test_run_experiment_zero_horizon(tmp_path):
-    params = DynamicsParams(eta=1.0, rho=1.0)
-    spec = ExperimentSpec(kind=KIND_EQUALITY_QP, seed=42, n=5, m=2,
-                          params=params, horizon=0.0)
-    run_experiment(spec, tmp_path)
+    run_experiment(gen_equality_qp(42), [DynamicsParams()], 0.0, tmp_path)
     _, rows = read_csv(tmp_path / "trajectory_eta1.csv")
     assert rows == []
     header, srows = read_csv(tmp_path / "summary.csv")
@@ -245,11 +263,10 @@ def test_run_experiment_zero_horizon(tmp_path):
 
 
 def test_run_experiment_deterministic(tmp_path):
-    params = DynamicsParams(eta=1.0, rho=1.0)
-    spec = ExperimentSpec(kind=KIND_EQUALITY_QP, seed=1, n=4, m=2,
-                          params=params, eta_grid=[0.5, 2.0], horizon=2.0)
-    run_experiment(spec, tmp_path / "a")
-    run_experiment(spec, tmp_path / "b")
+    p = gen_equality_qp(1, n=4, m=2)
+    grid = [DynamicsParams(eta=0.5), DynamicsParams(eta=2.0)]
+    run_experiment(p, grid, 2.0, tmp_path / "a")
+    run_experiment(p, grid, 2.0, tmp_path / "b")
     for name in ("summary.csv", "trajectory_eta0.5.csv", "trajectory_eta2.csv"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
