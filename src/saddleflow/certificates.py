@@ -48,6 +48,8 @@ from .problem import (
 
 # Activity threshold shared with the equilibrium module.
 ACTIVE_TOL = 1e-7
+# Absolute tolerance of solve_c_rank's bisection.
+C_RANK_TOL = 1e-6
 
 # Exhaustive Gamma-vertex enumeration is used up to this many constraints;
 # beyond it the vertices are sampled.
@@ -174,7 +176,7 @@ def build_certificate_ineq(p: ConstrainedProblem, params: DynamicsParams) -> Lya
 
 
 def xi_bound(p: ConstrainedProblem, params: DynamicsParams, z0: State,
-             eq: State, active_tol: float = ACTIVE_TOL) -> RankCertificateAux:
+             eq: State) -> RankCertificateAux:
     """Trajectory bound and inactive-gain cap for the rank-relaxed setting.
 
     xi = max_j [ (rho ||a_j|| + sqrt(eta)) sqrt(||x0-x*||^2 + ||lam0-lam*||^2/eta)
@@ -183,7 +185,8 @@ def xi_bound(p: ConstrainedProblem, params: DynamicsParams, z0: State,
     The square root term is the radius of the sublevel set of the auxiliary
     function V0 that contains the whole trajectory, so xi upper-bounds the
     penalty argument rho a_j x(t) + lam_j(t) - rho b_j for all t. With
-    eps_slack the smallest inactive slack b_j - a_j x*, every inactive gain
+    eps_slack the smallest inactive slack b_j - a_j x* (a slack above
+    ACTIVE_TOL makes a constraint inactive), every inactive gain
     satisfies gamma_j <= gamma_bar = xi / (xi + rho eps_slack).
     """
     if not isinstance(p.constraints, InequalityConstraints):
@@ -204,7 +207,7 @@ def xi_bound(p: ConstrainedProblem, params: DynamicsParams, z0: State,
     ))
 
     slack = b - A @ eq.x
-    inactive = np.flatnonzero(np.abs(slack) > active_tol)
+    inactive = np.flatnonzero(np.abs(slack) > ACTIVE_TOL)
     m1 = p.dim_m - inactive.size
     if inactive.size == 0:
         return RankCertificateAux(xi=xi, gamma_bar=0.0, eps_slack=np.inf,
@@ -254,13 +257,12 @@ def rank_inequality_margins(mu: float, ell: float, kappa1: float,
 
 
 def solve_c_rank(mu: float, ell: float, kappa1: float, kappa2: float,
-                 eta: float, rho: float, gamma_bar: float,
-                 tol: float = 1e-6) -> float:
+                 eta: float, rho: float, gamma_bar: float) -> float:
     """Smallest c making the rank-relaxed decay inequalities hold.
 
     The feasible set of rank_inequality_margins is an interval unbounded
-    above; bisection to absolute tolerance tol returns (an upper bracket
-    of) its left endpoint, so the result is always feasible.
+    above; bisection to absolute tolerance C_RANK_TOL returns (an upper
+    bracket of) its left endpoint, so the result is always feasible.
     """
     if gamma_bar >= 1.0:
         raise InfeasibleError(
@@ -281,7 +283,7 @@ def solve_c_rank(mu: float, ell: float, kappa1: float, kappa2: float,
         if attempts > 200:
             raise InfeasibleError("no feasible c found while doubling the bracket")
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > C_RANK_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -291,8 +293,7 @@ def solve_c_rank(mu: float, ell: float, kappa1: float, kappa2: float,
 
 
 def build_certificate_rank(p: ConstrainedProblem, params: DynamicsParams,
-                           z0: State, eq: State,
-                           active_tol: float = ACTIVE_TOL) -> LyapunovCertificate:
+                           z0: State, eq: State) -> LyapunovCertificate:
     """Rank-relaxed certificate: only the active rows of A need full rank.
 
     kappa_1 is taken over the active rows A_1 (lambda_min of A_1 A_1^T),
@@ -300,7 +301,7 @@ def build_certificate_rank(p: ConstrainedProblem, params: DynamicsParams,
     inactive constraints at gamma_bar < 1, which is what rescues the decay
     inequality when the full A A^T is singular or ill-conditioned.
     """
-    aux = xi_bound(p, params, z0, eq, active_tol=active_tol)
+    aux = xi_bound(p, params, z0, eq)
     A = p.constraints.A
     active = np.setdiff1d(np.arange(p.dim_m), np.asarray(aux.inactive, dtype=int))
     if active.size == 0:

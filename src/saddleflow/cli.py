@@ -129,11 +129,12 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, steps)
 
 
-# Each generator --problem names and the generator flags it reads; a
-# problem file reads none of them.
+# Each generator --problem names, by the name of its function in this
+# module (looked up at call time, so a rebinding of that name is called),
+# and the generator flags it reads; a problem file reads none of them.
 _GENERATORS = {
-    "eq-qp": (gen_equality_qp, ("n", "m")),
-    "logistic": (gen_logistic_ineq, ("n", "m", "n_data", "reg")),
+    "eq-qp": ("gen_equality_qp", ("n", "m")),
+    "logistic": ("gen_logistic_ineq", ("n", "m", "n_data", "reg")),
 }
 
 
@@ -154,7 +155,7 @@ def _load_problem(args):
         raise UsageError(f"{' and '.join(unread)} not read with {where}")
     if generator is None:
         return fileio.load_problem(Path(name))
-    return generator(args.seed, **given)
+    return globals()[generator](args.seed, **given)
 
 
 def _out_path(args) -> Path:
@@ -168,8 +169,8 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    if args.horizon == 0:
-        raise UsageError("--horizon 0 takes no step")
+    if not args.horizon > 0:
+        raise UsageError(f"--horizon must be positive, got {args.horizon:g}")
     p = _load_problem(args)
     _variant_kind(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
@@ -265,6 +266,7 @@ def _cmd_spectrum(args) -> int:
         "command": "spectrum",
         "problem": args.problem,
         "seed": args.seed,
+        **problem_metadata(p),
         "grid": args.eta_grid,
     })
     print(f"rates span [{table.rates.min():.6g}, {table.rates.max():.6g}] "

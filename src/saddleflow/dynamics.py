@@ -1,4 +1,9 @@
-"""Continuous-time primal-dual vector fields.
+"""Continuous-time primal-dual vector fields on the stacked state z = (x, lam).
+
+vector_field(p, params) is the flow of p: a callable mapping z to dz
+(the augmented one also maps a (K, d) stack of states, row by row).
+State is the point type of equilibria and certificates; the flows and
+the integrator take its stacked() vector.
 
 Plain equality flow:
 
@@ -30,7 +35,6 @@ from .problem import (
     EqualityConstraints,
     InequalityConstraints,
     QuadraticObjective,
-    TwoSidedConstraints,
     _matvec,
     _readonly,
 )
@@ -61,17 +65,6 @@ class State:
     def from_stacked(cls, z, n: int) -> "State":
         z = np.asarray(z, dtype=float)
         return cls(x=z[:n], lam=z[n:])
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative (dx, dlam) of a primal-dual point."""
-
-    dx: np.ndarray
-    dlam: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.dx, self.dlam])
 
 
 def soft_threshold(y, lo, hi):
@@ -163,36 +156,6 @@ def _check_state(p: ConstrainedProblem, s: State):
             f"state has shapes x{s.x.shape}, lam{s.lam.shape}; problem wants "
             f"({p.dim_n},), ({p.dim_m},)"
         )
-
-
-def _state_field(p: ConstrainedProblem, params: DynamicsParams, s: State, name: str,
-                 constraints: type, what: str, field_class) -> StateDerivative:
-    """(dx, dlam) of field_class(p, params) at s, for the State-level wrapper
-    `name`, which takes only `what` constraints."""
-    if not isinstance(p.constraints, constraints):
-        raise ValueError(f"{name} requires {what} constraints")
-    _check_state(p, s)
-    field = field_class(p, params)
-    dz = field(s.stacked())
-    return StateDerivative(dx=dz[: field.n], dlam=dz[field.n:])
-
-
-def pdgd_eq_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> StateDerivative:
-    """Plain primal-dual flow for equality constraints A x = b."""
-    return _state_field(p, params, s, "pdgd_eq_field", EqualityConstraints, "equality",
-                        _SmoothEqualityField)
-
-
-def aug_pdgd_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> StateDerivative:
-    """Augmented primal-dual flow for inequality constraints A x <= b."""
-    return _state_field(p, params, s, "aug_pdgd_field", InequalityConstraints, "inequality",
-                        _AugmentedField)
-
-
-def aug_pdgd_ts_field(p: ConstrainedProblem, params: DynamicsParams, s: State) -> StateDerivative:
-    """Augmented primal-dual flow for a two-sided band b_lo <= A x <= b_hi."""
-    return _state_field(p, params, s, "aug_pdgd_ts_field", TwoSidedConstraints, "two-sided",
-                        _AugmentedField)
 
 
 def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, s: State,
@@ -434,7 +397,7 @@ def _with_primal(G, rest, B):
 
 
 def vector_field(p: ConstrainedProblem, params: DynamicsParams):
-    """Stacked-vector field for p, picking the cheapest faithful form.
+    """The flow of p as a callable z -> dz, in the cheapest faithful form.
 
     Quadratic equality problems come back as an AffineVectorField with
     G = G(W) (one matrix-vector product per evaluation); everything else

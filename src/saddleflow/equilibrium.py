@@ -17,7 +17,7 @@ import numpy as np
 from .certificates import ACTIVE_TOL
 from .dynamics import State, _flow_matrix, _stacked_state, _with_primal, vector_field
 from .errors import MaxIterationsError
-from .integrator import _advance, _euler_iterates, _fallback_step, _Recorder, lipschitz_bound
+from .integrator import Trajectory, _advance, _euler_iterates, _fallback_step, lipschitz_bound
 from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, InequalityConstraints
 
 # Euler steps between KKT residual checks while integrating to equilibrium.
@@ -188,7 +188,7 @@ def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float,
     when the certificate constants are conservative, while the flow
     itself converges at its true (much faster) rate. The cap keeps inequality multipliers
     nonnegative exactly. The residual is checked every KKT_CHECK_EVERY
-    steps and at max_steps (the states a _Recorder of that stride picks).
+    steps and at max_steps (the states a Trajectory of that stride records).
     A block takes at most KKT_CHECK_EVERY steps, so it ends at the next
     check and no step is taken past the one that passes (an affine block
     from a shorter power table may run a few steps past it).
@@ -198,11 +198,11 @@ def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float,
     z0 = np.zeros(n + p.dim_m) if z0 is None else z0
     delta = _fallback_step(lipschitz_bound(p, params), params)
     advance = _advance(vector_field(p, params))
-    recorder = _Recorder(z0, n, delta, max_steps, KKT_CHECK_EVERY)
+    checked = Trajectory(z0, n, delta, max_steps, KKT_CHECK_EVERY)
     checks = 0
     for rows in _euler_iterates(lambda z, d, k: advance(z, d, min(k, KKT_CHECK_EVERY)),
                                 z0, delta, max_steps):
-        for z in recorder.add(rows):
+        for z in checked.add(rows):
             checks += 1
             s = State(x=z[:n], lam=z[n:])
             res = kkt_residual(p, s)

@@ -39,7 +39,6 @@ from .integrator import (
     _advance,
     _euler_iterates,
     _fallback_step,
-    _Recorder,
     _step_count,
     choose_step_size,
     lipschitz_bound,
@@ -207,11 +206,6 @@ def equilibrium_metadata(eq: Equilibrium) -> dict:
             "equilibrium_fallback_reason": eq.fallback_reason or "none"}
 
 
-def trajectory_rows(traj):
-    """Lazy rows (t, dist_x, dist_lambda, V) of a trajectory simulated with cert and eq."""
-    return zip(traj.times, traj.dist_x, traj.dist_lambda, traj.v_values)
-
-
 def pick_step_size(p: ConstrainedProblem, params: DynamicsParams, cert,
                    horizon: float):
     """Certified step when affordable, stability heuristic otherwise.
@@ -243,7 +237,7 @@ class OriginRun:
     delta_certified is "True", "False" (the fallback heuristic) or
     "user-supplied"; the run takes `steps` steps and records every
     record_every-th; its trajectory keeps no states (zs is None); rows are
-    trajectory_rows, to be read once.
+    its Trajectory.rows(), to be read once.
     """
 
     cert: LyapunovCertificate
@@ -298,32 +292,30 @@ def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
                 traj.zs = None  # one trajectory's states in memory at a time
                 trajs.append(traj)
         else:
-            recorders = [_Recorder(z0, p.dim_n, step, steps, stride, eq.state.stacked(),
-                                   cert.P)
-                         for cert, step, _, steps, stride in plans]
-            _run_stack(p, grid, recorders)
-            trajs = [rec.trajectory() for rec in recorders]
+            trajs = [Trajectory(z0, p.dim_n, step, steps, stride, eq.state.stacked(), cert.P)
+                     for cert, step, _, steps, stride in plans]
+            _run_stack(p, grid, trajs)
     except DivergedError as exc:
         c = c if exc.column is None else exc.column
         raise DivergedError(f"eta {grid[c].eta:g}: state norm passed {DIVERGENCE_NORM:g} "
                             f"by step {exc.step}", step=exc.step, column=c) from None
-    return [OriginRun(*plan, traj, trajectory_rows(traj),
+    return [OriginRun(*plan, traj, traj.rows(),
                       fit_decay_rate(traj.times, traj.distances))
             for plan, traj in zip(plans, trajs)]
 
 
-def _run_stack(p: ConstrainedProblem, grid, recorders):
+def _run_stack(p: ConstrainedProblem, grid, trajs):
     """Euler runs of p's augmented flow from the origin, one per entry of
     grid, stepped as one (K, d) stack.
 
-    Column c takes recorders[c].steps steps of recorders[c].delta at
-    grid[c], handing recorders[c] its states; then it leaves the stack.
+    Column c takes trajs[c].steps steps of trajs[c].delta at grid[c],
+    handing trajs[c] its states; then it leaves the stack.
     The stack goes through the one Euler kernel, whose divergence guard
     looks at every step of every column: DivergedError's column is the
     grid index and its step counts from the origin. Keeps no states.
     """
-    steps = np.array([rec.steps for rec in recorders])
-    deltas = np.array([rec.delta for rec in recorders])
+    steps = np.array([traj.steps for traj in trajs])
+    deltas = np.array([traj.delta for traj in trajs])
     z = np.zeros((len(grid), p.dim_n + p.dim_m))
     done = 0
     for end in np.unique(steps):
@@ -332,7 +324,7 @@ def _run_stack(p: ConstrainedProblem, grid, recorders):
         try:
             for rows in _euler_iterates(advance, z[live], deltas[live], end - done):
                 for i, c in enumerate(live):
-                    recorders[c].add(rows[:, i])
+                    trajs[c].add(rows[:, i])
         except DivergedError as exc:
             at = done + exc.step
             raise DivergedError(f"state norm passed {DIVERGENCE_NORM:g} by step {at}",

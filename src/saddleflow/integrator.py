@@ -1,5 +1,10 @@
 """Explicit Euler integration with a contraction certificate.
 
+Everything here speaks the stacked state z = (x, lam): a field maps z to
+dz (dynamics.vector_field), euler_step, rk4_step and simulate take a
+stacked z0 and return vectors, and a Trajectory records the iterates of
+one run block by block as the run goes.
+
 For a nu-Lipschitz field contracting in the P-norm at rate tau/2, the
 Euler map with step delta contracts by at least
 
@@ -16,16 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .dynamics import _BLOCK_STEPS, State, StateDerivative, _stacked_state
+from .dynamics import _BLOCK_STEPS, _stacked_state
 from .errors import DivergedError, NonFiniteFieldError
 from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, _matvec
 
 DIVERGENCE_NORM = 1e12
 _DIVERGENCE_NORM2 = DIVERGENCE_NORM * DIVERGENCE_NORM
+
+# choose_step_size's contraction target, and its smallest dyadic step
+# 2^-STEP_MAX_EXPONENT.
+STEP_CONTRACTION_TARGET = 0.999
+STEP_MAX_EXPONENT = 200
 
 
 @dataclass(frozen=True)
@@ -40,59 +49,66 @@ class StepCertificate:
         return self.contraction < 1.0
 
 
-@dataclass
 class Trajectory:
-    """Recorded Euler iterates on the stacked state z = (x, lam).
+    """The recorded iterates of one Euler run on the stacked state
+    z = (x, lam), recorded block by block as the run goes (add).
 
-    zs has one row per recorded step, or is None for a run that kept no
-    states (run_from_origin's); n is the primal dimension used to split
-    rows back into State objects. v_values and the distances to z* are
-    filled when simulate was given a certificate / equilibrium.
+    A run of `steps` steps of delta from z0 records step 0 (when the
+    trajectory is made), the multiples of stride and the last step: the
+    recording rule of every run. Given z*, each recorded state adds its
+    distances to z* (of z, x and lam, n being the primal dimension), and
+    given P its Lyapunov value V = (z - z*)^T P (z - z*) as well, one
+    _matvec product per state, so no value depends on the block split.
+    keep=True keeps the states in zs (simulate's); otherwise zs is None.
+    times, distances, dist_x, dist_lambda and v_values hold one entry per
+    recorded state; the distances are None without z*, v_values without P.
     """
 
-    times: np.ndarray
-    zs: np.ndarray
-    n: int
-    v_values: Optional[np.ndarray] = None
-    distances: Optional[np.ndarray] = None
-    dist_x: Optional[np.ndarray] = None
-    dist_lambda: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.zs is not None and len(self.times) != len(self.zs):
-            raise ValueError("times and states must have equal length")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
+    def __init__(self, z0, n, delta, steps, stride, z_star=None, P=None, keep=False):
+        size = -(-steps // stride) + 1
+        self.n, self.delta, self.steps, self.stride = n, delta, steps, stride
+        self.z_star, self.P = z_star, P
+        self.zs = np.empty((size, len(z0))) if keep else None
+        self.distances = self.dist_x = self.dist_lambda = self.v_values = None
+        if z_star is not None:
+            self.distances, self.dist_x, self.dist_lambda = np.empty((3, size))
+        if P is not None:
+            self.v_values = np.empty(size)
+        self.taken, self.filled = -1, 0  # z0 is the state after step 0
+        self.add(np.asarray(z0)[None])
 
     @property
-    def states(self):
-        if self.zs is None:
-            raise ValueError("this run kept no states")
-        return [State(x=row[: self.n], lam=row[self.n:]) for row in self.zs]
+    def times(self) -> np.ndarray:
+        return np.minimum(np.arange(self.filled) * self.stride, self.steps) * self.delta
 
     def __len__(self):
-        return len(self.times)
+        return self.filled
 
+    def add(self, rows):
+        """Take rows, the states after the next len(rows) steps, and
+        return the ones recorded among them."""
+        start, self.taken = self.taken, self.taken + len(rows)
+        rec = rows[self.stride - 1 - start % self.stride::self.stride]
+        if self.taken == self.steps and self.steps % self.stride:
+            rec = np.concatenate([rec, rows[-1:]])
+        i, self.filled = self.filled, self.filled + len(rec)
+        if self.zs is not None:
+            self.zs[i: self.filled] = rec
+        if self.z_star is None:
+            return rec
+        U = rec - self.z_star
+        if self.P is not None:
+            self.v_values[i: self.filled] = np.einsum("ij,ij->i", _matvec(self.P, U), U)
+        # np.linalg.norm's arithmetic from one in-place square
+        U *= U
+        self.distances[i: self.filled] = np.sqrt(U.sum(axis=1))
+        self.dist_x[i: self.filled] = np.sqrt(U[:, : self.n].sum(axis=1))
+        self.dist_lambda[i: self.filled] = np.sqrt(U[:, self.n:].sum(axis=1))
+        return rec
 
-def _as_stacked(field, z0):
-    """Normalize (field, z0) to the stacked convention: (f, z, n).
-
-    f maps z = (x, lam) to dz. A plain callable paired with a State input
-    is treated as a State-level field (returning a StateDerivative); field
-    objects from dynamics.vector_field carry their own split and are used
-    as is.
-    """
-    f = field
-    if isinstance(z0, State):
-        n, z = z0.x.shape[0], z0.stacked()
-        if not hasattr(field, "n"):
-            def f(zv, _f=field, _n=n):
-                d = _f(State(x=zv[:_n], lam=zv[_n:]))
-                return d.stacked() if isinstance(d, StateDerivative) else np.asarray(d, float)
-    else:
-        z = np.atleast_1d(np.asarray(z0, dtype=float))
-        n = getattr(field, "n", z.shape[0])
-    return f, z, n
+    def rows(self):
+        """Lazy CSV rows (t, dist_x, dist_lambda, V) of a run recorded with z* and P."""
+        return zip(self.times, self.dist_x, self.dist_lambda, self.v_values)
 
 
 def _step(f):
@@ -138,7 +154,7 @@ def _euler_iterates(advance, z, delta, steps):
     DIVERGENCE_NORM (NaN included) raises DivergedError naming the first
     such step, and the column of a stack. This is the one Euler loop of
     the package (simulate, experiments._run_stack and the equilibrium
-    solver); a _Recorder picks the states each of them keeps.
+    solver); a Trajectory picks the states each of them keeps.
     """
     k = 0
     while k < steps:
@@ -156,101 +172,46 @@ def _euler_iterates(advance, z, delta, steps):
         yield rows
 
 
-class _Recorder:
-    """The recording rule of every run, applied block by block.
-
-    A run of `steps` steps of delta from z0 records step 0 (when the
-    recorder is built), the multiples of stride and the last step. Given
-    z*, each recorded state adds its distances to z* (of z, x and lam),
-    and given P its Lyapunov value V = (z - z*)^T P (z - z*) as well, one
-    _matvec product per state, so no value depends on the block split.
-    keep=True keeps the states too (simulate's zs).
-    """
-
-    def __init__(self, z0, n, delta, steps, stride, z_star=None, P=None, keep=False):
-        size = -(-steps // stride) + 1
-        self.n, self.delta, self.steps, self.stride = n, delta, steps, stride
-        self.z_star, self.P = z_star, P
-        self.zs = np.empty((size, len(z0))) if keep else None
-        self.distances = self.dist_x = self.dist_lambda = self.v_values = None
-        if z_star is not None:
-            self.distances, self.dist_x, self.dist_lambda = np.empty((3, size))
-        if P is not None:
-            self.v_values = np.empty(size)
-        self.taken, self.filled = -1, 0  # z0 is the state after step 0
-        self.add(np.asarray(z0)[None])
-
-    def add(self, rows):
-        """Take rows, the states after the next len(rows) steps, and
-        return the ones recorded among them."""
-        start, self.taken = self.taken, self.taken + len(rows)
-        rec = rows[self.stride - 1 - start % self.stride::self.stride]
-        if self.taken == self.steps and self.steps % self.stride:
-            rec = np.concatenate([rec, rows[-1:]])
-        i, self.filled = self.filled, self.filled + len(rec)
-        if self.zs is not None:
-            self.zs[i: self.filled] = rec
-        if self.z_star is None:
-            return rec
-        U = rec - self.z_star
-        if self.P is not None:
-            self.v_values[i: self.filled] = np.einsum("ij,ij->i", _matvec(self.P, U), U)
-        # np.linalg.norm's arithmetic from one in-place square
-        U *= U
-        self.distances[i: self.filled] = np.sqrt(U.sum(axis=1))
-        self.dist_x[i: self.filled] = np.sqrt(U[:, : self.n].sum(axis=1))
-        self.dist_lambda[i: self.filled] = np.sqrt(U[:, self.n:].sum(axis=1))
-        return rec
-
-    def trajectory(self) -> Trajectory:
-        steps = np.minimum(np.arange(self.filled) * self.stride, self.steps)
-        return Trajectory(times=steps * self.delta, zs=self.zs, n=self.n,
-                          v_values=self.v_values, distances=self.distances,
-                          dist_x=self.dist_x, dist_lambda=self.dist_lambda)
-
-
-def euler_step(field, s, delta: float):
-    """One explicit Euler step s + delta * field(s).
-
-    Accepts either a State (field returns a StateDerivative) or a plain
-    vector (field returns a vector). Raises NonFiniteField when the step
-    comes out NaN or infinite.
+def euler_step(field, z, delta: float) -> np.ndarray:
+    """One explicit Euler step z + delta * field(z) of a field on stacked
+    vectors (its own euler_update when it has one). Raises
+    NonFiniteFieldError when the step comes out NaN or infinite.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    f, z, n = _as_stacked(field, s)
-    out = _step(f)(z, delta)
+    out = _step(field)(np.atleast_1d(np.asarray(z, dtype=float)), delta)
     if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("field returned non-finite values")
-    return State.from_stacked(out, n) if isinstance(s, State) else out
+    return out
 
 
-def rk4_step(field, s, delta: float):
+def rk4_step(field, z, delta: float) -> np.ndarray:
     """Classic fourth-order step; reference accuracy only, no certificate."""
-    f, z, n = _as_stacked(field, s)
-    k1 = np.asarray(f(z), dtype=float)
-    k2 = np.asarray(f(z + 0.5 * delta * k1), dtype=float)
-    k3 = np.asarray(f(z + 0.5 * delta * k2), dtype=float)
-    k4 = np.asarray(f(z + delta * k3), dtype=float)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    k1 = np.asarray(field(z), dtype=float)
+    k2 = np.asarray(field(z + 0.5 * delta * k1), dtype=float)
+    k3 = np.asarray(field(z + 0.5 * delta * k2), dtype=float)
+    k4 = np.asarray(field(z + delta * k3), dtype=float)
     if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k4))):
         raise NonFiniteFieldError("field returned non-finite values")
-    out = z + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return State.from_stacked(out, n) if isinstance(s, State) else out
+    return z + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def simulate(field, z0, delta: float, horizon: float,
              cert=None, eq=None, record_every: int = 1) -> Trajectory:
-    """Integrate for ceil(horizon/delta) Euler steps, recording iterates.
+    """Integrate for ceil(horizon/delta) Euler steps from the stacked z0,
+    recording iterates.
 
-    cert (a LyapunovCertificate) and eq (the equilibrium State) are
-    optional: with eq the distances to z* are recorded (of z, x and lam),
-    with both the Lyapunov values as well. record_every thins the
-    recording for long runs; step 0 and the final step are always kept.
+    cert (a LyapunovCertificate) and eq (the equilibrium, a State or a
+    stacked vector) are optional: with eq the distances to z* are
+    recorded (of z, x and lam), with both the Lyapunov values as well.
+    record_every thins the recording for long runs; step 0 and the final
+    step are always kept.
 
     The affine field takes its steps in blocks of iterates from one
     matrix product; other fields in blocks of up to 256 steps of their
-    euler_update or of z + delta * field(z) (_advance). The distances and
-    Lyapunov values are taken block by block (_Recorder). Raises
+    euler_update or of z + delta * field(z) (_advance). The Trajectory
+    records the distances and Lyapunov values block by block. Raises
     DivergedError when the state norm passes 1e12, naming the first such
     step whatever record_every is (inadmissible step sizes blow up
     geometrically, so this trips fast).
@@ -261,14 +222,14 @@ def simulate(field, z0, delta: float, horizon: float,
         raise ValueError(f"horizon must be at least delta, got {horizon} < {delta}")
     if cert is not None and eq is None:
         raise ValueError("recording Lyapunov values requires the equilibrium")
-    f, z, n = _as_stacked(field, z0)
+    z = np.atleast_1d(np.asarray(z0, dtype=float))
     z_star = None if eq is None else _stacked_state(eq, z.shape[0], "eq")
-    steps = _step_count(horizon, delta)
-    recorder = _Recorder(z, n, delta, steps, max(int(record_every), 1), z_star,
-                         None if cert is None else cert.P, keep=True)
-    for rows in _euler_iterates(_advance(f), z, delta, steps):
-        recorder.add(rows)
-    return recorder.trajectory()
+    traj = Trajectory(z, getattr(field, "n", z.shape[0]), delta, _step_count(horizon, delta),
+                      max(int(record_every), 1), z_star, None if cert is None else cert.P,
+                      keep=True)
+    for rows in _euler_iterates(_advance(field), z, delta, traj.steps):
+        traj.add(rows)
+    return traj
 
 
 def lipschitz_bound(p: ConstrainedProblem, params: DynamicsParams) -> float:
@@ -305,25 +266,26 @@ def step_size_admissible(delta: float, tau: float, nu: float,
 
 
 def choose_step_size(tau: float, nu: float, kappa_P: float,
-                     eta: float = 1.0, rho: float = 1.0,
-                     r_target: float = 0.999, max_exp: int = 200) -> float:
-    """Deterministic step-size choice on the dyadic grid {2^-k}.
+                     eta: float = 1.0, rho: float = 1.0) -> float:
+    """Deterministic step-size choice on the dyadic grid {2^-k},
+    k = 0 ... STEP_MAX_EXPONENT.
 
-    Returns the largest dyadic delta with contraction r <= r_target and
-    delta eta / rho <= 1 (the latter keeps the discrete multiplier update
-    a convex combination). Conservative certificates can make any fixed
-    target unreachable (the best attainable r is 1 - tau^2/(8 kappa_P nu^2),
-    arbitrarily close to one); in that case the admissible dyadic delta
-    with the smallest r is returned instead.
+    Returns the largest dyadic delta with contraction
+    r <= STEP_CONTRACTION_TARGET and delta eta / rho <= 1 (the latter
+    keeps the discrete multiplier update a convex combination).
+    Conservative certificates can make any fixed target unreachable (the
+    best attainable r is 1 - tau^2/(8 kappa_P nu^2), arbitrarily close to
+    one); in that case the admissible dyadic delta with the smallest r is
+    returned instead.
     """
     best = None
     best_r = np.inf
-    for k in range(max_exp + 1):
+    for k in range(STEP_MAX_EXPONENT + 1):
         delta = 2.0 ** (-k)
         if delta * eta / rho > 1.0:
             continue
         r = step_size_admissible(delta, tau, nu, kappa_P).contraction
-        if r <= r_target:
+        if r <= STEP_CONTRACTION_TARGET:
             return delta
         if r < 1.0 and r < best_r:
             best, best_r = delta, r

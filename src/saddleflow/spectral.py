@@ -26,6 +26,12 @@ from .problem import (
     spectral_bounds,
 )
 
+# saturation_knee's grid eta = KNEE_ETA0 * 10^k, k = 0 ... KNEE_DECADES,
+# and the gain over one decade below which the rate counts as saturated.
+KNEE_ETA0 = 1e-2
+KNEE_DECADES = 8
+KNEE_GAIN = 1.05
+
 
 @dataclass(frozen=True)
 class LtiSystem:
@@ -96,19 +102,19 @@ def eta_sweep(W, A, eta_grid) -> EtaSweepResult:
     return EtaSweepResult(etas=etas, rates=np.asarray(rates), certified=np.asarray(certified))
 
 
-def saturation_knee(W, A, eta0: float = 1e-2, decades: int = 8,
-                    per_decade: float = 1.05) -> float:
-    """Smallest eta = eta0 * 10^k whose next decade gains less than 5%.
+def saturation_knee(W, A) -> float:
+    """Smallest eta = KNEE_ETA0 * 10^k whose next decade gains less than 5%.
 
     A pragmatic threshold for where raising the dual gain stops paying:
-    the knee is the first grid point with rate(10 eta) <= per_decade *
-    rate(eta). Returns the last grid point if no knee is found.
+    the knee is the first grid point with rate(10 eta) <= KNEE_GAIN *
+    rate(eta), k = 0 ... KNEE_DECADES. Returns the last grid point if no
+    knee is found.
     """
     W, A = _validated(W, A)
-    eta, r0 = eta0, _lti_system(W, A, eta0).rate
-    for _ in range(decades):
+    eta, r0 = KNEE_ETA0, _lti_system(W, A, KNEE_ETA0).rate
+    for _ in range(KNEE_DECADES):
         r1 = _lti_system(W, A, 10.0 * eta).rate
-        if r1 <= per_decade * r0:
+        if r1 <= KNEE_GAIN * r0:
             return eta
         eta, r0 = 10.0 * eta, r1
     return eta

@@ -173,6 +173,19 @@ def test_simulate_rank_variant_solves_the_equilibrium_once(tmp_path, monkeypatch
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_simulate_refuses_a_nonpositive_horizon_before_loading(horizon, tmp_path,
+                                                               monkeypatch, capsys):
+    def refuse(args):
+        raise AssertionError("the problem was loaded before the horizon check")
+
+    monkeypatch.setattr(cli, "_load_problem", refuse)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--horizon", horizon, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --horizon must be positive, got {horizon}\n"
+    assert not out.exists()
+
+
 def test_simulate_diverges_with_huge_user_step(tmp_path, capsys):
     rc = run_cli(["simulate", "--problem", "eq-qp", "--seed", "42",
                   "--delta", "1.0", "--horizon", "50",
@@ -199,6 +212,27 @@ def test_gen_then_kkt_check_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stationarity" in out and "active set" in out
     assert "<= tol" in out
+
+
+@pytest.mark.parametrize("problem, name, flags, sizes", [
+    ("eq-qp", "gen_equality_qp", ["--n", "3", "--m", "1"], {"n": 3, "m": 1}),
+    ("logistic", "gen_logistic_ineq", ["--n", "3", "--m", "2", "--n-data", "20"],
+     {"n": 3, "m": 2, "n_data": 20}),
+], ids=["eq-qp", "logistic"])
+def test_cli_calls_the_generator_its_module_binds(problem, name, flags, sizes, tmp_path,
+                                                  monkeypatch, capsys):
+    # the generator is looked up by its name in saddleflow.cli at call time,
+    # so a wrapper bound there (as the benchmark's tracer binds one) is called
+    calls = []
+
+    def counted(*args, real=getattr(experiments, name), **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    assert run_cli(["gen", "--problem", problem, "--seed", "4", *flags,
+                    "--out", str(tmp_path)]) == 0
+    assert calls == [((4,), sizes)]
 
 
 def test_kkt_check_logistic(capsys):
@@ -268,12 +302,14 @@ def test_sidecars_name_the_problem_they_ran(tmp_path, capsys):
         meta = _metadata(out / "metadata.txt")
         assert {key: meta.get(key) for key in identity} == identity, command
         assert not [key for key in meta if key == "kind" or key.endswith("_provenance")]
-    out = tmp_path / "eq-qp"
-    assert run_cli(["simulate", "--seed", "1", "--horizon", "0.01", "--out", str(out)]) == 0
-    meta = _metadata(out / "metadata.txt")
-    assert (meta["objective"], meta["constraints"], meta["n"], meta["m"]) == (
-        "QuadraticObjective", "EqualityConstraints", "5", "2")
-    assert "n_data" not in meta and "reg" not in meta
+    runs = {"simulate": ["--horizon", "0.01"], "spectrum": ["--eta-grid", "1:2:2"]}
+    for command, extra in runs.items():
+        out = tmp_path / f"eq-qp-{command}"
+        assert run_cli([command, "--seed", "1", *extra, "--out", str(out)]) == 0
+        meta = _metadata(out / "metadata.txt")
+        assert (meta["objective"], meta["constraints"], meta["n"], meta["m"]) == (
+            "QuadraticObjective", "EqualityConstraints", "5", "2"), command
+        assert "n_data" not in meta and "reg" not in meta
 
 
 def test_spectrum_seeded_qp(tmp_path, capsys):

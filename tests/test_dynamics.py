@@ -5,7 +5,6 @@ import pytest
 
 from saddleflow import (
     ConstrainedProblem,
-    DimensionMismatchError,
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
@@ -13,11 +12,8 @@ from saddleflow import (
     QuadraticObjective,
     State,
     TwoSidedConstraints,
-    aug_pdgd_field,
-    aug_pdgd_ts_field,
     effective_multiplier,
     gamma_coefficients,
-    pdgd_eq_field,
     penalty_value,
     soft_threshold,
     vector_field,
@@ -58,22 +54,21 @@ def state(x, lam):
                  lam=np.atleast_1d(np.asarray(lam, dtype=float)))
 
 
-def test_pdgd_eq_field_fixed_point():
+def flow(p, x, lam, params=UNIT):
+    """(dx, dlam) of p's flow at the scalar point z = (x, lam)."""
+    return vector_field(p, params)(np.array([x, lam], dtype=float))
+
+
+def test_equality_field_fixed_point():
     # x* = 1, lam* = -1 solves the KKT system of min 1/2 x^2 s.t. x = 1
-    d = pdgd_eq_field(scalar_eq_problem(), UNIT, state(1.0, -1.0))
-    assert d.dx == pytest.approx(0.0, abs=0.0)
-    assert d.dlam == pytest.approx(0.0, abs=0.0)
+    assert flow(scalar_eq_problem(), 1.0, -1.0) == pytest.approx([0.0, 0.0], abs=0.0)
 
 
-def test_pdgd_eq_field_hand_values():
+def test_equality_field_hand_values():
     # hand evaluation: dx = -x - lam, dlam = x - 1
     p = scalar_eq_problem()
-    d = pdgd_eq_field(p, UNIT, state(0.0, 0.0))
-    assert d.dx[0] == pytest.approx(0.0)
-    assert d.dlam[0] == pytest.approx(-1.0)
-    d = pdgd_eq_field(p, UNIT, state(2.0, 0.0))
-    assert d.dx[0] == pytest.approx(-2.0)
-    assert d.dlam[0] == pytest.approx(1.0)
+    assert flow(p, 0.0, 0.0) == pytest.approx([0.0, -1.0])
+    assert flow(p, 2.0, 0.0) == pytest.approx([-2.0, 1.0])
 
 
 def test_effective_multiplier_inequality_branches():
@@ -161,42 +156,21 @@ def test_penalty_gradients_two_sided():
         assert d_lam == pytest.approx((m - lam) / rho, rel=1e-5, abs=1e-6)
 
 
-def test_aug_pdgd_field_hand_values():
+def test_augmented_field_hand_values():
     p = scalar_ineq_problem(b=0.0)
-    d = aug_pdgd_field(p, UNIT, state(0.0, 0.0))
-    assert d.dx[0] == pytest.approx(0.0) and d.dlam[0] == pytest.approx(0.0)
+    assert flow(p, 0.0, 0.0) == pytest.approx([0.0, 0.0])
     # multiplier = max(1, 0) = 1: dx = -1 - 1, dlam = (1 - 0) / 1
-    d = aug_pdgd_field(p, UNIT, state(1.0, 0.0))
-    assert d.dx[0] == pytest.approx(-2.0) and d.dlam[0] == pytest.approx(1.0)
+    assert flow(p, 1.0, 0.0) == pytest.approx([-2.0, 1.0])
     # multiplier = 0: dx = -(-1), dlam = 0
-    d = aug_pdgd_field(p, UNIT, state(-1.0, 0.0))
-    assert d.dx[0] == pytest.approx(1.0) and d.dlam[0] == pytest.approx(0.0)
+    assert flow(p, -1.0, 0.0) == pytest.approx([1.0, 0.0])
 
 
-def test_aug_pdgd_ts_field_hand_values():
+def test_two_sided_field_hand_values():
     p = scalar_ts_problem()
-    d = aug_pdgd_ts_field(p, UNIT, state(0.0, 0.0))
-    assert d.dx[0] == pytest.approx(0.0) and d.dlam[0] == pytest.approx(0.0)
+    assert flow(p, 0.0, 0.0) == pytest.approx([0.0, 0.0])
     # S(2) = 1 on band [-1, 1]: dx = -2 - 1, dlam = 1
-    d = aug_pdgd_ts_field(p, UNIT, state(2.0, 0.0))
-    assert d.dx[0] == pytest.approx(-3.0) and d.dlam[0] == pytest.approx(1.0)
-    d = aug_pdgd_ts_field(p, UNIT, state(-2.0, 0.0))
-    assert d.dx[0] == pytest.approx(3.0) and d.dlam[0] == pytest.approx(-1.0)
-
-
-def test_fields_reject_wrong_constraint_kind():
-    with pytest.raises(ValueError):
-        pdgd_eq_field(scalar_ineq_problem(), UNIT, state(0.0, 0.0))
-    with pytest.raises(ValueError):
-        aug_pdgd_field(scalar_eq_problem(), UNIT, state(0.0, 0.0))
-    with pytest.raises(ValueError):
-        aug_pdgd_ts_field(scalar_ineq_problem(), UNIT, state(0.0, 0.0))
-
-
-def test_fields_reject_wrong_dimensions():
-    p = scalar_eq_problem()
-    with pytest.raises(DimensionMismatchError):
-        pdgd_eq_field(p, UNIT, State(x=np.zeros(2), lam=np.zeros(1)))
+    assert flow(p, 2.0, 0.0) == pytest.approx([-3.0, 1.0])
+    assert flow(p, -2.0, 0.0) == pytest.approx([3.0, -1.0])
 
 
 def test_aug_pdgd_dual_rate_nonnegative_at_zero_multiplier():
@@ -207,13 +181,12 @@ def test_aug_pdgd_dual_rate_nonnegative_at_zero_multiplier():
         InequalityConstraints(A=rng.standard_normal((4, 5)),
                               b=rng.standard_normal(4)),
     )
-    params = DynamicsParams(eta=2.0, rho=0.7)
+    field = vector_field(p, DynamicsParams(eta=2.0, rho=0.7))
     for _ in range(200):
         lam = np.abs(rng.standard_normal(4))
         lam[rng.integers(0, 4)] = 0.0
-        s = State(x=rng.standard_normal(5) * 3.0, lam=lam)
-        d = aug_pdgd_field(p, params, s)
-        assert np.all(d.dlam[s.lam == 0.0] >= 0.0)
+        dlam = field(np.concatenate([rng.standard_normal(5) * 3.0, lam]))[5:]
+        assert np.all(dlam[lam == 0.0] >= 0.0)
 
 
 def test_gamma_coefficients_scalar_cases():
@@ -264,12 +237,12 @@ def test_gamma_reconstructs_dual_field_inequality():
         params = DynamicsParams(eta=float(rng.uniform(0.5, 3)),
                                 rho=float(rng.uniform(0.5, 3)))
         s = State(x=rng.standard_normal(2) * 3, lam=np.abs(rng.standard_normal(1)) * 2)
-        d = aug_pdgd_field(p, params, s)
+        dlam = vector_field(p, params)(s.stacked())[2:]
         gam = gamma_coefficients(p, params, s, eq)
         A = p.constraints.A
         recon = (params.eta * gam * (A @ (s.x - eq.x))
                  + (params.eta / params.rho) * (gam - 1.0) * (s.lam - eq.lam))
-        assert np.allclose(d.dlam, recon, rtol=1e-12, atol=1e-12)
+        assert np.allclose(dlam, recon, rtol=1e-12, atol=1e-12)
         # secant inner-product bounds on the primal block
         dx = s.x - eq.x
         val = (p.objective.grad(s.x) - p.objective.grad(eq.x)) @ dx
@@ -284,31 +257,44 @@ def test_gamma_reconstructs_dual_field_two_sided():
         params = DynamicsParams(eta=float(rng.uniform(0.5, 3)),
                                 rho=float(rng.uniform(0.5, 3)))
         s = state(rng.standard_normal() * 3, rng.standard_normal() * 2)
-        d = aug_pdgd_ts_field(p, params, s)
+        dlam = vector_field(p, params)(s.stacked())[1:]
         gam = gamma_coefficients(p, params, s, eq)
         A = p.constraints.A
         recon = (params.eta * gam * (A @ (s.x - eq.x))
                  + (params.eta / params.rho) * (gam - 1.0) * (s.lam - eq.lam))
-        assert np.allclose(d.dlam, recon, rtol=1e-12, atol=1e-12)
+        assert np.allclose(dlam, recon, rtol=1e-12, atol=1e-12)
 
 
-def test_vector_field_matches_state_fields():
+def test_vector_field_matches_the_flow_formulas():
+    # each flow of the module docstring written out with numpy, against
+    # vector_field (the affine G z + g form for the equality QP)
     rng = np.random.default_rng(63)
     W = np.eye(3) * 2.0
+    q = rng.standard_normal(3)
     A = rng.standard_normal((2, 3))
-    peq = ConstrainedProblem(QuadraticObjective(W, q=rng.standard_normal(3)),
-                             EqualityConstraints(A=A, b=rng.standard_normal(2)))
-    pin = ConstrainedProblem(QuadraticObjective(W),
-                             InequalityConstraints(A=A, b=rng.standard_normal(2)))
-    pts = ConstrainedProblem(QuadraticObjective(W),
-                             TwoSidedConstraints(A=A, b_lo=-np.ones(2), b_hi=np.ones(2)))
-    params = DynamicsParams(eta=1.7, rho=0.6)
-    for p, fn in ((peq, pdgd_eq_field), (pin, aug_pdgd_field), (pts, aug_pdgd_ts_field)):
-        field = vector_field(p, params)
+    b = rng.standard_normal(2)
+    eta, rho = 1.7, 0.6
+
+    def equality(x, lam):
+        return -(W @ x + q) - A.T @ lam, eta * (A @ x - b)
+
+    def augmented(m, x, lam):
+        return -(W @ x + q) - A.T @ m, (eta / rho) * (m - lam)
+
+    cases = [
+        (EqualityConstraints(A=A, b=b), equality),
+        (InequalityConstraints(A=A, b=b),
+         lambda x, lam: augmented(np.maximum(rho * (A @ x - b) + lam, 0.0), x, lam)),
+        (TwoSidedConstraints(A=A, b_lo=-np.ones(2), b_hi=np.ones(2)),
+         lambda x, lam: augmented(np.maximum(np.minimum(rho * A @ x + lam + rho, 0.0),
+                                             rho * A @ x + lam - rho), x, lam)),
+    ]
+    for cons, formula in cases:
+        field = vector_field(ConstrainedProblem(QuadraticObjective(W, q=q), cons),
+                             DynamicsParams(eta=eta, rho=rho))
         for _ in range(20):
             z = rng.standard_normal(5)
-            s = State.from_stacked(z, 3)
-            want = fn(p, params, s).stacked()
+            want = np.concatenate(formula(z[:3], z[3:]))
             assert np.allclose(field(z), want, rtol=1e-12, atol=1e-14)
 
 

@@ -18,13 +18,11 @@ from saddleflow import (
     QuadraticObjective,
     State,
     TwoSidedConstraints,
-    aug_pdgd_field,
-    aug_pdgd_ts_field,
     gen_equality_qp,
     gen_logistic_ineq,
     kkt_residual,
-    pdgd_eq_field,
     solve_equilibrium,
+    vector_field,
 )
 from saddleflow.equilibrium import _integrate_to_equilibrium
 
@@ -146,7 +144,7 @@ def test_field_vanishes_at_equilibrium():
         EqualityConstraints(A=rng.standard_normal((2, 3)), b=rng.standard_normal(2)),
     )
     e = solve_equilibrium(peq, UNIT, tol=tol)
-    d = pdgd_eq_field(peq, UNIT, e.state).stacked()
+    d = vector_field(peq, UNIT)(e.state.stacked())
     assert np.linalg.norm(d) <= 10 * tol
 
     pin = ConstrainedProblem(
@@ -154,7 +152,7 @@ def test_field_vanishes_at_equilibrium():
         InequalityConstraints(A=rng.standard_normal((2, 3)), b=rng.standard_normal(2)),
     )
     e = solve_equilibrium(pin, UNIT, tol=tol)
-    d = aug_pdgd_field(pin, UNIT, e.state).stacked()
+    d = vector_field(pin, UNIT)(e.state.stacked())
     assert np.linalg.norm(d) <= 10 * tol
 
 
@@ -169,7 +167,7 @@ def test_two_sided_equilibrium_and_splits():
     )
     e = solve_equilibrium(p, UNIT)
     assert e.residual.total <= 1e-9
-    d = aug_pdgd_ts_field(p, UNIT, e.state).stacked()
+    d = vector_field(p, UNIT)(e.state.stacked())
     assert np.linalg.norm(d) <= 1e-8
     lam = e.lambda_star
     upper = np.maximum(lam, 0.0)

@@ -23,7 +23,6 @@ from saddleflow import (
     euler_step,
     gen_equality_qp,
     lipschitz_bound,
-    pdgd_eq_field,
     rk4_step,
     simulate,
     solve_equilibrium,
@@ -31,7 +30,7 @@ from saddleflow import (
     vector_field,
 )
 from saddleflow.dynamics import _BLOCK_STEPS
-from saddleflow.integrator import _advance, _as_stacked, _euler_iterates, _Recorder
+from saddleflow.integrator import _advance, _euler_iterates
 from saddleflow.problem import LogisticObjective
 
 # Oracle fixtures for the contraction factor r = exp(-tau d/2) + kP nu^2 d^2/2
@@ -45,12 +44,9 @@ EULER_POW_10 = 0.3486784401000001  # 0.9 ** 10
 
 
 def test_euler_step_zero_field_is_identity():
-    from saddleflow import StateDerivative
-
-    s = State(x=np.array([1.0, -2.0]), lam=np.array([0.5]))
-    zero = lambda st: StateDerivative(dx=np.zeros(2), dlam=np.zeros(1))
-    out = euler_step(zero, s, 0.1)
-    assert np.array_equal(out.x, s.x) and np.array_equal(out.lam, s.lam)
+    z = np.array([1.0, -2.0, 0.5])
+    out = euler_step(lambda z: np.zeros(3), z, 0.1)
+    assert np.array_equal(out, z)
 
 
 def test_euler_step_scalar_decay():
@@ -64,10 +60,8 @@ def test_euler_step_on_saddle_field():
         QuadraticObjective(np.eye(1)),
         EqualityConstraints(A=np.array([[1.0]]), b=np.array([1.0])),
     )
-    s = State(x=np.array([2.0]), lam=np.array([0.0]))
-    out = euler_step(lambda st: pdgd_eq_field(p, DynamicsParams(), st), s, 0.5)
-    assert out.x[0] == pytest.approx(1.0)
-    assert out.lam[0] == pytest.approx(0.5)
+    out = euler_step(vector_field(p, DynamicsParams()), np.array([2.0, 0.0]), 0.5)
+    assert out == pytest.approx([1.0, 0.5])
 
 
 def test_euler_step_rejects_nonfinite_field():
@@ -240,14 +234,13 @@ def test_recorder_keeps_step_zero_the_multiples_of_its_stride_and_the_last():
     rng = np.random.default_rng(6)
     for _ in range(300):
         steps, stride, widest = (int(v) for v in rng.integers(1, [60, 20, 9]))
-        recorder = _Recorder(np.zeros(2), 1, 0.5, steps, stride, z_star=np.zeros(2),
-                             keep=True)
+        traj = Trajectory(np.zeros(2), 1, 0.5, steps, stride, z_star=np.zeros(2), keep=True)
         advance = _counting_advance(rng, widest, steps + 1)
-        picked = [recorder.add(rows)[:, 0] for rows in
+        picked = [traj.add(rows)[:, 0] for rows in
                   _euler_iterates(advance, np.zeros(2), 1.0, steps)]
         want = [s for s in range(1, steps + 1) if s % stride == 0 or s == steps]
         assert np.concatenate(picked).tolist() == want
-        traj = recorder.trajectory()
+        assert len(traj) == len(want) + 1
         assert traj.zs[:, 0].tolist() == [0] + want
         assert traj.times.tolist() == [0.5 * s for s in [0] + want]
         assert traj.distances.tolist() == [0] + want
@@ -276,9 +269,9 @@ def test_simulate_names_the_same_diverged_step_at_any_record_every():
 
 
 def test_generic_block_is_iterated_euler_step():
-    # a State-level callable and the equality field of a non-quadratic
-    # objective: _advance's block of _BLOCK_STEPS rows has, row by row, the
-    # bits of euler_step applied in turn
+    # the equality field of a non-quadratic objective, as it is and as a
+    # plain callable: _advance's block of _BLOCK_STEPS rows has, row by
+    # row, the bits of euler_step applied in turn
     rng = np.random.default_rng(14)
     n, m = 5, 2
     p = ConstrainedProblem(LogisticObjective(rng.standard_normal((20, n)),
@@ -288,16 +281,15 @@ def test_generic_block_is_iterated_euler_step():
     params = DynamicsParams(eta=1.5)
     smooth = vector_field(p, params)
     assert not hasattr(smooth, "euler_block") and not hasattr(smooth, "euler_update")
-    s0 = State(x=rng.standard_normal(n), lam=rng.standard_normal(m))
-    for field, start in ((lambda s: pdgd_eq_field(p, params, s), s0), (smooth, s0.stacked())):
-        f, z, _ = _as_stacked(field, start)
+    z0 = rng.standard_normal(n + m)
+    for field in (smooth, lambda z: smooth(z)):
         for k in (3, 10 * _BLOCK_STEPS):
-            rows = _advance(f)(z, 0.01, k)
+            rows = _advance(field)(z0, 0.01, k)
             assert rows.shape == (min(k, _BLOCK_STEPS), n + m)
-            s = start
+            z = z0
             for row in rows:
-                s = euler_step(field, s, 0.01)
-                assert np.array_equal(row, s.stacked() if isinstance(s, State) else s)
+                z = euler_step(field, z, 0.01)
+                assert np.array_equal(row, z)
 
 
 def test_blocked_affine_divergence_matches_step_by_step():
@@ -341,16 +333,6 @@ def test_simulate_requires_equilibrium_for_v():
     field = vector_field(p, params)
     with pytest.raises(ValueError):
         simulate(field, np.zeros(p.dim_n + p.dim_m), 1e-3, 0.1, cert=cert)
-
-
-def test_trajectory_invariants():
-    with pytest.raises(ValueError):
-        Trajectory(times=np.array([0.0, 1.0]), zs=np.zeros((3, 2)), n=1)
-    with pytest.raises(ValueError):
-        Trajectory(times=np.array([0.0, 0.0]), zs=np.zeros((2, 2)), n=1)
-    traj = Trajectory(times=np.array([0.0, 1.0]), zs=np.arange(4.0).reshape(2, 2), n=1)
-    states = traj.states
-    assert states[1].x[0] == 2.0 and states[1].lam[0] == 3.0
 
 
 def test_lipschitz_bound_formulas():
