@@ -43,7 +43,7 @@ def main():
     print(f"\nstep {bad} has r = {r:.1f}; integrating anyway:")
     try:
         simulate(vector_field(p, params), np.zeros(7), bad, 25.0,
-                 cert=cert, eq=eq.state)
+                 cert=cert, eq=eq.state.stacked())
         print("  finished (unexpected)")
     except DivergedError as exc:
         print(f"  DivergedError: {exc}")

@@ -38,7 +38,7 @@ def main():
 
     z0 = np.zeros(p.dim_n + p.dim_m)
     traj = simulate(vector_field(p, params), z0, delta, 250.0,
-                    cert=cert, eq=eq.state)
+                    cert=cert, eq=eq.state.stacked())
     lams = traj.zs[:, p.dim_n:]
     print(f"distance shrank by a factor of "
           f"{traj.distances[0] / traj.distances[-1]:.3g}")

@@ -191,8 +191,8 @@ def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, s: State,
 
 # ----------------------------------------------------------------------
 # Stacked-vector fields for the integrator hot loop. Each object maps a
-# concatenated z = (x, lam) to dz and, where it matters, knows how to take
-# its explicit Euler steps in a numerically careful arrangement.
+# concatenated z = (x, lam) of length dim to dz and, where it matters,
+# knows how to take its Euler steps in a numerically careful arrangement.
 # ----------------------------------------------------------------------
 
 
@@ -204,7 +204,7 @@ class AffineVectorField:
         self.G = np.asarray(G, dtype=float)
         self.g = np.asarray(g, dtype=float)
         self.n = int(n)
-        self.m = self.G.shape[0] - self.n
+        self.dim = self.G.shape[0]
         self._powers = (None, 0, None, None)
 
     def __call__(self, z):
@@ -292,6 +292,7 @@ class _SmoothEqualityField:
         self.eta_b = params.eta * p.constraints.b
         self.eta = params.eta
         self.n = p.dim_n
+        self.dim = p.dim_n + p.dim_m
 
     def __call__(self, z):
         x = z[: self.n]
@@ -329,6 +330,7 @@ class _AugmentedField:
             self.eta = np.array([[q.eta] for q in params])
             self.rho = rhos.pop()
         self.n = p.dim_n
+        self.dim = p.dim_n + p.dim_m
         if isinstance(p.constraints, InequalityConstraints):
             self.multiplier = _multiplier_map("inequality", p.constraints.b, self.rho)
         else:

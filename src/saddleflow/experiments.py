@@ -288,7 +288,7 @@ def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
             trajs = []
             for c, (params, (cert, step, _, _, stride)) in enumerate(zip(grid, plans)):
                 traj = simulate(vector_field(p, params), z0, step, horizon,
-                                cert=cert, eq=eq.state, record_every=stride)
+                                cert=cert, eq=eq.state.stacked(), record_every=stride)
                 traj.zs = None  # one trajectory's states in memory at a time
                 trajs.append(traj)
         else:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _BLOCK_STEPS, _stacked_state
-from .errors import DivergedError, NonFiniteFieldError
+from .dynamics import _BLOCK_STEPS
+from .errors import DimensionMismatchError, DivergedError, NonFiniteFieldError
 from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, _matvec
 
 DIVERGENCE_NORM = 1e12
@@ -111,6 +111,14 @@ class Trajectory:
         return zip(self.times, self.dist_x, self.dist_lambda, self.v_values)
 
 
+def _fitting(z, dim, name: str) -> np.ndarray:
+    """z, a state or a (K, d) stack of them, as floats; d must be dim (if not None)."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if dim not in (None, z.shape[-1]):
+        raise DimensionMismatchError(f"{name} must have length {dim}, got shape {z.shape}")
+    return z
+
+
 def _step(f):
     """step(z, delta), one explicit Euler step of the stacked field f: its
     own euler_update when it has one, otherwise z + delta * f(z)."""
@@ -175,11 +183,12 @@ def _euler_iterates(advance, z, delta, steps):
 def euler_step(field, z, delta: float) -> np.ndarray:
     """One explicit Euler step z + delta * field(z) of a field on stacked
     vectors (its own euler_update when it has one). Raises
+    DimensionMismatchError when z does not fit the field's dim, and
     NonFiniteFieldError when the step comes out NaN or infinite.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    out = _step(field)(np.atleast_1d(np.asarray(z, dtype=float)), delta)
+    out = _step(field)(_fitting(z, getattr(field, "dim", None), "z"), delta)
     if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("field returned non-finite values")
     return out
@@ -187,7 +196,7 @@ def euler_step(field, z, delta: float) -> np.ndarray:
 
 def rk4_step(field, z, delta: float) -> np.ndarray:
     """Classic fourth-order step; reference accuracy only, no certificate."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = _fitting(z, getattr(field, "dim", None), "z")
     k1 = np.asarray(field(z), dtype=float)
     k2 = np.asarray(field(z + 0.5 * delta * k1), dtype=float)
     k3 = np.asarray(field(z + 0.5 * delta * k2), dtype=float)
@@ -202,9 +211,10 @@ def simulate(field, z0, delta: float, horizon: float,
     """Integrate for ceil(horizon/delta) Euler steps from the stacked z0,
     recording iterates.
 
-    cert (a LyapunovCertificate) and eq (the equilibrium, a State or a
-    stacked vector) are optional: with eq the distances to z* are
-    recorded (of z, x and lam), with both the Lyapunov values as well.
+    cert (a LyapunovCertificate) and eq (the equilibrium's stacked z*,
+    Equilibrium.state.stacked()) are optional: with eq the distances to
+    z* are recorded (of z, x and lam), with both the Lyapunov values as
+    well. A z0 or eq that does not fit the field's dim is refused.
     record_every thins the recording for long runs; step 0 and the final
     step are always kept.
 
@@ -222,8 +232,8 @@ def simulate(field, z0, delta: float, horizon: float,
         raise ValueError(f"horizon must be at least delta, got {horizon} < {delta}")
     if cert is not None and eq is None:
         raise ValueError("recording Lyapunov values requires the equilibrium")
-    z = np.atleast_1d(np.asarray(z0, dtype=float))
-    z_star = None if eq is None else _stacked_state(eq, z.shape[0], "eq")
+    z = _fitting(z0, getattr(field, "dim", None), "z0")
+    z_star = None if eq is None else _fitting(eq, len(z), "eq")
     traj = Trajectory(z, getattr(field, "n", z.shape[0]), delta, _step_count(horizon, delta),
                       max(int(record_every), 1), z_star, None if cert is None else cert.P,
                       keep=True)

@@ -62,7 +62,7 @@ def _run_to_equilibrium(p, params, horizon, delta=None):
         certified = None
     z0 = np.zeros(p.dim_n + p.dim_m)
     traj = simulate(vector_field(p, params), z0, delta, horizon,
-                    cert=cert, eq=eq.state)
+                    cert=cert, eq=eq.state.stacked())
     return cert, eq, traj, delta, certified
 
 
@@ -169,7 +169,7 @@ def test_criterion_5_contraction_and_divergence():
     assert r_bad >= 1.5
     try:
         bad = simulate(vector_field(p, PARAMS), np.zeros(7), 0.5, 25.0,
-                       cert=cert, eq=eq.state)
+                       cert=cert, eq=eq.state.stacked())
         degraded = bool(bad.v_values[-1] > bad.v_values[0])
     except DivergedError:
         degraded = True
@@ -256,7 +256,7 @@ def test_criterion_9_rank_relaxed_certificate():
 
     delta, certified = pick_step_size(p, PARAMS, cert, 5.0)
     traj = simulate(vector_field(p, PARAMS), np.zeros(5), delta, 5.0,
-                    cert=cert, eq=eq.state)
+                    cert=cert, eq=eq.state.stacked())
     v, t = traj.v_values, traj.times
     decay_ok = bool(np.all(v <= v[0] * np.exp(-cert.tau * t) * (1 + 1e-6)))
 
@@ -269,7 +269,7 @@ def test_criterion_9_rank_relaxed_certificate():
     # so the observed increase must be tiny and shrink ~16x when delta does 4x
     inc = aux_increase(traj)
     inc_fine = aux_increase(simulate(vector_field(p, PARAMS), np.zeros(5),
-                                     delta / 4.0, 5.0, cert=cert, eq=eq.state))
+                                     delta / 4.0, 5.0, cert=cert, eq=eq.state.stacked()))
     aux_ok = inc <= 1e-6 and inc_fine <= max(inc / 4.0, 1e-15)
     _verdict(9, c_ok and certified and decay_ok and aux_ok,
              f"c={cert.c:.4g} tight within 1%, V decays at tau={cert.tau:.4g}, "

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from saddleflow import (
+    AffineVectorField,
     ConstrainedProblem,
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
     InvalidBandError,
+    LogisticObjective,
     QuadraticObjective,
     State,
     TwoSidedConstraints,
@@ -267,31 +269,39 @@ def test_gamma_reconstructs_dual_field_two_sided():
 
 def test_vector_field_matches_the_flow_formulas():
     # each flow of the module docstring written out with numpy, against
-    # vector_field (the affine G z + g form for the equality QP)
+    # vector_field: the affine G z + g form for the equality QP, the
+    # oracle-gradient form for a logistic objective under the same
+    # equalities, the augmented form for the other two
     rng = np.random.default_rng(63)
     W = np.eye(3) * 2.0
     q = rng.standard_normal(3)
     A = rng.standard_normal((2, 3))
     b = rng.standard_normal(2)
     eta, rho = 1.7, 0.6
+    data = np.random.default_rng(64)
+    logistic = LogisticObjective(data.standard_normal((6, 3)),
+                                 data.choice([-1.0, 1.0], size=6), reg=0.1)
 
-    def equality(x, lam):
-        return -(W @ x + q) - A.T @ lam, eta * (A @ x - b)
+    def equality(x, lam, grad=lambda x: W @ x + q):
+        return -grad(x) - A.T @ lam, eta * (A @ x - b)
 
     def augmented(m, x, lam):
         return -(W @ x + q) - A.T @ m, (eta / rho) * (m - lam)
 
     cases = [
-        (EqualityConstraints(A=A, b=b), equality),
-        (InequalityConstraints(A=A, b=b),
+        (QuadraticObjective(W, q=q), EqualityConstraints(A=A, b=b), equality),
+        (QuadraticObjective(W, q=q), InequalityConstraints(A=A, b=b),
          lambda x, lam: augmented(np.maximum(rho * (A @ x - b) + lam, 0.0), x, lam)),
-        (TwoSidedConstraints(A=A, b_lo=-np.ones(2), b_hi=np.ones(2)),
+        (QuadraticObjective(W, q=q), TwoSidedConstraints(A=A, b_lo=-np.ones(2), b_hi=np.ones(2)),
          lambda x, lam: augmented(np.maximum(np.minimum(rho * A @ x + lam + rho, 0.0),
                                              rho * A @ x + lam - rho), x, lam)),
+        (logistic, EqualityConstraints(A=A, b=b),
+         lambda x, lam: equality(x, lam, grad=logistic.grad)),
     ]
-    for cons, formula in cases:
-        field = vector_field(ConstrainedProblem(QuadraticObjective(W, q=q), cons),
+    for objective, cons, formula in cases:
+        field = vector_field(ConstrainedProblem(objective, cons),
                              DynamicsParams(eta=eta, rho=rho))
+        assert isinstance(field, AffineVectorField) == (formula is equality)
         for _ in range(20):
             z = rng.standard_normal(5)
             want = np.concatenate(formula(z[:3], z[3:]))

@@ -15,13 +15,13 @@ from saddleflow import (
     InequalityConstraints,
     NonFiniteFieldError,
     QuadraticObjective,
-    State,
     Trajectory,
     build_certificate_eq,
     choose_step_size,
     condition_number,
     euler_step,
     gen_equality_qp,
+    gen_logistic_ineq,
     lipschitz_bound,
     rk4_step,
     simulate,
@@ -71,6 +71,27 @@ def test_euler_step_rejects_nonfinite_field():
         euler_step(lambda z: -z, np.array([1.0]), 0.0)
 
 
+def test_states_that_do_not_fit_the_field_are_refused():
+    # each field of vector_field knows its length n + m (affine, oracle
+    # equality and augmented); a state of any other length is refused
+    # before any step, a single one or a (K, d) stack
+    rng = np.random.default_rng(5)
+    logistic = LogisticObjective(rng.standard_normal((20, 4)),
+                                 rng.choice([-1.0, 1.0], size=20), reg=0.1)
+    A = rng.standard_normal((3, 4))
+    for p in (gen_equality_qp(42, 4, 3), gen_logistic_ineq(3, n=4, m=3, n_data=20),
+              ConstrainedProblem(logistic, EqualityConstraints(A=A, b=np.zeros(3)))):
+        field = vector_field(p, DynamicsParams())
+        assert field.dim == 7
+        assert euler_step(field, np.zeros(7), 0.01).shape == (7,)
+        for bad in (np.zeros(5), np.zeros(8), np.zeros((2, 5))):
+            for step in (euler_step, rk4_step):
+                with pytest.raises(DimensionMismatchError, match="z must have length 7"):
+                    step(field, bad, 0.01)
+            with pytest.raises(DimensionMismatchError, match="z0 must have length 7"):
+                simulate(field, bad, 0.01, 1.0)
+
+
 def test_rk4_more_accurate_than_euler():
     # one step of dz = -z from 1: exact exp(-0.1)
     exact = np.exp(-0.1)
@@ -106,16 +127,13 @@ def test_simulate_seeded_qp_distance_bound():
     eq = solve_equilibrium(p, params)
     field = vector_field(p, params)
     z0 = np.zeros(p.dim_n + p.dim_m)
-    traj = simulate(field, z0, 1e-3, 5.0, cert=cert, eq=eq.state)
+    traj = simulate(field, z0, 1e-3, 5.0, cert=cert, eq=eq.state.stacked())
     v0 = traj.v_values[0]
     lam_min = np.linalg.eigvalsh(cert.P)[0]
     bound = np.sqrt(v0 / lam_min) * np.exp(-cert.tau * traj.times / 2.0)
     assert np.all(traj.distances <= bound * (1.0 + 1e-9) + 1e-12)
-    # an equilibrium of the wrong length is refused before any step, as a
-    # State or as a stacked vector
-    x, lam = eq.state.x, eq.state.lam
-    for bad in (State(x=x, lam=lam[:1]), State(x=np.append(x, 0.0), lam=lam),
-                eq.state.stacked()[:-1], np.zeros(p.dim_n + p.dim_m + 1)):
+    # an equilibrium of the wrong length is refused before any step
+    for bad in (eq.state.stacked()[:-1], np.zeros(p.dim_n + p.dim_m + 1)):
         with pytest.raises(DimensionMismatchError, match="eq must have length"):
             simulate(field, z0, 1e-3, 5.0, cert=cert, eq=bad)
 
@@ -129,7 +147,7 @@ def test_simulate_distances_are_linalg_norms(seed, n, m):
     cert = build_certificate_eq(p, params)
     eq = solve_equilibrium(p, params)
     traj = simulate(vector_field(p, params), np.zeros(n + m), 1e-3, 2.0,
-                    cert=cert, eq=eq.state)
+                    cert=cert, eq=eq.state.stacked())
     U = traj.zs - eq.state.stacked()
     assert np.array_equal(traj.distances, np.linalg.norm(U, axis=1))
     assert np.array_equal(traj.dist_x, np.linalg.norm(U[:, :n], axis=1))
@@ -184,7 +202,7 @@ def test_simulate_affine_matches_plain_callable():
         eq = solve_equilibrium(p, params)
         z0 = np.random.default_rng(seed).standard_normal(p.dim_n + p.dim_m)
         for record_every in (1, 7, 1000):
-            fast, ref = [simulate(f, z0, delta, steps * delta, cert=cert, eq=eq.state,
+            fast, ref = [simulate(f, z0, delta, steps * delta, cert=cert, eq=eq.state.stacked(),
                                   record_every=record_every)
                          for f in (field, lambda z: field(z))]
             assert len(fast) == len(ref) == len(range(0, steps, record_every)) + 1
@@ -424,7 +442,7 @@ def test_per_step_contraction_in_p_norm():
     field = vector_field(p, params)
     rng = np.random.default_rng(77)
     z0 = eq.state.stacked() + rng.standard_normal(p.dim_n + p.dim_m)
-    traj = simulate(field, z0, delta, 2000 * delta, cert=cert, eq=eq.state)
+    traj = simulate(field, z0, delta, 2000 * delta, cert=cert, eq=eq.state.stacked())
     v = traj.v_values
     ratios = v[1:] / np.maximum(v[:-1], 1e-300)
     assert np.all(np.sqrt(ratios) <= r + 1e-9)
