@@ -33,7 +33,7 @@ def main():
 
     z0 = np.zeros(p.dim_n + p.dim_m)
     traj = simulate(vector_field(p, params), z0, delta, 5.0,
-                    cert=cert, eq=eq.state.stacked())
+                    cert=cert, eq=eq.z)
 
     v = traj.v_values
     envelope = v[0] * np.exp(-cert.tau * traj.times)

@@ -42,12 +42,12 @@ def main():
               f"dual {res.dual:.2e}  complementarity {res.complementarity:.2e}")
         print(f"  active constraints: {list(eq.active_set)}")
         sols = [solve_equilibrium(p, params, tol=1e-9,
-                                  z0=rng.standard_normal(p.dim_n + p.dim_m))
-                .state.stacked() for _ in range(3)]
+                                  z0=rng.standard_normal(p.dim_n + p.dim_m)).z
+                for _ in range(3)]
         spread = max(np.linalg.norm(a - b) for a in sols for b in sols)
         print(f"  spread across 3 random restarts: {spread:.2e}")
         if isinstance(p.constraints, TwoSidedConstraints):
-            lam = eq.state.lam
+            lam = eq.lambda_star
             print(f"  signed multipliers {np.round(lam, 6)}; "
                   f"split product {np.maximum(lam, 0) * np.maximum(-lam, 0)}")
 

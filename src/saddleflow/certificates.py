@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import State, _flow_matrix, _stacked_state, _with_primal
+from .dynamics import _fitting, _flow_matrix, _with_primal
 from .errors import InfeasibleError, NoSlackError
 from .integrator import lipschitz_bound
 from .problem import (
@@ -175,9 +175,10 @@ def build_certificate_ineq(p: ConstrainedProblem, params: DynamicsParams) -> Lya
     return _finish_certificate(p.constraints.A, params, c, tau, variant)
 
 
-def xi_bound(p: ConstrainedProblem, params: DynamicsParams, z0: State,
-             eq: State) -> RankCertificateAux:
-    """Trajectory bound and inactive-gain cap for the rank-relaxed setting.
+def xi_bound(p: ConstrainedProblem, params: DynamicsParams, z0,
+             z_star) -> RankCertificateAux:
+    """Trajectory bound and inactive-gain cap for the rank-relaxed setting,
+    for the run from the stacked z0 = (x0, lam0) to z_star = (x*, lam*).
 
     xi = max_j [ (rho ||a_j|| + sqrt(eta)) sqrt(||x0-x*||^2 + ||lam0-lam*||^2/eta)
                  + rho ||a_j|| ||x*|| + rho |b_j| + ||lam*|| ]
@@ -191,14 +192,17 @@ def xi_bound(p: ConstrainedProblem, params: DynamicsParams, z0: State,
     """
     if not isinstance(p.constraints, InequalityConstraints):
         raise ValueError("xi_bound requires inequality constraints")
+    n = p.dim_n
+    z0 = _fitting(z0, n + p.dim_m, "z0")
+    z_star = _fitting(z_star, n + p.dim_m, "z_star")
+    x_star = z_star[:n]
     A, b = p.constraints.A, p.constraints.b
     eta, rho = params.eta, params.rho
     row_norms = np.linalg.norm(A, axis=1)
-    radius = np.sqrt(
-        float(np.sum((z0.x - eq.x) ** 2)) + float(np.sum((z0.lam - eq.lam) ** 2)) / eta
-    )
-    x_norm = float(np.linalg.norm(eq.x))
-    lam_norm = float(np.linalg.norm(eq.lam))
+    u = z0 - z_star
+    radius = np.sqrt(float(np.sum(u[:n] ** 2)) + float(np.sum(u[n:] ** 2)) / eta)
+    x_norm = float(np.linalg.norm(x_star))
+    lam_norm = float(np.linalg.norm(z_star[n:]))
     xi = float(np.max(
         (rho * row_norms + np.sqrt(eta)) * radius
         + rho * row_norms * x_norm
@@ -206,7 +210,7 @@ def xi_bound(p: ConstrainedProblem, params: DynamicsParams, z0: State,
         + lam_norm
     ))
 
-    slack = b - A @ eq.x
+    slack = b - A @ x_star
     inactive = np.flatnonzero(np.abs(slack) > ACTIVE_TOL)
     m1 = p.dim_m - inactive.size
     if inactive.size == 0:
@@ -293,15 +297,16 @@ def solve_c_rank(mu: float, ell: float, kappa1: float, kappa2: float,
 
 
 def build_certificate_rank(p: ConstrainedProblem, params: DynamicsParams,
-                           z0: State, eq: State) -> LyapunovCertificate:
+                           z0, z_star) -> LyapunovCertificate:
     """Rank-relaxed certificate: only the active rows of A need full rank.
 
     kappa_1 is taken over the active rows A_1 (lambda_min of A_1 A_1^T),
     kappa_2 over the full A. The trajectory bound from z0 caps the gain of
     inactive constraints at gamma_bar < 1, which is what rescues the decay
-    inequality when the full A A^T is singular or ill-conditioned.
+    inequality when the full A A^T is singular or ill-conditioned. z0 and
+    z_star are stacked points, as for xi_bound.
     """
-    aux = xi_bound(p, params, z0, eq)
+    aux = xi_bound(p, params, z0, z_star)
     A = p.constraints.A
     active = np.setdiff1d(np.arange(p.dim_m), np.asarray(aux.inactive, dtype=int))
     if active.size == 0:
@@ -319,9 +324,10 @@ def build_certificate_rank(p: ConstrainedProblem, params: DynamicsParams,
                                CertificateVariant.RANK_RELAXED, rank_aux=aux)
 
 
-def lyapunov_value(cert: LyapunovCertificate, s: State, eq: State) -> float:
+def lyapunov_value(cert: LyapunovCertificate, z, z_star) -> float:
+    """V(z) = (z - z*)^T P (z - z*) at the stacked points z and z_star."""
     d = cert.P.shape[0]
-    u = _stacked_state(s, d, "state") - _stacked_state(eq, d, "eq")
+    u = _fitting(z, d, "z") - _fitting(z_star, d, "z_star")
     return float(u @ (cert.P @ u))
 
 

@@ -2,8 +2,9 @@
 
 vector_field(p, params) is the flow of p: a callable mapping z to dz
 (the augmented one also maps a (K, d) stack of states, row by row).
-State is the point type of equilibria and certificates; the flows and
-the integrator take its stacked() vector.
+The stacked z is the package's only point type: equilibria, certificates,
+KKT checks and the integrator all take it, and _fitting is the one check
+that a point fits a problem.
 
 Plain equality flow:
 
@@ -24,8 +25,6 @@ nonnegative (inequality case) because dlam_j >= 0 whenever lam_j = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidBandError
@@ -36,35 +35,10 @@ from .problem import (
     InequalityConstraints,
     QuadraticObjective,
     _matvec,
-    _readonly,
 )
 
 # Relative scale below which a secant denominator counts as degenerate.
 GAMMA_DEGENERATE_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class State:
-    """Primal-dual point (x, lam)."""
-
-    x: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        x = _readonly(np.atleast_1d(self.x))
-        lam = _readonly(np.atleast_1d(self.lam))
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
-            raise ValueError("state entries must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "lam", lam)
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.x, self.lam])
-
-    @classmethod
-    def from_stacked(cls, z, n: int) -> "State":
-        z = np.asarray(z, dtype=float)
-        return cls(x=z[:n], lam=z[n:])
 
 
 def soft_threshold(y, lo, hi):
@@ -142,25 +116,19 @@ def penalty_value(kind: str, ax, bounds, lam, rho: float):
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _stacked_state(s, size: int, name: str) -> np.ndarray:
-    """s, a State or a vector, as the stacked z = (x, lam) of the given length."""
-    z = s.stacked() if isinstance(s, State) else np.asarray(s, dtype=float)
-    if z.shape != (size,):
-        raise DimensionMismatchError(f"{name} must have length {size}, got shape {z.shape}")
+def _fitting(z, dim, name: str, stack: bool = False) -> np.ndarray:
+    """z as floats, if it is one stacked point of length dim or, with
+    stack, a (K, dim) stack of them; dim None takes any length (a plain
+    callable field). DimensionMismatchError names the argument otherwise."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.ndim > 1 + stack or dim not in (None, z.shape[-1]):
+        raise DimensionMismatchError(f"{name} must have length {dim}, got shape {z.shape}")
     return z
 
 
-def _check_state(p: ConstrainedProblem, s: State):
-    if s.x.shape != (p.dim_n,) or s.lam.shape != (p.dim_m,):
-        raise DimensionMismatchError(
-            f"state has shapes x{s.x.shape}, lam{s.lam.shape}; problem wants "
-            f"({p.dim_n},), ({p.dim_m},)"
-        )
-
-
-def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, s: State,
-                       eq: State) -> np.ndarray:
-    """Secant slopes of the effective multiplier between s and a reference eq.
+def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, z,
+                       z_star) -> np.ndarray:
+    """Secant slopes of the effective multiplier between z and a reference z_star.
 
     For each constraint j the slope is
 
@@ -172,17 +140,20 @@ def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, s: State,
 
         dlam = eta Gamma A (x - x*) + (eta / rho) (Gamma - I)(lam - lam*)
 
-    whenever eq is an equilibrium of the flow.
+    whenever z_star is an equilibrium of the flow. Both are stacked
+    points (x, lam) of length n + m.
     """
-    _check_state(p, s)
-    _check_state(p, eq)
+    n = p.dim_n
+    z = _fitting(z, n + p.dim_m, "z")
+    z_star = _fitting(z_star, n + p.dim_m, "z_star")
     if isinstance(p.constraints, EqualityConstraints):
         raise ValueError("gamma coefficients are defined for inequality and "
                          "two-sided constraints only")
     A = p.constraints.A
     multiplier = _AugmentedField(p, params).multiplier
-    num = multiplier(A @ s.x, s.lam) - multiplier(A @ eq.x, eq.lam)
-    den = params.rho * (A @ (s.x - eq.x)) + (s.lam - eq.lam)
+    u = z - z_star
+    num = multiplier(A @ z[:n], z[n:]) - multiplier(A @ z_star[:n], z_star[n:])
+    den = params.rho * (A @ u[:n]) + u[n:]
     out = np.zeros(p.dim_m)
     ok = np.abs(den) >= GAMMA_DEGENERATE_TOL * (1.0 + np.abs(num))
     out[ok] = num[ok] / den[ok]

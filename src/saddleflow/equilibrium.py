@@ -15,10 +15,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .certificates import ACTIVE_TOL
-from .dynamics import State, _flow_matrix, _stacked_state, _with_primal, vector_field
+from .dynamics import _fitting, _flow_matrix, _with_primal, vector_field
 from .errors import MaxIterationsError
 from .integrator import Trajectory, _advance, _euler_iterates, _fallback_step, lipschitz_bound
-from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, InequalityConstraints
+from .problem import (
+    ConstrainedProblem,
+    DynamicsParams,
+    EqualityConstraints,
+    InequalityConstraints,
+    _readonly,
+)
 
 # Euler steps between KKT residual checks while integrating to equilibrium.
 KKT_CHECK_EVERY = 100
@@ -51,9 +57,11 @@ class KktResidual:
 class Equilibrium:
     """The solved equilibrium, and how the solve went.
 
-    method is "newton" or "integration"; newton_iterations and
-    euler_steps count the work of each; fallback_reason says why Newton
-    stalled, when it did. These four are outside ==.
+    z is the read-only stacked z* = (x*, lam*), and x_star and
+    lambda_star are its two parts. method is "newton" or "integration";
+    newton_iterations and euler_steps count the work of each;
+    fallback_reason says why Newton stalled, when it did. These four and
+    z are outside ==.
     """
 
     x_star: np.ndarray
@@ -64,33 +72,41 @@ class Equilibrium:
     newton_iterations: int = field(default=0, kw_only=True, compare=False)
     euler_steps: int = field(default=0, kw_only=True, compare=False)
     fallback_reason: str = field(default="", kw_only=True, compare=False)
+    z: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def state(self) -> State:
-        return State(x=self.x_star, lam=self.lambda_star)
+    def __post_init__(self):
+        n = len(self.x_star)
+        z = _readonly(np.concatenate([self.x_star, self.lambda_star]))
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "x_star", z[:n])
+        object.__setattr__(self, "lambda_star", z[n:])
 
 
-def kkt_residual(p: ConstrainedProblem, s: State) -> KktResidual:
-    """Componentwise optimality residual of (x, lam) for p's KKT system."""
+def kkt_residual(p: ConstrainedProblem, z) -> KktResidual:
+    """Componentwise optimality residual of the stacked z = (x, lam) for
+    p's KKT system."""
+    n = p.dim_n
+    z = _fitting(z, n + p.dim_m, "z")
+    x, lam = z[:n], z[n:]
     A = p.constraints.A
-    g = p.objective.grad(s.x)
-    stationarity = float(np.linalg.norm(g + A.T @ s.lam))
+    g = p.objective.grad(x)
+    stationarity = float(np.linalg.norm(g + A.T @ lam))
     if isinstance(p.constraints, EqualityConstraints):
-        primal = float(np.linalg.norm(A @ s.x - p.constraints.b))
+        primal = float(np.linalg.norm(A @ x - p.constraints.b))
         return KktResidual(stationarity, primal, 0.0, 0.0)
     if isinstance(p.constraints, InequalityConstraints):
-        r = A @ s.x - p.constraints.b
+        r = A @ x - p.constraints.b
         primal = float(np.linalg.norm(np.maximum(r, 0.0)))
-        dual = float(np.linalg.norm(np.minimum(s.lam, 0.0)))
-        comp = float(np.max(np.abs(s.lam * r))) if r.size else 0.0
+        dual = float(np.linalg.norm(np.minimum(lam, 0.0)))
+        comp = float(np.max(np.abs(lam * r))) if r.size else 0.0
         return KktResidual(stationarity, primal, dual, comp)
-    ax = A @ s.x
+    ax = A @ x
     lo, hi = p.constraints.b_lo, p.constraints.b_hi
     over = np.maximum(ax - hi, 0.0)
     under = np.maximum(lo - ax, 0.0)
     primal = float(np.sqrt(np.sum(over**2) + np.sum(under**2)))
-    lam_bar = np.maximum(s.lam, 0.0)
-    lam_under = -np.minimum(s.lam, 0.0)
+    lam_bar = np.maximum(lam, 0.0)
+    lam_under = -np.minimum(lam, 0.0)
     comp = float(np.max(np.maximum(lam_bar * np.abs(ax - hi),
                                    lam_under * np.abs(ax - lo))))
     return KktResidual(stationarity, primal, 0.0, comp)
@@ -136,10 +152,9 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
             if not np.isfinite(norm):
                 why = "non-finite field"
                 break
-            s = State(x=z[:n], lam=z[n:])
-            res = kkt_residual(p, s)
+            res = kkt_residual(p, z)
             if res.total <= tol:
-                return _equilibrium(p, s, res, method="newton", newton_iterations=k), k, None
+                return _equilibrium(p, z, res, method="newton", newton_iterations=k), k, None
             if k == NEWTON_MAX_ITER:
                 why = "iteration cap"
                 break
@@ -204,43 +219,43 @@ def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float,
                                 z0, delta, max_steps):
         for z in checked.add(rows):
             checks += 1
-            s = State(x=z[:n], lam=z[n:])
-            res = kkt_residual(p, s)
+            res = kkt_residual(p, z)
             if res.total <= tol:
-                return _equilibrium(p, s, res, method="integration",
+                return _equilibrium(p, z, res, method="integration",
                                     euler_steps=min(checks * KKT_CHECK_EVERY, max_steps))
     raise MaxIterationsError(
         f"KKT residual did not reach {tol:g} within {max_steps} steps"
     )
 
 
-def _equilibrium(p, s: State, res: KktResidual, **how) -> Equilibrium:
-    return Equilibrium(x_star=s.x, lambda_star=s.lam, residual=res,
-                       active_set=_active_set(p, s.x), **how)
+def _equilibrium(p, z, res: KktResidual, **how) -> Equilibrium:
+    n = p.dim_n
+    return Equilibrium(x_star=z[:n], lambda_star=z[n:], residual=res,
+                       active_set=_active_set(p, z[:n]), **how)
 
 
 def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
-                      tol: float = 1e-9, z0: State = None,
+                      tol: float = 1e-9, z0=None,
                       max_steps: int = MAX_EULER_STEPS) -> Equilibrium:
     """Compute the unique primal-dual equilibrium of p's flow.
 
     The equilibrium is p's KKT point, which does not depend on eta, so
     only params.rho is read: both methods run the flow at eta = 1.
-    Damped semismooth Newton on the flow's field from z0 (default the
-    origin) until the total KKT residual is at most tol; for an equality
-    QP from the origin that is one exact linear solve. If Newton stalls,
-    the flow is integrated from z0 instead, for at most max_steps Euler
-    steps. If Newton stalls on a step below rounding, the residual has
-    reached its floor, and MaxIterationsError says so at once. The result
-    records which method ran, its Newton iterations and Euler steps, and
-    why Newton stalled.
+    Damped semismooth Newton on the flow's field from the stacked z0
+    (default the origin) until the total KKT residual is at most tol; for
+    an equality QP from the origin that is one exact linear solve. If
+    Newton stalls, the flow is integrated from z0 instead, for at most
+    max_steps Euler steps. If Newton stalls on a step below rounding, the
+    residual has reached its floor, and MaxIterationsError says so at
+    once. The result records which method ran, its Newton iterations and
+    Euler steps, and why Newton stalled.
     """
     if params is None:
         params = DynamicsParams()
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     size = p.dim_n + p.dim_m
-    start = np.zeros(size) if z0 is None else _stacked_state(z0, size, "z0")
+    start = np.zeros(size) if z0 is None else _fitting(z0, size, "z0")
     eq, iterations, stalled = _newton(p, params.rho, tol, start)
     if eq is not None:
         return eq

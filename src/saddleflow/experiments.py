@@ -30,7 +30,7 @@ from .certificates import (
     build_certificate_rank,
     condition_number,
 )
-from .dynamics import State, _AugmentedField, vector_field
+from .dynamics import _AugmentedField, vector_field
 from .equilibrium import Equilibrium, _integrate_to_equilibrium, solve_equilibrium
 from .errors import DivergedError, InvalidInputError, RankDeficientError
 from .integrator import (
@@ -178,8 +178,7 @@ def certificate_for(p: ConstrainedProblem, params: DynamicsParams,
     if variant == "rank":
         if eq is None:
             raise ValueError("the rank-relaxed certificate needs the equilibrium eq")
-        z0 = State(x=np.zeros(p.dim_n), lam=np.zeros(p.dim_m))
-        return build_certificate_rank(p, params, z0, eq.state)
+        return build_certificate_rank(p, params, np.zeros(p.dim_n + p.dim_m), eq.z)
     if kind == "eq":
         return build_certificate_eq(p, params)
     return build_certificate_ineq(p, params)
@@ -288,11 +287,11 @@ def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
             trajs = []
             for c, (params, (cert, step, _, _, stride)) in enumerate(zip(grid, plans)):
                 traj = simulate(vector_field(p, params), z0, step, horizon,
-                                cert=cert, eq=eq.state.stacked(), record_every=stride)
+                                cert=cert, eq=eq.z, record_every=stride)
                 traj.zs = None  # one trajectory's states in memory at a time
                 trajs.append(traj)
         else:
-            trajs = [Trajectory(z0, p.dim_n, step, steps, stride, eq.state.stacked(), cert.P)
+            trajs = [Trajectory(z0, p.dim_n, step, steps, stride, eq.z, cert.P)
                      for cert, step, _, steps, stride in plans]
             _run_stack(p, grid, trajs)
     except DivergedError as exc:

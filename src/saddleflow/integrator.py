@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _BLOCK_STEPS
-from .errors import DimensionMismatchError, DivergedError, NonFiniteFieldError
+from .dynamics import _BLOCK_STEPS, _fitting
+from .errors import DivergedError, NonFiniteFieldError
 from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, _matvec
 
 DIVERGENCE_NORM = 1e12
@@ -111,14 +111,6 @@ class Trajectory:
         return zip(self.times, self.dist_x, self.dist_lambda, self.v_values)
 
 
-def _fitting(z, dim, name: str) -> np.ndarray:
-    """z, a state or a (K, d) stack of them, as floats; d must be dim (if not None)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if dim not in (None, z.shape[-1]):
-        raise DimensionMismatchError(f"{name} must have length {dim}, got shape {z.shape}")
-    return z
-
-
 def _step(f):
     """step(z, delta), one explicit Euler step of the stacked field f: its
     own euler_update when it has one, otherwise z + delta * f(z)."""
@@ -182,13 +174,14 @@ def _euler_iterates(advance, z, delta, steps):
 
 def euler_step(field, z, delta: float) -> np.ndarray:
     """One explicit Euler step z + delta * field(z) of a field on stacked
-    vectors (its own euler_update when it has one). Raises
-    DimensionMismatchError when z does not fit the field's dim, and
-    NonFiniteFieldError when the step comes out NaN or infinite.
+    vectors (its own euler_update when it has one); z may be a (K, d)
+    stack where the field maps stacks. Raises DimensionMismatchError when
+    z does not fit the field's dim, and NonFiniteFieldError when the step
+    comes out NaN or infinite.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    out = _step(field)(_fitting(z, getattr(field, "dim", None), "z"), delta)
+    out = _step(field)(_fitting(z, getattr(field, "dim", None), "z", stack=True), delta)
     if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("field returned non-finite values")
     return out
@@ -196,7 +189,9 @@ def euler_step(field, z, delta: float) -> np.ndarray:
 
 def rk4_step(field, z, delta: float) -> np.ndarray:
     """Classic fourth-order step; reference accuracy only, no certificate."""
-    z = _fitting(z, getattr(field, "dim", None), "z")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    z = _fitting(z, getattr(field, "dim", None), "z", stack=True)
     k1 = np.asarray(field(z), dtype=float)
     k2 = np.asarray(field(z + 0.5 * delta * k1), dtype=float)
     k3 = np.asarray(field(z + 0.5 * delta * k2), dtype=float)
@@ -212,9 +207,9 @@ def simulate(field, z0, delta: float, horizon: float,
     recording iterates.
 
     cert (a LyapunovCertificate) and eq (the equilibrium's stacked z*,
-    Equilibrium.state.stacked()) are optional: with eq the distances to
-    z* are recorded (of z, x and lam), with both the Lyapunov values as
-    well. A z0 or eq that does not fit the field's dim is refused.
+    Equilibrium.z) are optional: with eq the distances to z* are recorded
+    (of z, x and lam), with both the Lyapunov values as well. A z0 or eq
+    that is not one point of the field's dim is refused.
     record_every thins the recording for long runs; step 0 and the final
     step are always kept.
 
@@ -226,9 +221,9 @@ def simulate(field, z0, delta: float, horizon: float,
     step whatever record_every is (inadmissible step sizes blow up
     geometrically, so this trips fast).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if horizon < delta:
+    if not horizon >= delta:
         raise ValueError(f"horizon must be at least delta, got {horizon} < {delta}")
     if cert is not None and eq is None:
         raise ValueError("recording Lyapunov values requires the equilibrium")
@@ -268,7 +263,7 @@ def _fallback_step(nu: float, params: DynamicsParams) -> float:
 def step_size_admissible(delta: float, tau: float, nu: float,
                          kappa_P: float) -> StepCertificate:
     """Contraction factor of one Euler step; admissible iff below one."""
-    if min(delta, tau, nu, kappa_P) <= 0:
+    if not all(v > 0 for v in (delta, tau, nu, kappa_P)):
         raise ValueError("delta, tau, nu and kappa_P must all be positive")
     r = math.exp(-tau * delta / 2.0) + kappa_P * nu * nu * delta * delta / 2.0
     return StepCertificate(delta=float(delta), nu=float(nu),

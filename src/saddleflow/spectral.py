@@ -94,7 +94,7 @@ def certified_rate(W, A, eta: float) -> float:
 def eta_sweep(W, A, eta_grid) -> EtaSweepResult:
     """Exact rate and certified bound for each eta in the grid."""
     etas = np.atleast_1d(np.asarray(eta_grid, dtype=float))
-    if etas.size == 0 or np.any(etas <= 0):
+    if etas.size == 0 or not np.all(etas > 0):
         raise ValueError("eta grid must be nonempty and positive")
     p = _equality_problem(W, A)
     rates = [_lti_system(p.objective.W, p.constraints.A, e).rate for e in etas]

@@ -20,7 +20,6 @@ from saddleflow import (
     EqualityConstraints,
     InequalityConstraints,
     QuadraticObjective,
-    State,
     TwoSidedConstraints,
     build_certificate_eq,
     build_certificate_rank,
@@ -62,7 +61,7 @@ def _run_to_equilibrium(p, params, horizon, delta=None):
         certified = None
     z0 = np.zeros(p.dim_n + p.dim_m)
     traj = simulate(vector_field(p, params), z0, delta, horizon,
-                    cert=cert, eq=eq.state.stacked())
+                    cert=cert, eq=eq.z)
     return cert, eq, traj, delta, certified
 
 
@@ -76,7 +75,7 @@ def test_criterion_1_equality_decay():
     v_ok = bool(np.all(v <= v[0] * np.exp(-cert.tau * t) * (1 + 1e-6)))
     lam_min = float(np.linalg.eigvalsh(cert.P)[0])
     c1 = math.sqrt(v[0] / lam_min)
-    dist_x = np.linalg.norm(traj.zs[:, :5] - eq.state.x[None, :], axis=1)
+    dist_x = np.linalg.norm(traj.zs[:, :5] - eq.x_star[None, :], axis=1)
     x_ok = bool(np.all(dist_x <= c1 * np.exp(-cert.tau * t / 2) * (1 + 1e-6)))
     _verdict(1, v_ok and x_ok and elapsed < 5.0,
              f"V and primal-distance envelopes hold over {len(traj)} steps, "
@@ -142,7 +141,7 @@ def test_criterion_4_block_bounds_on_gamma_vertices():
     p = ConstrainedProblem(QuadraticObjective(np.eye(3), np.array([-2.0, 0.0, 0.0])),
                            InequalityConstraints(A, np.array([1.0, 1.0])))
     eq = solve_equilibrium(p, PARAMS, tol=1e-12)
-    cert = build_certificate_rank(p, PARAMS, State(np.zeros(3), np.zeros(2)), eq.state)
+    cert = build_certificate_rank(p, PARAMS, np.zeros(5), eq.z)
     gbar = cert.rank_aux.gamma_bar
     worst_rank = np.inf
     for g0 in (0.0, 1.0):          # active row: full range
@@ -169,7 +168,7 @@ def test_criterion_5_contraction_and_divergence():
     assert r_bad >= 1.5
     try:
         bad = simulate(vector_field(p, PARAMS), np.zeros(7), 0.5, 25.0,
-                       cert=cert, eq=eq.state.stacked())
+                       cert=cert, eq=eq.z)
         degraded = bool(bad.v_values[-1] > bad.v_values[0])
     except DivergedError:
         degraded = True
@@ -194,12 +193,12 @@ def test_criterion_6_equilibrium_consistency():
         eq = solve_equilibrium(p, PARAMS, tol=1e-9)
         worst_res = max(worst_res, eq.residual.total)
         starts = [rng.standard_normal(p.dim_n + p.dim_m) for _ in range(5)]
-        sols = [solve_equilibrium(p, PARAMS, tol=1e-9, z0=z).state.stacked()
+        sols = [solve_equilibrium(p, PARAMS, tol=1e-9, z0=z).z
                 for z in starts]
         spread = max(np.linalg.norm(a - b) for a in sols for b in sols)
         worst_spread = max(worst_spread, spread)
         if name == "two-sided":
-            lam = eq.state.lam
+            lam = eq.lambda_star
             split_ok = bool(np.all(np.maximum(lam, 0.0) * np.maximum(-lam, 0.0)
                                    == 0.0))
     ok = worst_res <= 1e-8 and worst_spread <= 1e-7 and split_ok
@@ -246,8 +245,8 @@ def test_criterion_9_rank_relaxed_certificate():
     p = ConstrainedProblem(QuadraticObjective(np.eye(3), np.array([-2.0, 0.0, 0.0])),
                            InequalityConstraints(A, np.array([1.0, 1.0])))
     eq = solve_equilibrium(p, PARAMS, tol=1e-12)
-    z0 = State(np.zeros(3), np.zeros(2))
-    cert = build_certificate_rank(p, PARAMS, z0, eq.state)
+    z0 = np.zeros(5)
+    cert = build_certificate_rank(p, PARAMS, z0, eq.z)
     gbar = cert.rank_aux.gamma_bar
     at_c = rank_inequality_margins(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, gbar, cert.c)
     below = rank_inequality_margins(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, gbar,
@@ -256,12 +255,12 @@ def test_criterion_9_rank_relaxed_certificate():
 
     delta, certified = pick_step_size(p, PARAMS, cert, 5.0)
     traj = simulate(vector_field(p, PARAMS), np.zeros(5), delta, 5.0,
-                    cert=cert, eq=eq.state.stacked())
+                    cert=cert, eq=eq.z)
     v, t = traj.v_values, traj.times
     decay_ok = bool(np.all(v <= v[0] * np.exp(-cert.tau * t) * (1 + 1e-6)))
 
     def aux_increase(tr):
-        u = tr.zs - eq.state.stacked()[None, :]
+        u = tr.zs - eq.z[None, :]
         v0 = 0.5 * np.sum(u[:, :3] ** 2, axis=1) + np.sum(u[:, 3:] ** 2, axis=1) / 2.0
         return float(np.max(np.diff(v0)))
 
@@ -269,7 +268,7 @@ def test_criterion_9_rank_relaxed_certificate():
     # so the observed increase must be tiny and shrink ~16x when delta does 4x
     inc = aux_increase(traj)
     inc_fine = aux_increase(simulate(vector_field(p, PARAMS), np.zeros(5),
-                                     delta / 4.0, 5.0, cert=cert, eq=eq.state.stacked()))
+                                     delta / 4.0, 5.0, cert=cert, eq=eq.z))
     aux_ok = inc <= 1e-6 and inc_fine <= max(inc / 4.0, 1e-15)
     _verdict(9, c_ok and certified and decay_ok and aux_ok,
              f"c={cert.c:.4g} tight within 1%, V decays at tau={cert.tau:.4g}, "

@@ -18,7 +18,6 @@ from saddleflow import (
     NoSlackError,
     ObjectiveOracle,
     QuadraticObjective,
-    State,
     TwoSidedConstraints,
     build_certificate_eq,
     build_certificate_ineq,
@@ -176,8 +175,7 @@ def test_certificates_positive_definite():
 def test_xi_bound_displaced_start():
     # (rho ||a|| + sqrt(eta)) * 1 + 0 + 0 + 0 = 2 for the scalar instance
     p = unit_ineq_problem(b=0.0)
-    aux = xi_bound(p, UNIT, State(x=np.array([1.0]), lam=np.array([0.0])),
-                   State(x=np.array([0.0]), lam=np.array([0.0])))
+    aux = xi_bound(p, UNIT, np.array([1.0, 0.0]), np.zeros(2))
     assert aux.xi == pytest.approx(2.0)
     assert aux.gamma_bar == 0.0  # the only constraint is active at x* = 0
     assert aux.m1 == 1
@@ -190,8 +188,8 @@ def test_xi_bound_gamma_bar_formula():
         QuadraticObjective(np.eye(2), q=np.array([0.0, 1.0])),
         InequalityConstraints(A=np.eye(2), b=np.zeros(2)),
     )
-    eq = State(x=np.array([0.0, -1.0]), lam=np.zeros(2))  # x* = (0,-1), lam* = 0
-    z0 = State(x=np.array([0.0, -0.5]), lam=np.zeros(2))  # distance 1/2
+    eq = np.array([0.0, -1.0, 0.0, 0.0])  # x* = (0,-1), lam* = 0
+    z0 = np.array([0.0, -0.5, 0.0, 0.0])  # distance 1/2
     aux = xi_bound(p, UNIT, z0, eq)
     assert aux.xi == pytest.approx(2.0)
     assert aux.eps_slack == pytest.approx(1.0)
@@ -202,7 +200,7 @@ def test_xi_bound_gamma_bar_formula():
 
 def test_xi_bound_zero_displacement():
     p = unit_ineq_problem(b=0.0)
-    eq = State(x=np.array([0.0]), lam=np.array([0.0]))
+    eq = np.zeros(2)
     aux = xi_bound(p, UNIT, eq, eq)
     assert aux.xi == 0.0
     assert aux.gamma_bar == 0.0
@@ -211,7 +209,7 @@ def test_xi_bound_zero_displacement():
 def test_xi_bound_no_slack_error():
     # a violated constraint classified inactive has nonpositive slack
     p = unit_ineq_problem(b=0.0)
-    bogus = State(x=np.array([1.0]), lam=np.array([0.0]))
+    bogus = np.array([1.0, 0.0])
     with pytest.raises(NoSlackError):
         xi_bound(p, UNIT, bogus, bogus)
 
@@ -269,15 +267,13 @@ def test_solve_c_rank_infeasible_gamma_bar():
 
 def test_lyapunov_value_quadratic_form():
     cert = build_certificate_eq(unit_eq_problem(), UNIT)  # P = [[4,1],[1,4]]
-    eq = State(x=np.array([0.3]), lam=np.array([-0.7]))
+    eq = np.array([0.3, -0.7])
     same = lyapunov_value(cert, eq, eq)
     assert same == 0.0
-    s = State(x=eq.x + 1.0, lam=eq.lam)
-    assert lyapunov_value(cert, s, eq) == pytest.approx(4.0)
-    s = State(x=eq.x + 1.0, lam=eq.lam + 1.0)
+    assert lyapunov_value(cert, eq + [1.0, 0.0], eq) == pytest.approx(4.0)
+    s = eq + 1.0
     assert lyapunov_value(cert, s, eq) == pytest.approx(10.0)
-    assert lyapunov_value(cert, s.stacked(), eq.stacked()) == pytest.approx(10.0)
-    wide = State(x=np.zeros(2), lam=np.zeros(1))
+    wide = np.zeros(3)
     for args in ((wide, eq), (s, wide), (np.zeros(1), eq)):
         with pytest.raises(DimensionMismatchError):
             lyapunov_value(cert, *args)
@@ -368,8 +364,8 @@ def test_rank_block_bound_holds_on_capped_vertices():
         InequalityConstraints(A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                               b=np.array([1.0, 1.0])),
     )
-    eq = State(x=np.array([1.0, 0.0, 0.0]), lam=np.array([1.0, 0.0]))
-    z0 = State(x=np.zeros(3), lam=np.zeros(2))
+    eq = np.array([1.0, 0.0, 0.0, 1.0, 0.0])  # x* = (1, 0, 0), lam* = (1, 0)
+    z0 = np.zeros(5)
     cert = build_certificate_rank(p, UNIT, z0, eq)
     aux = cert.rank_aux
     A = p.constraints.A
@@ -389,8 +385,8 @@ def test_rank_certificate_tau_formula():
         InequalityConstraints(A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                               b=np.array([1.0, 1.0])),
     )
-    eq = State(x=np.array([1.0, 0.0, 0.0]), lam=np.array([1.0, 0.0]))
-    z0 = State(x=np.zeros(3), lam=np.zeros(2))
+    eq = np.array([1.0, 0.0, 0.0, 1.0, 0.0])  # x* = (1, 0, 0), lam* = (1, 0)
+    z0 = np.zeros(5)
     cert = build_certificate_rank(p, UNIT, z0, eq)
     assert cert.variant is CertificateVariant.RANK_RELAXED
     assert cert.tau == pytest.approx(1.0 * 1.0 / (2.0 * cert.c))
@@ -406,8 +402,8 @@ def test_rank_sweep_passes_with_capped_vertices():
         InequalityConstraints(A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                               b=np.array([1.0, 1.0])),
     )
-    eq = State(x=np.array([1.0, 0.0, 0.0]), lam=np.array([1.0, 0.0]))
-    z0 = State(x=np.zeros(3), lam=np.zeros(2))
+    eq = np.array([1.0, 0.0, 0.0, 1.0, 0.0])  # x* = (1, 0, 0), lam* = (1, 0)
+    z0 = np.zeros(5)
     cert = build_certificate_rank(p, UNIT, z0, eq)
     rep = lmi_sweep(cert, p, UNIT, b_samples=40, seed=3)
     assert rep.passed
@@ -457,8 +453,8 @@ def rank_problem():
         InequalityConstraints(A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
                               b=np.array([1.0, 1.0])),
     )
-    eq = State(x=np.array([1.0, 0.0, 0.0]), lam=np.array([1.0, 0.0]))
-    z0 = State(x=np.zeros(3), lam=np.zeros(2))
+    eq = np.array([1.0, 0.0, 0.0, 1.0, 0.0])  # x* = (1, 0, 0), lam* = (1, 0)
+    z0 = np.zeros(5)
     return p, build_certificate_rank(p, UNIT, z0, eq)
 
 

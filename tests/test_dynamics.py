@@ -12,7 +12,6 @@ from saddleflow import (
     InvalidBandError,
     LogisticObjective,
     QuadraticObjective,
-    State,
     TwoSidedConstraints,
     effective_multiplier,
     gamma_coefficients,
@@ -52,8 +51,9 @@ def scalar_ts_problem():
 
 
 def state(x, lam):
-    return State(x=np.atleast_1d(np.asarray(x, dtype=float)),
-                 lam=np.atleast_1d(np.asarray(lam, dtype=float)))
+    """The stacked point z = (x, lam)."""
+    return np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)),
+                           np.atleast_1d(np.asarray(lam, dtype=float))])
 
 
 def flow(p, x, lam, params=UNIT):
@@ -220,8 +220,8 @@ def test_gamma_coefficients_always_in_unit_interval():
     )
     params = DynamicsParams(eta=1.5, rho=0.8)
     for _ in range(200):
-        s = State(x=rng.standard_normal(5) * 2, lam=np.abs(rng.standard_normal(3)))
-        e = State(x=rng.standard_normal(5) * 2, lam=np.abs(rng.standard_normal(3)))
+        s = state(rng.standard_normal(5) * 2, np.abs(rng.standard_normal(3)))
+        e = state(rng.standard_normal(5) * 2, np.abs(rng.standard_normal(3)))
         g = gamma_coefficients(p, params, s, e)
         assert np.all(g >= 0.0) and np.all(g <= 1.0)
 
@@ -233,21 +233,21 @@ def test_gamma_reconstructs_dual_field_inequality():
         QuadraticObjective(np.eye(2)),
         InequalityConstraints(A=np.array([[1.0, 0.0]]), b=np.array([-1.0])),
     )
-    eq = State(x=np.array([-1.0, 0.0]), lam=np.array([1.0]))
+    eq = state([-1.0, 0.0], 1.0)
     rng = np.random.default_rng(52)
     for _ in range(100):
         params = DynamicsParams(eta=float(rng.uniform(0.5, 3)),
                                 rho=float(rng.uniform(0.5, 3)))
-        s = State(x=rng.standard_normal(2) * 3, lam=np.abs(rng.standard_normal(1)) * 2)
-        dlam = vector_field(p, params)(s.stacked())[2:]
+        s = state(rng.standard_normal(2) * 3, np.abs(rng.standard_normal(1)) * 2)
+        dlam = vector_field(p, params)(s)[2:]
         gam = gamma_coefficients(p, params, s, eq)
         A = p.constraints.A
-        recon = (params.eta * gam * (A @ (s.x - eq.x))
-                 + (params.eta / params.rho) * (gam - 1.0) * (s.lam - eq.lam))
+        recon = (params.eta * gam * (A @ (s[:2] - eq[:2]))
+                 + (params.eta / params.rho) * (gam - 1.0) * (s[2:] - eq[2:]))
         assert np.allclose(dlam, recon, rtol=1e-12, atol=1e-12)
         # secant inner-product bounds on the primal block
-        dx = s.x - eq.x
-        val = (p.objective.grad(s.x) - p.objective.grad(eq.x)) @ dx
+        dx = s[:2] - eq[:2]
+        val = (p.objective.grad(s[:2]) - p.objective.grad(eq[:2])) @ dx
         assert p.objective.mu * (dx @ dx) - 1e-9 <= val <= p.objective.ell * (dx @ dx) + 1e-9
 
 
@@ -259,11 +259,11 @@ def test_gamma_reconstructs_dual_field_two_sided():
         params = DynamicsParams(eta=float(rng.uniform(0.5, 3)),
                                 rho=float(rng.uniform(0.5, 3)))
         s = state(rng.standard_normal() * 3, rng.standard_normal() * 2)
-        dlam = vector_field(p, params)(s.stacked())[1:]
+        dlam = vector_field(p, params)(s)[1:]
         gam = gamma_coefficients(p, params, s, eq)
         A = p.constraints.A
-        recon = (params.eta * gam * (A @ (s.x - eq.x))
-                 + (params.eta / params.rho) * (gam - 1.0) * (s.lam - eq.lam))
+        recon = (params.eta * gam * (A @ (s[:1] - eq[:1]))
+                 + (params.eta / params.rho) * (gam - 1.0) * (s[1:] - eq[1:]))
         assert np.allclose(dlam, recon, rtol=1e-12, atol=1e-12)
 
 
@@ -306,14 +306,6 @@ def test_vector_field_matches_the_flow_formulas():
             z = rng.standard_normal(5)
             want = np.concatenate(formula(z[:3], z[3:]))
             assert np.allclose(field(z), want, rtol=1e-12, atol=1e-14)
-
-
-def test_state_stacking_roundtrip():
-    s = State(x=np.array([1.0, 2.0]), lam=np.array([3.0]))
-    z = s.stacked()
-    assert np.allclose(z, [1.0, 2.0, 3.0])
-    back = State.from_stacked(z, 2)
-    assert np.allclose(back.x, s.x) and np.allclose(back.lam, s.lam)
 
 
 def test_stacked_euler_steps_match_each_column():

@@ -8,7 +8,6 @@ import pytest
 from saddleflow import equilibrium
 from saddleflow import (
     ConstrainedProblem,
-    DimensionMismatchError,
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
@@ -16,7 +15,6 @@ from saddleflow import (
     MaxIterationsError,
     ObjectiveOracle,
     QuadraticObjective,
-    State,
     TwoSidedConstraints,
     gen_equality_qp,
     gen_logistic_ineq,
@@ -55,8 +53,7 @@ def test_kkt_oracle_linear_solve():
 
 
 def test_kkt_residual_at_solution():
-    s = State(x=np.array([0.5, 0.5]), lam=np.array([-0.5]))
-    res = kkt_residual(eq_qp(), s)
+    res = kkt_residual(eq_qp(), np.array([0.5, 0.5, -0.5]))
     assert res.stationarity == pytest.approx(0.0, abs=1e-15)
     assert res.primal == pytest.approx(0.0, abs=1e-15)
     assert res.dual == 0.0
@@ -65,16 +62,14 @@ def test_kkt_residual_at_solution():
 
 
 def test_kkt_residual_at_origin():
-    s = State(x=np.zeros(2), lam=np.zeros(1))
-    res = kkt_residual(eq_qp(), s)
+    res = kkt_residual(eq_qp(), np.zeros(3))
     assert res.stationarity == pytest.approx(0.0, abs=1e-15)
     assert res.primal == pytest.approx(1.0)
     assert res.total == pytest.approx(1.0)
 
 
 def test_kkt_residual_strictly_feasible_inequality():
-    s = State(x=np.array([0.5, 0.0]), lam=np.zeros(1))
-    res = kkt_residual(ineq_qp(1.0), s)
+    res = kkt_residual(ineq_qp(1.0), np.array([0.5, 0.0, 0.0]))
     assert res.stationarity == pytest.approx(0.5)  # ||grad f|| = ||x||
     assert res.primal == 0.0
     assert res.dual == 0.0
@@ -82,14 +77,12 @@ def test_kkt_residual_strictly_feasible_inequality():
 
 
 def test_kkt_residual_flags_negative_multiplier():
-    s = State(x=np.zeros(2), lam=np.array([-0.3]))
-    res = kkt_residual(ineq_qp(1.0), s)
+    res = kkt_residual(ineq_qp(1.0), np.array([0.0, 0.0, -0.3]))
     assert res.dual == pytest.approx(0.3)
 
 
 def test_kkt_total_is_max_of_components():
-    s = State(x=np.array([2.0, 0.0]), lam=np.array([-0.3]))
-    res = kkt_residual(ineq_qp(1.0), s)
+    res = kkt_residual(ineq_qp(1.0), np.array([2.0, 0.0, -0.3]))
     assert res.total == max(res.stationarity, res.primal, res.dual,
                             res.complementarity)
 
@@ -100,6 +93,10 @@ def test_solve_equality_qp():
     assert eq.lambda_star[0] == pytest.approx(EQ_QP_SOLUTION[2], abs=1e-9)
     assert eq.residual.total <= 1e-9
     assert eq.active_set == (0,)  # equalities are always active
+    # z* is one read-only stacked vector; x* and lambda* are its parts
+    assert np.array_equal(eq.z, np.concatenate([eq.x_star, eq.lambda_star]))
+    for part in (eq.z, eq.x_star, eq.lambda_star):
+        assert not part.flags.writeable
 
 
 def test_solve_active_inequality():
@@ -131,7 +128,7 @@ def test_equilibria_agree_across_starts():
         z0[3:] = np.abs(z0[3:])
         e = solve_equilibrium(p, UNIT, tol=tol, z0=z0)
         assert e.residual.total <= tol
-        sols.append(e.state.stacked())
+        sols.append(e.z)
     sols = np.array(sols)
     assert np.max(np.linalg.norm(sols - sols[0], axis=1)) <= 10 * tol
 
@@ -144,7 +141,7 @@ def test_field_vanishes_at_equilibrium():
         EqualityConstraints(A=rng.standard_normal((2, 3)), b=rng.standard_normal(2)),
     )
     e = solve_equilibrium(peq, UNIT, tol=tol)
-    d = vector_field(peq, UNIT)(e.state.stacked())
+    d = vector_field(peq, UNIT)(e.z)
     assert np.linalg.norm(d) <= 10 * tol
 
     pin = ConstrainedProblem(
@@ -152,7 +149,7 @@ def test_field_vanishes_at_equilibrium():
         InequalityConstraints(A=rng.standard_normal((2, 3)), b=rng.standard_normal(2)),
     )
     e = solve_equilibrium(pin, UNIT, tol=tol)
-    d = vector_field(pin, UNIT)(e.state.stacked())
+    d = vector_field(pin, UNIT)(e.z)
     assert np.linalg.norm(d) <= 10 * tol
 
 
@@ -167,7 +164,7 @@ def test_two_sided_equilibrium_and_splits():
     )
     e = solve_equilibrium(p, UNIT)
     assert e.residual.total <= 1e-9
-    d = vector_field(p, UNIT)(e.state.stacked())
+    d = vector_field(p, UNIT)(e.z)
     assert np.linalg.norm(d) <= 1e-8
     lam = e.lambda_star
     upper = np.maximum(lam, 0.0)
@@ -182,10 +179,10 @@ def test_two_sided_kkt_residual_by_hand():
         TwoSidedConstraints(A=np.array([[1.0]]), b_lo=np.array([-1.0]),
                             b_hi=np.array([1.0])),
     )
-    res = kkt_residual(p, State(x=np.zeros(1), lam=np.zeros(1)))
+    res = kkt_residual(p, np.zeros(2))
     assert res.total == pytest.approx(0.0, abs=1e-15)
     # x outside the band: primal violation is the distance past the edge
-    res = kkt_residual(p, State(x=np.array([2.0]), lam=np.zeros(1)))
+    res = kkt_residual(p, np.array([2.0, 0.0]))
     assert res.primal == pytest.approx(1.0)
 
 
@@ -196,6 +193,12 @@ def _wrong_hessian_qp(hess=lambda x: -np.eye(3)):
     objective = ObjectiveOracle(lambda x: 0.5 * x @ x, lambda x: x, 1.0, 1.0, hess=hess)
     return ConstrainedProblem(objective, InequalityConstraints(
         A=rng.standard_normal((2, 3)), b=rng.standard_normal(2) - 2.0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_equilibrium(gen_logistic_ineq(3, n=4, m=3, n_data=20), UNIT, tol=tol)
 
 
 def test_max_iterations_error_on_tiny_budget():
@@ -220,7 +223,7 @@ def test_stalled_newton_falls_back_to_integration(hess, why):
     right = solve_equilibrium(ConstrainedProblem(QuadraticObjective(np.eye(3)),
                                                  p.constraints), UNIT)
     assert right.method == "newton"
-    assert np.max(np.abs(eq.state.stacked() - right.state.stacked())) <= 1e-8
+    assert np.max(np.abs(eq.z - right.z)) <= 1e-8
 
 
 def test_fallback_integrates_at_eta_1():
@@ -229,7 +232,7 @@ def test_fallback_integrates_at_eta_1():
     at_1 = solve_equilibrium(p, UNIT)
     at_3 = solve_equilibrium(p, DynamicsParams(eta=3.0))
     assert at_1.method == at_3.method == "integration"
-    assert at_3.state.stacked().tobytes() == at_1.state.stacked().tobytes()
+    assert at_3.z.tobytes() == at_1.z.tobytes()
     assert (at_3.residual, at_3.active_set) == (at_1.residual, at_1.active_set)
     assert (at_3.euler_steps, at_3.newton_iterations, at_3.fallback_reason) == (
         at_1.euler_steps, at_1.newton_iterations, at_1.fallback_reason)
@@ -277,7 +280,7 @@ def test_newton_agrees_with_integration(name):
     fast = solve_equilibrium(p, UNIT, tol=1e-9)
     slow = _integrate_to_equilibrium(p, UNIT.rho, 1e-9)
     assert fast.method == "newton" and slow.method == "integration"
-    assert np.max(np.abs(fast.state.stacked() - slow.state.stacked())) <= 1e-8
+    assert np.max(np.abs(fast.z - slow.z)) <= 1e-8
     assert fast.active_set == slow.active_set
 
 
@@ -300,24 +303,8 @@ def test_equality_qp_is_one_exact_kkt_solve():
     K = np.block([[W, A.T], [-A, np.zeros((2, 2))]])
     exact = np.linalg.solve(K, np.concatenate([-q, -b]))
     eq = solve_equilibrium(p, DynamicsParams(eta=3.0, rho=2.0))
-    assert eq.state.stacked().tobytes() == exact.tobytes()
+    assert eq.z.tobytes() == exact.tobytes()
     assert (eq.method, eq.newton_iterations, eq.euler_steps) == ("newton", 1, 0)
-
-
-def test_z0_accepts_plain_arrays_and_states():
-    p = ineq_qp(-1.0)
-    a = solve_equilibrium(p, UNIT, z0=np.array([2.0, 0.0, 0.5]))
-    b = solve_equilibrium(p, UNIT, z0=State(x=np.array([2.0, 0.0]),
-                                            lam=np.array([0.5])))
-    assert np.allclose(a.x_star, b.x_star, atol=1e-9)
-    # a start of the wrong length is refused the same way in either form,
-    # on an integrated flow and on the equality QP's exact solve alike
-    for q in (p, gen_equality_qp(42)):
-        size = q.dim_n + q.dim_m
-        for z0 in (np.zeros(size + 1), State(x=np.zeros(q.dim_n), lam=np.zeros(q.dim_m + 1)),
-                   np.zeros(size - 1), State(x=np.zeros(q.dim_n - 1), lam=np.zeros(q.dim_m))):
-            with pytest.raises(DimensionMismatchError, match="z0 must have length"):
-                solve_equilibrium(q, UNIT, z0=z0)
 
 
 def test_active_set_uses_tolerance():

@@ -284,7 +284,7 @@ def _runs_match_simulate(p, grid, eq, horizon, delta=None):
     runs = run_from_origin(p, grid, eq, horizon, delta)
     for params, run in zip(grid, runs):
         ref = simulate(vector_field(p, params), np.zeros(p.dim_n + p.dim_m), run.delta,
-                       horizon, cert=run.cert, eq=eq.state.stacked(),
+                       horizon, cert=run.cert, eq=eq.z,
                        record_every=run.record_every)
         traj = run.trajectory
         assert traj.zs is None and traj.times[-1] == run.steps * run.delta

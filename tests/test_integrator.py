@@ -67,8 +67,20 @@ def test_euler_step_on_saddle_field():
 def test_euler_step_rejects_nonfinite_field():
     with pytest.raises(NonFiniteFieldError):
         euler_step(lambda z: np.array([np.nan]), np.array([1.0]), 0.1)
-    with pytest.raises(ValueError):
-        euler_step(lambda z: -z, np.array([1.0]), 0.0)
+    for delta in (0.0, -0.1, np.nan):
+        for step in (euler_step, rk4_step):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                step(lambda z: -z, np.array([1.0]), delta)
+
+
+def test_simulate_refuses_a_nonpositive_step_and_a_short_horizon():
+    z0 = np.array([1.0])
+    for delta in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            simulate(lambda z: -z, z0, delta, 1.0)
+    for horizon in (0.05, -1.0, np.nan):
+        with pytest.raises(ValueError, match="horizon must be at least delta"):
+            simulate(lambda z: -z, z0, 0.1, horizon)
 
 
 def test_states_that_do_not_fit_the_field_are_refused():
@@ -106,7 +118,7 @@ def test_simulate_from_equilibrium_stays_put():
     params = DynamicsParams()
     eq = solve_equilibrium(p, params)
     field = vector_field(p, params)
-    traj = simulate(field, eq.state.stacked(), 1e-2, 1.0)
+    traj = simulate(field, eq.z, 1e-2, 1.0)
     assert np.allclose(traj.zs, traj.zs[0][None, :], atol=1e-9)
 
 
@@ -127,13 +139,13 @@ def test_simulate_seeded_qp_distance_bound():
     eq = solve_equilibrium(p, params)
     field = vector_field(p, params)
     z0 = np.zeros(p.dim_n + p.dim_m)
-    traj = simulate(field, z0, 1e-3, 5.0, cert=cert, eq=eq.state.stacked())
+    traj = simulate(field, z0, 1e-3, 5.0, cert=cert, eq=eq.z)
     v0 = traj.v_values[0]
     lam_min = np.linalg.eigvalsh(cert.P)[0]
     bound = np.sqrt(v0 / lam_min) * np.exp(-cert.tau * traj.times / 2.0)
     assert np.all(traj.distances <= bound * (1.0 + 1e-9) + 1e-12)
     # an equilibrium of the wrong length is refused before any step
-    for bad in (eq.state.stacked()[:-1], np.zeros(p.dim_n + p.dim_m + 1)):
+    for bad in (eq.z[:-1], np.zeros(p.dim_n + p.dim_m + 1)):
         with pytest.raises(DimensionMismatchError, match="eq must have length"):
             simulate(field, z0, 1e-3, 5.0, cert=cert, eq=bad)
 
@@ -147,8 +159,8 @@ def test_simulate_distances_are_linalg_norms(seed, n, m):
     cert = build_certificate_eq(p, params)
     eq = solve_equilibrium(p, params)
     traj = simulate(vector_field(p, params), np.zeros(n + m), 1e-3, 2.0,
-                    cert=cert, eq=eq.state.stacked())
-    U = traj.zs - eq.state.stacked()
+                    cert=cert, eq=eq.z)
+    U = traj.zs - eq.z
     assert np.array_equal(traj.distances, np.linalg.norm(U, axis=1))
     assert np.array_equal(traj.dist_x, np.linalg.norm(U[:, :n], axis=1))
     assert np.array_equal(traj.dist_lambda, np.linalg.norm(U[:, n:], axis=1))
@@ -202,7 +214,7 @@ def test_simulate_affine_matches_plain_callable():
         eq = solve_equilibrium(p, params)
         z0 = np.random.default_rng(seed).standard_normal(p.dim_n + p.dim_m)
         for record_every in (1, 7, 1000):
-            fast, ref = [simulate(f, z0, delta, steps * delta, cert=cert, eq=eq.state.stacked(),
+            fast, ref = [simulate(f, z0, delta, steps * delta, cert=cert, eq=eq.z,
                                   record_every=record_every)
                          for f in (field, lambda z: field(z))]
             assert len(fast) == len(ref) == len(range(0, steps, record_every)) + 1
@@ -371,6 +383,13 @@ def test_lipschitz_bound_formulas():
     assert tiny == pytest.approx(2.0, abs=1e-9)
 
 
+def test_step_certificate_refuses_nonpositive_and_nan_constants():
+    for bad in (0.0, -1.0, np.nan):
+        for args in ((bad, 1.0, 1.0, 1.0), (0.1, 1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="must all be positive"):
+                step_size_admissible(*args)
+
+
 def test_step_certificate_values():
     # oracle: hand evaluation of the r formula
     assert np.exp(-0.05) + 0.005 == pytest.approx(R_AT_DELTA_01, abs=1e-15)
@@ -441,8 +460,8 @@ def test_per_step_contraction_in_p_norm():
     eq = solve_equilibrium(p, params)
     field = vector_field(p, params)
     rng = np.random.default_rng(77)
-    z0 = eq.state.stacked() + rng.standard_normal(p.dim_n + p.dim_m)
-    traj = simulate(field, z0, delta, 2000 * delta, cert=cert, eq=eq.state.stacked())
+    z0 = eq.z + rng.standard_normal(p.dim_n + p.dim_m)
+    traj = simulate(field, z0, delta, 2000 * delta, cert=cert, eq=eq.z)
     v = traj.v_values
     ratios = v[1:] / np.maximum(v[:-1], 1e-300)
     assert np.all(np.sqrt(ratios) <= r + 1e-9)

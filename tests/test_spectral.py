@@ -52,6 +52,12 @@ def test_eta_sweep_saturated_scalar():
     assert table.etas.shape == table.rates.shape == table.certified.shape
 
 
+def test_eta_sweep_refuses_an_empty_nonpositive_or_nan_grid():
+    for grid in ([], [1.0, 0.0], [1.0, -2.0], [np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="nonempty and positive"):
+            eta_sweep(np.array([[1.0]]), np.array([[1.0]]), np.array(grid))
+
+
 def test_eta_to_zero_rate_vanishes():
     # roots of s^2 + s + eta approach {0, -1}: the slow root is about -eta
     eta = 1e-6
