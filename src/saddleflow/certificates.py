@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _fitting, _flow_matrix, _with_primal
-from .errors import InfeasibleError, NoSlackError
+from .errors import DimensionMismatchError, InfeasibleError, NoSlackError
 from .integrator import lipschitz_bound
 from .problem import (
     ConstrainedProblem,
@@ -43,6 +43,7 @@ from .problem import (
     EqualityConstraints,
     InequalityConstraints,
     TwoSidedConstraints,
+    _fields_equal,
     _readonly,
 )
 
@@ -86,13 +87,18 @@ class RankCertificateAux:
     inactive: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LyapunovCertificate:
+    """V(z) = (z - z*)^T P (z - z*) with decay rate tau; == compares P
+    entrywise."""
+
     P: np.ndarray
     c: float
     tau: float
     variant: CertificateVariant
     rank_aux: Optional[RankCertificateAux] = None
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "P", _readonly(self.P))
@@ -331,28 +337,50 @@ def lyapunov_value(cert: LyapunovCertificate, z, z_star) -> float:
     return float(u @ (cert.P @ u))
 
 
-def _lmi_margins(cert, G, rest, B, shift=None):
-    """Smallest eigenvalue of -G^T P - P G - tau P at B for every G of the
-    _flow_matrix stack (G, rest), whose primal block becomes -B - rest.
+def _gamma_stack(cert, G, rest):
+    """M_Gamma = -(G^T P + P G) - tau P at B = 0, symmetrized, for every G
+    of the _flow_matrix stack (G, rest): the part of the LMI matrix that
+    does not depend on B. Leaves G's storage free for reuse.
 
-    With a shift, the stack M first takes one batched Cholesky
-    factorization of M - shift I: None if it succeeds, the margins of M
-    only if it fails. The shift is applied to M's diagonal in place and
-    undone exactly, so the stack costs no second copy. M and its
-    symmetric part take the arithmetic (and bits) of -(G^T P + P G) - tau P
-    and 0.5 (M + M^T) in place, except the sum with the transpose, which
-    runs faster into a new stack than over its own operand.
+    It takes the arithmetic of -(G^T P + P G) - tau P and 0.5 (M + M^T)
+    in place, except the sum with the transpose, which runs faster into a
+    new stack than over its own operand.
     """
-    G = _with_primal(G, rest, B)
     P = cert.P
+    G = _with_primal(G, rest, np.zeros_like(rest[0]))
     M = P @ G
     M += np.swapaxes(G, 1, 2) @ P
     np.negative(M, out=M)
     M -= cert.tau * P
     M = M + np.swapaxes(M, 1, 2)
     M *= 0.5
+    return M
+
+
+def _b_term(P, B):
+    """N_B = X + X^T with X = E B E^T P (E embeds the primal block), the
+    part of the LMI matrix that B adds: M(B, Gamma) = M_Gamma + N_B.
+    X holds B P[:n] in its first n rows; N_B is exactly symmetric."""
+    n = len(B)
+    X = np.zeros_like(P)
+    X[:n] = B @ P[:n]
+    return X + X.T
+
+
+def _lmi_margins(M_gamma, N, out, shift=None):
+    """Smallest eigenvalue of M_gamma + N for every matrix of the
+    _gamma_stack M_gamma and the _b_term N; the sum is formed in out.
+    It rounds otherwise than -G^T P - P G - tau P of the whole G, within
+    the resolution r of lmi_sweep, whose docstring gives the bound.
+
+    With a shift, the stack first takes one batched Cholesky
+    factorization of the sum minus shift I: None if it succeeds, the
+    margins only if it fails. The shift is applied to the diagonal in
+    place and undone exactly, so the stack costs no second copy.
+    """
+    M = np.add(M_gamma, N, out=out)
     if shift is not None:
-        diagonal = np.arange(len(P))
+        diagonal = np.arange(M.shape[-1])
         kept = M[:, diagonal, diagonal]
         M[:, diagonal, diagonal] -= shift
         try:
@@ -370,12 +398,17 @@ def lmi_check(cert: LyapunovCertificate, p: ConstrainedProblem,
     B is the secant matrix (mu I <= B <= ell I); Gamma the diagonal gain
     entries in [0,1], given as a length-m vector and ignored for the
     equality variant. Nonnegative return value means the decay inequality
-    holds at this parameter point.
+    holds at this parameter point. The matrix is formed as lmi_sweep
+    forms it, M_Gamma + N_B, so the sweep is a loop of this check.
     """
+    n = p.dim_n
+    B = np.asarray(B, dtype=float)
+    if B.shape != (n, n):
+        raise DimensionMismatchError(f"B must be {n}x{n}, got {B.shape}")
     equality = cert.variant is CertificateVariant.EQUALITY
     gammas = None if equality else np.asarray(Gamma, dtype=float)[None]
     G, rest = _flow_matrix(p.constraints.A, params.eta, params.rho, gammas)
-    return float(_lmi_margins(cert, G, rest, B)[0])
+    return float(_lmi_margins(_gamma_stack(cert, G, rest), _b_term(cert.P, B), G)[0])
 
 
 def _gamma_vertices(cert, m, seed):
@@ -416,10 +449,13 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
     the secant interval. Passes when the worst margin stays above
     -1e-8 ||P||_2; the verdict reads it against the resolution r.
 
-    Each stack of vertices (about _STACK_FLOATS floats) is assembled once;
-    every B sample fills in -B and builds the stack of matrices M of
-    lmi_check, M = -G^T P - P G - tau P. The worst point is the first in
-    (B, vertex) order.
+    G is affine in B and B enters only the primal block, so the matrix
+    M = -G^T P - P G - tau P splits as M(B, Gamma) = M_Gamma + N_B
+    (_gamma_stack, _b_term). Each stack of vertices (about _STACK_FLOATS
+    floats) builds its M_Gamma once; every B sample forms its d x d N_B
+    and adds it to the whole stack, in the storage of the stack's G. This
+    is lmi_check's arithmetic, so the sweep equals a loop of lmi_check
+    bit for bit. The worst point is the first in (B, vertex) order.
 
     Screen: the sweep keeps the running minimum s of the margins it has
     computed. Every later stack first takes one batched Cholesky
@@ -444,6 +480,14 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
     measured on the test problems and on logistic benchmark problems
     (d = 7 to 90) stay below eps ||M||_2. r holds four such bounds, so the
     two errors together take at most r/2, which both shifts rely on.
+
+    The split rounds differently from the product of the whole G, but no
+    worse: nu is a blockwise triangle bound, so ||G(0, Gamma)||_2 + ell
+    <= nu, and (2 nu + tau) lambda_max(P) bounds ||M_Gamma||_2 + ||N_B||_2
+    as it bounds ||M||_2. The rounding of the sum therefore has the form
+    d eps (2 nu + tau) lambda_max(P) as well. On the logistic problems
+    measured (the benchmark's 10x8 pool and 50x40) the split moves the
+    minimum margin by less than 2e-4 r.
     """
     n = p.dim_n
     mu, ell = p.objective.mu, p.objective.ell
@@ -470,6 +514,7 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
     for start in range(0, len(vertices), size):
         gammas = None if equality else vertices[start:start + size]
         G, rest = _flow_matrix(p.constraints.A, params.eta, params.rho, gammas)
+        M_gamma = _gamma_stack(cert, G, rest)
         for i, B in enumerate(bs):
             if low == np.inf:
                 shift = None
@@ -477,7 +522,7 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
                 shift = low + resolution
             else:
                 shift = low - 0.5 * resolution
-            margins = _lmi_margins(cert, G, rest, B, shift)
+            margins = _lmi_margins(M_gamma, _b_term(cert.P, B), G, shift)
             if margins is None:
                 continue
             computed += len(margins)

@@ -210,8 +210,7 @@ def _cmd_certify(args) -> int:
     report = lmi_sweep(cert, p, params, b_samples=100, seed=args.seed)
     print(f"variant {cert.variant.value}: c = {cert.c:.6g}, tau = {cert.tau:.6g}")
     print(f"LMI sweep: {report.samples_checked} samples, "
-          f"min margin {report.min_margin:.6g}, "
-          f"{'pass' if report.passed else 'FAIL'}")
+          f"min margin {report.min_margin:.6g}")
     print(f"verdict {report.verdict} (resolution {report.resolution:.6g})")
     if args.out:
         out = _out_dir(args)

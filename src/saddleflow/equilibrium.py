@@ -23,6 +23,7 @@ from .problem import (
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
+    _fields_equal,
     _readonly,
 )
 
@@ -53,7 +54,7 @@ class KktResidual:
         return max(self.stationarity, self.primal, self.dual, self.complementarity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Equilibrium:
     """The solved equilibrium, and how the solve went.
 
@@ -61,7 +62,7 @@ class Equilibrium:
     lambda_star are its two parts. method is "newton" or "integration";
     newton_iterations and euler_steps count the work of each;
     fallback_reason says why Newton stalled, when it did. These four and
-    z are outside ==.
+    z are outside ==, which compares x_star and lambda_star entrywise.
     """
 
     x_star: np.ndarray
@@ -73,6 +74,8 @@ class Equilibrium:
     euler_steps: int = field(default=0, kw_only=True, compare=False)
     fallback_reason: str = field(default="", kw_only=True, compare=False)
     z: np.ndarray = field(init=False, repr=False, compare=False)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         n = len(self.x_star)

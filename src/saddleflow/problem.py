@@ -15,7 +15,7 @@ marked read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -31,6 +31,20 @@ def _readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _fields_equal(self, other):
+    """== for a frozen dataclass that holds arrays: the same class, and
+    every field that takes part in == equal, arrays by shape and entries.
+    A class that takes it as __eq__ is not hashable."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        if f.compare:
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+    return True
 
 
 def _matvec(M, x):

@@ -22,6 +22,7 @@ from .problem import (
     DynamicsParams,
     EqualityConstraints,
     QuadraticObjective,
+    _fields_equal,
     _readonly,
     spectral_bounds,
 )
@@ -33,10 +34,15 @@ KNEE_DECADES = 8
 KNEE_GAIN = 1.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiSystem:
+    """The flow matrix G and its spectral abscissa; == compares G
+    entrywise."""
+
     G: np.ndarray
     abscissa: float
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "G", _readonly(self.G))

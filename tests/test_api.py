@@ -13,12 +13,15 @@ import saddleflow
 from saddleflow import (
     DimensionMismatchError,
     DynamicsParams,
+    build_certificate_eq,
     build_certificate_ineq,
     build_certificate_rank,
     euler_step,
     gamma_coefficients,
+    gen_equality_qp,
     gen_logistic_ineq,
     kkt_residual,
+    lti_matrix,
     lyapunov_value,
     rk4_step,
     simulate,
@@ -104,3 +107,25 @@ def test_only_the_steps_take_a_stack_of_points():
         else:
             with pytest.raises(DimensionMismatchError, match=rf"got shape \(2, 7\)"):
                 call(np.zeros((2, 7)))
+
+
+# Results that hold arrays, each built twice from one seed and once from
+# another: (name, build(seed)).
+ARRAY_RESULTS = [
+    ("Equilibrium", lambda seed: solve_equilibrium(gen_equality_qp(seed))),
+    ("LyapunovCertificate",
+     lambda seed: build_certificate_eq(gen_equality_qp(seed), DynamicsParams())),
+    ("LtiSystem", lambda seed: lti_matrix(gen_equality_qp(seed).objective.W,
+                                          gen_equality_qp(seed).constraints.A)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in ARRAY_RESULTS],
+                         ids=[name for name, _ in ARRAY_RESULTS])
+def test_results_holding_arrays_compare_by_value(build):
+    first, again, other = build(42), build(42), build(1)
+    assert first is not again and first == again and not first != again
+    assert first != other and not first == other
+    assert first != "a string"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(first)

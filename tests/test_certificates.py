@@ -490,18 +490,48 @@ def written_out_g(cert, p, params, B, gamma):
     return G
 
 
-@pytest.mark.parametrize("case", list(sweep_cases())[:4], ids=lambda c: c[0])
-def test_lmi_check_equals_written_out_g(case):
-    _, p, cert, params = case
+def written_out_split(cert, p, params, B, gamma):
+    """M(B, Gamma) = M_Gamma + N_B at one point, block by block: M_Gamma
+    from G at B = 0, N_B = X + X^T with X = E B E^T P."""
+    n = p.dim_n
+    P = cert.P
+    G = written_out_g(cert, p, params, np.zeros((n, n)), gamma)
+    M = -(G.T @ P + P @ G) - cert.tau * P
+    BP = B @ P[:n]
+    N = np.zeros_like(P)
+    N[:n, :n] = BP[:, :n] + BP[:, :n].T
+    N[:n, n:] = BP[:, n:]
+    N[n:, :n] = BP[:, n:].T
+    return 0.5 * (M + M.T) + N
+
+
+def random_points(p):
+    """Five random (B, gamma) points for p."""
     rng = np.random.default_rng(8)
     for _ in range(5):
         R = rng.standard_normal((p.dim_n, p.dim_n))
-        B = R @ R.T + np.eye(p.dim_n)
-        gamma = rng.uniform(size=p.dim_m)
+        yield R @ R.T + np.eye(p.dim_n), rng.uniform(size=p.dim_m)
+
+
+@pytest.mark.parametrize("case", list(sweep_cases())[:4], ids=lambda c: c[0])
+def test_lmi_check_equals_written_out_g(case):
+    _, p, cert, params = case
+    for B, gamma in random_points(p):
+        want = float(np.linalg.eigvalsh(written_out_split(cert, p, params, B, gamma))[0])
+        assert lmi_check(cert, p, params, B, gamma) == want
+
+
+@pytest.mark.parametrize("case", list(sweep_cases())[:4], ids=lambda c: c[0])
+def test_lmi_check_within_resolution_of_the_full_product(case):
+    # the split M_Gamma + N_B rounds differently from the product of the
+    # whole G; the sweep's resolution r bounds the difference
+    _, p, cert, params = case
+    r = lmi_sweep(cert, p, params, b_samples=1).resolution
+    for B, gamma in random_points(p):
         G = written_out_g(cert, p, params, B, gamma)
         M = -(G.T @ cert.P + cert.P @ G) - cert.tau * cert.P
         want = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-        assert lmi_check(cert, p, params, B, gamma) == want
+        assert abs(lmi_check(cert, p, params, B, gamma) - want) <= r
 
 
 @pytest.mark.parametrize("case", list(sweep_cases()), ids=lambda c: c[0])
@@ -538,6 +568,20 @@ def test_screened_sweep_within_resolution_of_the_loop_on_logistic(seed):
     assert rep.verdict == "inconclusive"
     # only the first B sample's stack of 256 vertices is computed
     assert (rep.eigvalsh_matrices, rep.screened_matrices) == (256, 2304)
+
+
+def test_sweep_at_the_default_certify_size_is_within_resolution_of_the_loop():
+    # logistic 50x40: d = 90, so 16 sampled vertices per stack and 65
+    # stacks over the 1026 vertices
+    params = DynamicsParams(eta=1.0, rho=1.0)
+    p = gen_logistic_ineq(0)
+    cert = build_certificate_ineq(p, params)
+    rep = lmi_sweep(cert, p, params, b_samples=5, seed=0)
+    checked, margin, passed, _, _ = reference_sweep(cert, p, params, 5, 0)
+    assert (rep.samples_checked, rep.passed) == (checked, passed) == (5130, True)
+    assert abs(rep.min_margin - margin) <= rep.resolution
+    assert rep.verdict == "inconclusive"
+    assert (rep.eigvalsh_matrices, rep.screened_matrices) == (16, 5114)
 
 
 @pytest.mark.parametrize("per_stack", [None, 1])
