@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _fitting, _flow_matrix, _with_primal
-from .errors import DimensionMismatchError, InfeasibleError, NoSlackError
+from .errors import DimensionMismatchError, InfeasibleError, InvalidInputError, NoSlackError
 from .integrator import lipschitz_bound
 from .problem import (
     ConstrainedProblem,
@@ -112,7 +112,6 @@ class LmiReport:
     worst_vertex (None for the equality variant). resolution is the
     rounding resolution r of the margins, and verdict reads min_margin
     against it: "pass" above r, "fail" below -r, "inconclusive" between.
-    passed keeps the acceptance rule min_margin >= -1e-8 lambda_max(P).
     eigvalsh_matrices and screened_matrices count the matrices whose
     eigenvalues were computed and those a Cholesky screen cleared; they
     describe how the sweep ran, not its outcome, so == ignores them.
@@ -120,7 +119,6 @@ class LmiReport:
 
     samples_checked: int
     min_margin: float
-    passed: bool
     worst_sample: int
     worst_vertex: Optional[tuple]
     resolution: float
@@ -400,13 +398,19 @@ def lmi_check(cert: LyapunovCertificate, p: ConstrainedProblem,
     equality variant. Nonnegative return value means the decay inequality
     holds at this parameter point. The matrix is formed as lmi_sweep
     forms it, M_Gamma + N_B, so the sweep is a loop of this check.
+    A non-finite B, or a Gamma that is non-finite or outside [0, 1]^m,
+    raises InvalidInputError.
     """
     n = p.dim_n
     B = np.asarray(B, dtype=float)
     if B.shape != (n, n):
         raise DimensionMismatchError(f"B must be {n}x{n}, got {B.shape}")
+    if not np.all(np.isfinite(B)):
+        raise InvalidInputError("B must be finite")
     equality = cert.variant is CertificateVariant.EQUALITY
     gammas = None if equality else np.asarray(Gamma, dtype=float)[None]
+    if not (equality or np.all((gammas >= 0.0) & (gammas <= 1.0))):
+        raise InvalidInputError(f"Gamma must be finite and in [0, 1], got {Gamma!r}")
     G, rest = _flow_matrix(p.constraints.A, params.eta, params.rho, gammas)
     return float(_lmi_margins(_gamma_stack(cert, G, rest), _b_term(cert.P, B), G)[0])
 
@@ -446,8 +450,8 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
     m = 16; sampled beyond). B cannot be vertex-enumerated, so b_samples
     random matrices B = mu I + (ell - mu) Q diag(s) Q^T are drawn, with Q
     Haar-orthogonal and s uniform in [0,1]^n: probabilistic coverage of
-    the secant interval. Passes when the worst margin stays above
-    -1e-8 ||P||_2; the verdict reads it against the resolution r.
+    the secant interval. The verdict reads the worst margin against the
+    resolution r.
 
     G is affine in B and B enters only the primal block, so the matrix
     M = -G^T P - P G - tau P splits as M(B, Gamma) = M_Gamma + N_B
@@ -467,7 +471,9 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
     more than r is computed. The report therefore equals the one from
     computing every margin when min_margin > r or min_margin < -2r, and
     otherwise has the same samples_checked and a min_margin within r of
-    that one's, so the same passed while 3r < 1e-8 lambda_max(P).
+    that one's. So a reported "pass" or "fail" is the verdict of the
+    exhaustive sweep, and a reported "inconclusive" may hide an
+    exhaustive "fail" within 2r of zero.
 
     Resolution: r = 4 d eps (2 nu + tau) lambda_max(P), with d the size
     of P and nu the flow's lipschitz_bound, which bounds ||G||_2 over the
@@ -543,7 +549,6 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
     return LmiReport(
         samples_checked=checked,
         min_margin=min_margin,
-        passed=min_margin >= -1e-8 * lambda_max,
         worst_sample=worst,
         worst_vertex=None if equality else tuple(vertices[where[worst]].tolist()),
         resolution=float(resolution),

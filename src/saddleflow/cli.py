@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: simulate, certify, sweep-eta, spectrum, kkt-check, gen.
-Exit codes: 0 success, 1 validation failure (failed certificate sweep,
+Exit codes: 0 success, 1 validation failure (a certify verdict of fail,
 unverified equilibrium, diverged run), 2 usage error (bad flag value,
 variant or problem file; printed as `error: ...`). Standard output
 carries a short human summary only; data goes to CSV files under --out.
@@ -212,12 +212,13 @@ def _cmd_certify(args) -> int:
     print(f"LMI sweep: {report.samples_checked} samples, "
           f"min margin {report.min_margin:.6g}")
     print(f"verdict {report.verdict} (resolution {report.resolution:.6g})")
+    passed = report.verdict != "fail"
     if args.out:
         out = _out_dir(args)
         fileio.write_csv(out / "lmi_report.csv",
                          ["variant", "samples_checked", "min_margin", "passed"],
                          [(cert.variant.value, float(report.samples_checked),
-                           report.min_margin, float(report.passed))])
+                           report.min_margin, float(passed))])
         fileio.write_metadata(out / "metadata.txt", {
             "command": "certify",
             "problem": args.problem,
@@ -235,7 +236,7 @@ def _cmd_certify(args) -> int:
             "eigvalsh_matrices": report.eigvalsh_matrices,
             "screened_matrices": report.screened_matrices,
         })
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def _cmd_sweep_eta(args) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidBandError
+from .errors import DimensionMismatchError
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -39,81 +39,6 @@ from .problem import (
 
 # Relative scale below which a secant denominator counts as degenerate.
 GAMMA_DEGENERATE_TOL = 1e-14
-
-
-def soft_threshold(y, lo, hi):
-    """S(y) = max(min(y - lo, 0), y - hi), the two-sided shrinkage map.
-
-    Zero on [lo, hi], slope one outside; lo < hi is required. Inputs
-    broadcast, so scalar and vector bands both work.
-    """
-    lo, hi = _band((lo, hi))
-    return _soft(np.asarray(y, dtype=float), lo, hi)
-
-
-def _soft(y, lo, hi):
-    return np.maximum(np.minimum(y - lo, 0.0), y - hi)
-
-
-def _band(bounds):
-    """(lo, hi) as arrays; raises InvalidBandError unless lo < hi."""
-    lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-    if not np.all(lo < hi):
-        raise InvalidBandError(f"band needs lo < hi, got lo={lo}, hi={hi}")
-    return lo, hi
-
-
-def _multiplier_map(kind: str, bounds, rho: float):
-    """effective_multiplier as a map m(ax, lam) for one kind and band.
-    It checks nothing, because the augmented field calls it on every step."""
-    if kind == "inequality":
-        return lambda ax, lam: np.maximum(rho * (ax - bounds) + lam, 0.0)
-    lo, hi = rho * bounds[0], rho * bounds[1]
-    return lambda ax, lam: _soft(rho * ax + lam, lo, hi)
-
-
-def effective_multiplier(kind: str, ax, bounds, lam, rho: float):
-    """Multiplier actually exerted by the penalty at constraint value ax.
-
-    kind "inequality": max(rho (ax - b) + lam, 0) with bounds = b.
-    kind "two-sided":  S(rho ax + lam) with band [rho b_lo, rho b_hi] and
-    bounds = (b_lo, b_hi), which needs b_lo < b_hi. Vectorized over
-    constraints.
-    """
-    if kind == "inequality":
-        bounds = np.asarray(bounds, dtype=float)
-    elif kind == "two-sided":
-        bounds = _band(bounds)
-    else:
-        raise ValueError(f"unknown constraint kind {kind!r}")
-    return _multiplier_map(kind, bounds, rho)(np.asarray(ax, dtype=float),
-                                              np.asarray(lam, dtype=float))
-
-
-def penalty_value(kind: str, ax, bounds, lam, rho: float):
-    """Value of the smoothed constraint penalty at (ax, lam).
-
-    The penalty is the partial maximization of the augmented Lagrangian
-    term over the auxiliary slack; its gradient in ax is the effective
-    multiplier and its gradient in lam is (m - lam) / rho.
-    """
-    ax = np.asarray(ax, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    dead = -lam * lam / (2.0 * rho)
-    if kind == "inequality":
-        b = np.asarray(bounds, dtype=float)
-        r = ax - b
-        active = rho * r + lam >= 0
-        return np.where(active, r * lam + 0.5 * rho * r * r, dead)
-    if kind == "two-sided":
-        lo, hi = _band(bounds)
-        y = rho * ax + lam
-        r_hi = ax - hi
-        r_lo = ax - lo
-        upper = r_hi * lam + 0.5 * rho * r_hi * r_hi
-        lower = r_lo * lam + 0.5 * rho * r_lo * r_lo
-        return np.where(y > rho * hi, upper, np.where(y < rho * lo, lower, dead))
-    raise ValueError(f"unknown constraint kind {kind!r}")
 
 
 def _fitting(z, dim, name: str, stack: bool = False) -> np.ndarray:
@@ -302,11 +227,20 @@ class _AugmentedField:
             self.rho = rhos.pop()
         self.n = p.dim_n
         self.dim = p.dim_n + p.dim_m
+        # the effective multiplier m(ax, lam); it checks nothing, because
+        # the field calls it on every step
+        rho = self.rho
         if isinstance(p.constraints, InequalityConstraints):
-            self.multiplier = _multiplier_map("inequality", p.constraints.b, self.rho)
+            b = p.constraints.b
+            self.multiplier = lambda ax, lam: np.maximum(rho * (ax - b) + lam, 0.0)
         else:
-            self.multiplier = _multiplier_map(
-                "two-sided", (p.constraints.b_lo, p.constraints.b_hi), self.rho)
+            lo, hi = rho * p.constraints.b_lo, rho * p.constraints.b_hi
+
+            def soft_threshold(ax, lam):
+                y = rho * ax + lam
+                return np.maximum(np.minimum(y - lo, 0.0), y - hi)
+
+            self.multiplier = soft_threshold
 
     def __call__(self, z):
         x = z[..., : self.n]

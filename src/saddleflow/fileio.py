@@ -76,15 +76,6 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def read_csv(path):
-    """Header list plus float rows (the inverse of write_csv for numbers)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
-    return header, rows
-
-
 def write_metadata(path, mapping) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

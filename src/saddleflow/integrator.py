@@ -1,9 +1,9 @@
 """Explicit Euler integration with a contraction certificate.
 
 Everything here speaks the stacked state z = (x, lam): a field maps z to
-dz (dynamics.vector_field), euler_step, rk4_step and simulate take a
-stacked z0 and return vectors, and a Trajectory records the iterates of
-one run block by block as the run goes.
+dz (dynamics.vector_field), euler_step and simulate take a stacked z0
+and return vectors, and a Trajectory records the iterates of one run
+block by block as the run goes.
 
 For a nu-Lipschitz field contracting in the P-norm at rate tau/2, the
 Euler map with step delta contracts by at least
@@ -12,9 +12,7 @@ Euler map with step delta contracts by at least
 
 per step in the P-norm, where kappa_P is the condition number of P. Any
 delta with r < 1 is admissible: the discrete iterates then inherit the
-exponential decay of the flow. Only explicit Euler carries this
-certificate; a classic fourth-order step is included purely as a
-high-accuracy reference (no certificate).
+exponential decay of the flow.
 """
 
 from __future__ import annotations
@@ -185,20 +183,6 @@ def euler_step(field, z, delta: float) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFiniteFieldError("field returned non-finite values")
     return out
-
-
-def rk4_step(field, z, delta: float) -> np.ndarray:
-    """Classic fourth-order step; reference accuracy only, no certificate."""
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    z = _fitting(z, getattr(field, "dim", None), "z", stack=True)
-    k1 = np.asarray(field(z), dtype=float)
-    k2 = np.asarray(field(z + 0.5 * delta * k1), dtype=float)
-    k3 = np.asarray(field(z + 0.5 * delta * k2), dtype=float)
-    k4 = np.asarray(field(z + delta * k3), dtype=float)
-    if not (np.all(np.isfinite(k1)) and np.all(np.isfinite(k4))):
-        raise NonFiniteFieldError("field returned non-finite values")
-    return z + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def simulate(field, z0, delta: float, horizon: float,

@@ -220,12 +220,15 @@ class LogisticObjective(ObjectiveOracle):
         return self.D.T @ (w[:, None] * self.D) + self.reg * np.eye(len(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _RowConstraints:
-    """Constraint rows A with one right-hand side b."""
+    """Constraint rows A with one right-hand side b; == compares them
+    entrywise."""
 
     A: np.ndarray
     b: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         A = _readonly(np.atleast_2d(self.A))
@@ -238,23 +241,26 @@ class _RowConstraints:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EqualityConstraints(_RowConstraints):
     """A x = b."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InequalityConstraints(_RowConstraints):
     """A x <= b."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoSidedConstraints:
-    """b_lo <= A x <= b_hi, strictly separated bands."""
+    """b_lo <= A x <= b_hi, strictly separated bands; == compares them
+    entrywise."""
 
     A: np.ndarray
     b_lo: np.ndarray
     b_hi: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         A = _readonly(np.atleast_2d(self.A))
@@ -337,13 +343,15 @@ def spectral_bounds(A, require_full_rank: bool = True) -> SpectralBounds:
     return SpectralBounds(kappa1=lo, kappa2=hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstrainedProblem:
     """Objective plus one constraint block plus declared spectral bounds.
 
     bounds may be omitted, in which case they are computed from A (this
     requires full row rank). Construction checks dimensional consistency
     only; regularity of the declared data is the job of validate_problem.
+    An objective oracle has no value equality, so == is identity: a
+    problem equals itself only.
     """
 
     objective: ObjectiveOracle

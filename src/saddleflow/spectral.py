@@ -52,13 +52,16 @@ class LtiSystem:
         return -self.abscissa
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaSweepResult:
-    """Decay rates over a grid of dual gains, with the certified bound."""
+    """Decay rates over a grid of dual gains, with the certified bound;
+    == compares the arrays entrywise."""
 
     etas: np.ndarray
     rates: np.ndarray
     certified: np.ndarray
+
+    __eq__ = _fields_equal
 
     def rows(self):
         return list(zip(self.etas, self.rates, self.certified))

@@ -13,17 +13,18 @@ import saddleflow
 from saddleflow import (
     DimensionMismatchError,
     DynamicsParams,
+    TwoSidedConstraints,
     build_certificate_eq,
     build_certificate_ineq,
     build_certificate_rank,
     euler_step,
+    eta_sweep,
     gamma_coefficients,
     gen_equality_qp,
     gen_logistic_ineq,
     kkt_residual,
     lti_matrix,
     lyapunov_value,
-    rk4_step,
     simulate,
     solve_equilibrium,
     vector_field,
@@ -82,7 +83,6 @@ POINT_ENTRIES = {
     "build_certificate_rank z_star": (
         "z_star", lambda bad: build_certificate_rank(_PROBLEM, _PARAMS, _OK, bad)),
     "euler_step z": ("z", lambda bad: euler_step(_FIELD, bad, 0.01)),
-    "rk4_step z": ("z", lambda bad: rk4_step(_FIELD, bad, 0.01)),
     "simulate z0": ("z0", lambda bad: simulate(_FIELD, bad, 0.01, 0.01)),
     "simulate eq": ("eq", lambda bad: simulate(_FIELD, _OK, 0.01, 0.01, eq=bad)),
 }
@@ -99,10 +99,10 @@ def test_every_point_entry_refuses_a_point_of_another_length(entry, length):
 
 
 def test_only_the_steps_take_a_stack_of_points():
-    # euler_step and rk4_step map a (K, d) stack of the augmented field;
-    # every other entry wants one point and refuses a stack
+    # euler_step maps a (K, d) stack of the augmented field; every other
+    # entry wants one point and refuses a stack
     for entry, (name, call) in POINT_ENTRIES.items():
-        if entry in ("euler_step z", "rk4_step z"):
+        if entry == "euler_step z":
             assert call(np.zeros((2, 7))).shape == (2, 7)
         else:
             with pytest.raises(DimensionMismatchError, match=rf"got shape \(2, 7\)"):
@@ -117,7 +117,18 @@ ARRAY_RESULTS = [
      lambda seed: build_certificate_eq(gen_equality_qp(seed), DynamicsParams())),
     ("LtiSystem", lambda seed: lti_matrix(gen_equality_qp(seed).objective.W,
                                           gen_equality_qp(seed).constraints.A)),
+    ("EqualityConstraints", lambda seed: gen_equality_qp(seed).constraints),
+    ("InequalityConstraints",
+     lambda seed: gen_logistic_ineq(seed, n=4, m=3, n_data=20).constraints),
+    ("TwoSidedConstraints", lambda seed: _two_sided(gen_equality_qp(seed).constraints)),
+    ("EtaSweepResult", lambda seed: eta_sweep(gen_equality_qp(seed).objective.W,
+                                              gen_equality_qp(seed).constraints.A,
+                                              [0.5, 2.0])),
 ]
+
+
+def _two_sided(rows):
+    return TwoSidedConstraints(A=rows.A, b_lo=rows.b - 1.0, b_hi=rows.b + 1.0)
 
 
 @pytest.mark.parametrize("build", [b for _, b in ARRAY_RESULTS],
@@ -129,3 +140,12 @@ def test_results_holding_arrays_compare_by_value(build):
     assert first != "a string"
     with pytest.raises(TypeError, match="unhashable"):
         hash(first)
+
+
+def test_a_problem_equals_itself_only():
+    # an objective oracle has no value equality, so a problem compares by
+    # identity: the same seed twice gives two unequal problems
+    first, again = gen_equality_qp(42), gen_equality_qp(42)
+    assert first == first and not first != first
+    assert first != again and not first == again
+    assert first.constraints == again.constraints

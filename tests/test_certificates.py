@@ -15,6 +15,7 @@ from saddleflow import (
     EqualityConstraints,
     InequalityConstraints,
     InfeasibleError,
+    InvalidInputError,
     NoSlackError,
     ObjectiveOracle,
     QuadraticObjective,
@@ -306,15 +307,34 @@ def test_lmi_check_inequality_scalar_vertex():
 def test_lmi_check_dimension_errors():
     p = unit_eq_problem()
     cert = build_certificate_eq(p, UNIT)
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatchError, match="^B must be 1x1"):
         lmi_check(cert, p, UNIT, B=np.eye(2))
+    # a Gamma outside [0, 1]^m, or a non-finite Gamma or B, is refused
+    # by name; logistic 4x3 seed 3 gave a margin of -8.1e11 at
+    # Gamma = (2, -1, 0.5) and numpy's LinAlgError at a NaN entry
+    p = gen_logistic_ineq(3, n=4, m=3, n_data=20)
+    cert = build_certificate_ineq(p, UNIT)
+    B = p.objective.mu * np.eye(4)
+    for gamma in ([2.0, -1.0, 0.5], [0.5, np.nan, 0.5], [0.0, 0.0, np.inf],
+                  [0.0, 0.0, -1e-12]):
+        with pytest.raises(InvalidInputError, match="^Gamma must be finite and in"):
+            lmi_check(cert, p, UNIT, B, np.array(gamma))
+    with pytest.raises(InvalidInputError, match="^Gamma must be finite and in"):
+        lmi_check(cert, p, UNIT, B)
+    bad = B.copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="^B must be finite"):
+        lmi_check(cert, p, UNIT, bad, np.full(3, 0.5))
+    with pytest.raises(DimensionMismatchError, match="^Gamma needs 3 diagonal entries"):
+        lmi_check(cert, p, UNIT, B, np.full(2, 0.5))
+    assert np.isfinite(lmi_check(cert, p, UNIT, B, np.array([0.0, 1.0, 0.5])))
 
 
 def test_lmi_sweep_equality_passes():
     p = random_problem(3, kind="equality")
     cert = build_certificate_eq(p, UNIT)
     rep = lmi_sweep(cert, p, UNIT, b_samples=100, seed=0)
-    assert rep.passed
+    assert rep.verdict == "pass"
     assert rep.min_margin >= 0.0  # the equality LMI is PSD with slack
     assert rep.samples_checked == 100
 
@@ -323,7 +343,7 @@ def test_lmi_sweep_inequality_vertex_count():
     p = random_problem(4, n=4, m=2, kind="inequality")
     cert = build_certificate_ineq(p, UNIT)
     rep = lmi_sweep(cert, p, UNIT, b_samples=50, seed=1)
-    assert rep.passed
+    assert rep.verdict == "pass"
     assert rep.samples_checked == 50 * 4  # 2^2 Gamma vertices per B
 
 
@@ -332,14 +352,15 @@ def test_lmi_sweep_tightness_probe():
     cert = build_certificate_eq(p, UNIT)
     bad = dataclasses.replace(cert, tau=10.0 * cert.tau)
     rep = lmi_sweep(bad, p, UNIT, b_samples=50, seed=0)
-    assert not rep.passed
+    assert rep.verdict == "fail"
+    assert rep.min_margin < -1e-8 * np.linalg.eigvalsh(cert.P)[-1]
 
 
 def test_lmi_sweep_two_sided():
     p = random_problem(9, n=3, m=2, kind="two-sided")
     cert = build_certificate_ineq(p, UNIT)
     rep = lmi_sweep(cert, p, UNIT, b_samples=30, seed=2)
-    assert rep.passed
+    assert rep.verdict == "pass"
 
 
 def test_gamma_block_bound_holds_on_vertices():
@@ -406,7 +427,7 @@ def test_rank_sweep_passes_with_capped_vertices():
     z0 = np.zeros(5)
     cert = build_certificate_rank(p, UNIT, z0, eq)
     rep = lmi_sweep(cert, p, UNIT, b_samples=40, seed=3)
-    assert rep.passed
+    assert rep.verdict == "pass"
 
 
 def test_condition_number_diagonal():
@@ -421,8 +442,8 @@ def test_p_matrix_read_only():
 
 def reference_sweep(cert, p, params, b_samples, seed):
     """lmi_sweep as a loop of lmi_check, with B drawn by scipy's Haar
-    sampler: (samples_checked, min_margin, passed, worst_sample,
-    worst_vertex), the worst point being the first in (B, vertex) order."""
+    sampler: (samples_checked, min_margin, worst_sample, worst_vertex),
+    the worst point being the first in (B, vertex) order."""
     from scipy.stats import ortho_group
 
     n, mu, ell = p.dim_n, p.objective.mu, p.objective.ell
@@ -442,9 +463,7 @@ def reference_sweep(cert, p, params, b_samples, seed):
             margin = lmi_check(cert, p, params, B, g)
             if margin < worst[0]:
                 worst = (margin, i, None if g is None else tuple(g))
-    psd_tol = 1e-8 * float(np.linalg.eigvalsh(cert.P)[-1])
-    return (len(bs) * len(vertices), worst[0], worst[0] >= -psd_tol,
-            worst[1], worst[2])
+    return len(bs) * len(vertices), worst[0], worst[1], worst[2]
 
 
 def rank_problem():
@@ -540,15 +559,14 @@ def test_stacked_sweep_equals_lmi_check_loop(case):
     b_samples = 2 if p.dim_m > certificates.EXHAUSTIVE_VERTEX_LIMIT else 12
     for c in (cert, dataclasses.replace(cert, tau=50.0 * cert.tau)):
         rep = lmi_sweep(c, p, params, b_samples=b_samples, seed=11)
-        got = (rep.samples_checked, rep.min_margin, rep.passed,
-               rep.worst_sample, rep.worst_vertex)
+        got = (rep.samples_checked, rep.min_margin, rep.worst_sample, rep.worst_vertex)
         want = reference_sweep(c, p, params, b_samples, 11)
         if name == "m17":
             # both margins (0.088 and -1.34) are inside the rounding
             # resolution (about 160), where the screen reports the minimum
             # only to within it
             assert abs(want[1]) <= rep.resolution
-            assert (got[0], got[2]) == (want[0], want[2])
+            assert got[0] == want[0]
             assert abs(got[1] - want[1]) <= rep.resolution
             assert rep.verdict == "inconclusive"
         else:
@@ -562,8 +580,8 @@ def test_screened_sweep_within_resolution_of_the_loop_on_logistic(seed):
     p = gen_logistic_ineq(seed, n=10, m=8)
     cert = build_certificate_ineq(p, params)
     rep = lmi_sweep(cert, p, params, b_samples=10, seed=seed)
-    checked, margin, passed, _, _ = reference_sweep(cert, p, params, 10, seed)
-    assert (rep.samples_checked, rep.passed) == (checked, passed) == (2560, True)
+    checked, margin, _, _ = reference_sweep(cert, p, params, 10, seed)
+    assert rep.samples_checked == checked == 2560
     assert abs(rep.min_margin - margin) <= rep.resolution
     assert rep.verdict == "inconclusive"
     # only the first B sample's stack of 256 vertices is computed
@@ -577,8 +595,8 @@ def test_sweep_at_the_default_certify_size_is_within_resolution_of_the_loop():
     p = gen_logistic_ineq(0)
     cert = build_certificate_ineq(p, params)
     rep = lmi_sweep(cert, p, params, b_samples=5, seed=0)
-    checked, margin, passed, _, _ = reference_sweep(cert, p, params, 5, 0)
-    assert (rep.samples_checked, rep.passed) == (checked, passed) == (5130, True)
+    checked, margin, _, _ = reference_sweep(cert, p, params, 5, 0)
+    assert rep.samples_checked == checked == 5130
     assert abs(rep.min_margin - margin) <= rep.resolution
     assert rep.verdict == "inconclusive"
     assert (rep.eigvalsh_matrices, rep.screened_matrices) == (16, 5114)
@@ -599,9 +617,9 @@ def test_screen_finds_a_later_minimum_just_below_the_running_one(per_stack, monk
     rep = lmi_sweep(cert, p, UNIT, b_samples=8, seed=0)
     want = reference_sweep(cert, p, UNIT, 8, 0)
     first = reference_sweep(cert, p, UNIT, 1, 0)[1]
-    assert want[3] > 0 and first - rep.resolution < want[1] < first
+    assert want[2] > 0 and first - rep.resolution < want[1] < first
     assert want[1] > 2 * rep.resolution and rep.verdict == "pass"
-    assert (rep.samples_checked, rep.min_margin, rep.passed,
+    assert (rep.samples_checked, rep.min_margin,
             rep.worst_sample, rep.worst_vertex) == want
 
 
@@ -613,7 +631,7 @@ def test_stacked_sweep_spans_chunks(monkeypatch):
     monkeypatch.setattr(certificates, "_STACK_FLOATS", 3 * cert.P.size)
     chunked = lmi_sweep(cert, p, UNIT, b_samples=10, seed=2)
     assert chunked == whole
-    assert (whole.samples_checked, whole.min_margin, whole.passed,
+    assert (whole.samples_checked, whole.min_margin,
             whole.worst_sample, whole.worst_vertex) == reference_sweep(cert, p, UNIT, 10, 2)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end (via run_cli)."""
 
 import argparse
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -10,7 +11,13 @@ import pytest
 
 from saddleflow import cli, experiments
 from saddleflow.cli import UsageError, _build_parser, _parse_grid, run_cli
-from saddleflow.fileio import read_csv
+
+
+def read_table(path):
+    """(header, 2-D float array) of an all-numeric CSV that write_csv wrote."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
 def test_help_exits_zero(capsys):
@@ -62,7 +69,8 @@ def test_certify_writes_report(tmp_path, capsys):
 
 def test_certify_inconclusive_verdict_exits_on_passed(tmp_path, capsys):
     # the paper's logistic certificate: the margins are rounding noise, so
-    # the verdict is inconclusive, and the exit code follows passed
+    # the verdict is inconclusive; only a fail verdict clears the passed
+    # column and exits 1
     rc = run_cli(["certify", "--problem", "logistic", "--seed", "7", "--n", "10",
                   "--m", "8", "--out", str(tmp_path)])
     assert rc == 0
@@ -77,6 +85,19 @@ def test_certify_inconclusive_verdict_exits_on_passed(tmp_path, capsys):
     assert int(meta["eigvalsh_matrices"]) + int(meta["screened_matrices"]) == 25_600
     raw = (tmp_path / "lmi_report.csv").read_text(encoding="utf-8").splitlines()
     assert raw[0] == "variant,samples_checked,min_margin,passed"
+    assert raw[1].endswith(",1")
+
+
+def test_certify_fail_verdict_exits_one(tmp_path, monkeypatch, capsys):
+    def failing(*args, real=cli.lmi_sweep, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), verdict="fail")
+
+    monkeypatch.setattr(cli, "lmi_sweep", failing)
+    assert run_cli(["certify", "--problem", "eq-qp", "--seed", "42",
+                    "--out", str(tmp_path)]) == 1
+    assert "verdict fail" in capsys.readouterr().out
+    raw = (tmp_path / "lmi_report.csv").read_text(encoding="utf-8").splitlines()
+    assert raw[1].startswith("equality,100,") and raw[1].endswith(",0")
 
 
 def test_certify_metadata_names_the_worst_vertex(tmp_path, capsys):
@@ -120,7 +141,7 @@ def test_simulate_seeded_qp(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "certified rate" in out
-    header, rows = read_csv(tmp_path / "trajectory.csv")
+    header, rows = read_table(tmp_path / "trajectory.csv")
     assert header == ["t", "dist_x", "dist_lambda", "V"]
     assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(5.0, abs=1e-9)
     assert rows[-1][3] < rows[0][3]
@@ -137,7 +158,7 @@ def test_simulate_thins_to_max_recorded_rows(tmp_path, monkeypatch, capsys):
     rc = run_cli(["simulate", "--problem", "eq-qp", "--seed", "42",
                   "--horizon", "0.1", "--out", str(tmp_path)])
     assert rc == 0
-    _, rows = read_csv(tmp_path / "trajectory.csv")
+    _, rows = read_table(tmp_path / "trajectory.csv")
     assert 800 <= len(rows) <= 1001
     assert rows[0][0] == 0.0 and rows[-1][0] == pytest.approx(3277 * 2.0**-15)
     assert f"simulated {len(rows)} recorded steps" in capsys.readouterr().out
@@ -151,7 +172,7 @@ def test_simulate_stride_counts_the_steps_the_run_takes(tmp_path, monkeypatch, c
                   "--delta", "0.0010038001900095005",
                   "--horizon", "1.0038001900095006", "--out", str(tmp_path)])
     assert rc == 0
-    _, rows = read_csv(tmp_path / "trajectory.csv")
+    _, rows = read_table(tmp_path / "trajectory.csv")
     assert len(rows) == 1001
     assert "simulated 1001 recorded steps" in capsys.readouterr().out
 
@@ -254,7 +275,7 @@ def test_sweep_eta_artifacts(tmp_path, capsys):
     for name in ("summary.csv", "metadata.txt", "plot.py",
                  "trajectory_eta0.5.csv", "trajectory_eta2.csv"):
         assert (tmp_path / name).exists()
-    header, rows = read_csv(tmp_path / "summary.csv")
+    header, rows = read_table(tmp_path / "summary.csv")
     assert header == ["eta", "rho", "measured_rate", "theoretical_rate",
                       "spectral_rate"]
     assert len(rows) == 2
@@ -317,7 +338,7 @@ def test_spectrum_seeded_qp(tmp_path, capsys):
     rc = run_cli(["spectrum", "--problem", "eq-qp", "--seed", "42",
                   "--eta-grid", "0.1:10:5:log", "--out", str(tmp_path)])
     assert rc == 0
-    header, rows = read_csv(tmp_path / "spectrum.csv")
+    header, rows = read_table(tmp_path / "spectrum.csv")
     assert header == ["eta", "spectral_rate", "certified_rate"]
     assert len(rows) == 5
     for eta, rate, certified in rows:

@@ -13,10 +13,7 @@ from saddleflow import (
     LogisticObjective,
     QuadraticObjective,
     TwoSidedConstraints,
-    effective_multiplier,
     gamma_coefficients,
-    penalty_value,
-    soft_threshold,
     vector_field,
 )
 from saddleflow.dynamics import _AugmentedField
@@ -41,13 +38,39 @@ def scalar_ineq_problem(b=0.0):
     )
 
 
-def scalar_ts_problem():
-    # min 1/2 x^2  s.t.  -1 <= x <= 1
+def scalar_ts_problem(lo=-1.0, hi=1.0):
+    # min 1/2 x^2  s.t.  lo <= x <= hi
     return ConstrainedProblem(
         QuadraticObjective(np.eye(1)),
-        TwoSidedConstraints(A=np.array([[1.0]]), b_lo=np.array([-1.0]),
-                            b_hi=np.array([1.0])),
+        TwoSidedConstraints(A=np.array([[1.0]]), b_lo=np.array([float(lo)]),
+                            b_hi=np.array([float(hi)])),
     )
+
+
+def multiplier(p, rho=1.0):
+    """The effective multiplier m(ax, lam) of p's augmented field."""
+    return _AugmentedField(p, DynamicsParams(rho=rho)).multiplier
+
+
+def penalty_value(kind, ax, bounds, lam, rho):
+    """Test oracle: the smoothed constraint penalty at (ax, lam).
+
+    The penalty is the partial maximization of the augmented Lagrangian
+    term over the auxiliary slack; its gradient in ax is the effective
+    multiplier and its gradient in lam is (m - lam) / rho. bounds is b
+    for kind "inequality" and (b_lo, b_hi) for kind "two-sided".
+    """
+    dead = -lam * lam / (2.0 * rho)
+    if kind == "inequality":
+        r = ax - bounds
+        return np.where(rho * r + lam >= 0, r * lam + 0.5 * rho * r * r, dead)
+    lo, hi = bounds
+    y = rho * ax + lam
+    r_hi = ax - hi
+    r_lo = ax - lo
+    upper = r_hi * lam + 0.5 * rho * r_hi * r_hi
+    lower = r_lo * lam + 0.5 * rho * r_lo * r_lo
+    return np.where(y > rho * hi, upper, np.where(y < rho * lo, lower, dead))
 
 
 def state(x, lam):
@@ -74,35 +97,34 @@ def test_equality_field_hand_values():
 
 
 def test_effective_multiplier_inequality_branches():
+    m = multiplier(scalar_ineq_problem(b=0.0))
     # active branch: rho (ax - b) + lam = 2 + 1 = 3
-    assert effective_multiplier("inequality", 2.0, 0.0, 1.0, 1.0) == pytest.approx(3.0)
+    assert m(np.array([2.0]), np.array([1.0])) == pytest.approx([3.0])
     # clipped branch: -2 + 1 < 0 -> 0
-    assert effective_multiplier("inequality", -2.0, 0.0, 1.0, 1.0) == pytest.approx(0.0)
+    assert m(np.array([-2.0]), np.array([1.0])) == pytest.approx([0.0])
 
 
 def test_effective_multiplier_two_sided_dead_zone():
     # rho ax + lam = 1.5 inside the band [1, 2] -> 0
-    got = effective_multiplier("two-sided", 1.5, (1.0, 2.0), 0.0, 1.0)
-    assert got == pytest.approx(0.0)
-
-
-def test_effective_multiplier_unknown_kind():
-    with pytest.raises(ValueError):
-        effective_multiplier("box", 0.0, 0.0, 0.0, 1.0)
+    got = multiplier(scalar_ts_problem(1.0, 2.0))(np.array([1.5]), np.array([0.0]))
+    assert got == pytest.approx([0.0])
 
 
 def test_soft_threshold_cases():
-    assert soft_threshold(1.5, 1.0, 2.0) == pytest.approx(0.0)
-    assert soft_threshold(3.0, 1.0, 2.0) == pytest.approx(1.0)  # y - hi
-    assert soft_threshold(0.0, 1.0, 2.0) == pytest.approx(-1.0)  # y - lo
+    # on the band [1, 2], at rho = 1 and lam = 0: S(y) with y = ax
+    m = multiplier(scalar_ts_problem(1.0, 2.0))
+    assert m(np.array([1.5]), np.array([0.0])) == pytest.approx([0.0])
+    assert m(np.array([3.0]), np.array([0.0])) == pytest.approx([1.0])  # y - hi
+    assert m(np.array([0.0]), np.array([0.0])) == pytest.approx([-1.0])  # y - lo
     with pytest.raises(InvalidBandError):
-        soft_threshold(0.0, 2.0, 1.0)
+        scalar_ts_problem(2.0, 1.0)
 
 
 def test_soft_threshold_vectorized():
-    y = np.array([0.0, 1.5, 3.0])
-    got = soft_threshold(y, 1.0, 2.0)
-    assert np.allclose(got, [-1.0, 0.0, 1.0])
+    # a (3, 1) stack of states, one row each side of the band and one inside
+    ax = np.array([[0.0], [1.5], [3.0]])
+    got = multiplier(scalar_ts_problem(1.0, 2.0))(ax, np.zeros((3, 1)))
+    assert np.allclose(got, [[-1.0], [0.0], [1.0]])
 
 
 def test_penalty_value_inequality():
@@ -129,7 +151,7 @@ def test_penalty_gradients_match_finite_differences():
         b = 0.0
         if abs(rho * (ax - b) + lam) < 1e-2:
             continue
-        m = effective_multiplier("inequality", ax, b, lam, rho)
+        m = multiplier(scalar_ineq_problem(b), rho)(np.array([ax]), np.array([lam]))[0]
         d_ax = (penalty_value("inequality", ax + h, b, lam, rho)
                 - penalty_value("inequality", ax - h, b, lam, rho)) / (2 * h)
         d_lam = (penalty_value("inequality", ax, b, lam + h, rho)
@@ -149,7 +171,7 @@ def test_penalty_gradients_two_sided():
         y = rho * ax + lam
         if min(abs(y - rho * lo), abs(y - rho * hi)) < 1e-2:
             continue
-        m = effective_multiplier("two-sided", ax, (lo, hi), lam, rho)
+        m = multiplier(scalar_ts_problem(lo, hi), rho)(np.array([ax]), np.array([lam]))[0]
         d_ax = (penalty_value("two-sided", ax + h, (lo, hi), lam, rho)
                 - penalty_value("two-sided", ax - h, (lo, hi), lam, rho)) / (2 * h)
         d_lam = (penalty_value("two-sided", ax, (lo, hi), lam + h, rho)

@@ -28,7 +28,13 @@ from saddleflow import (
 )
 from saddleflow.equilibrium import _integrate_to_equilibrium
 from saddleflow.experiments import run_from_origin
-from saddleflow.fileio import read_csv
+
+
+def read_table(path):
+    """(header, 2-D float array) of an all-numeric CSV that write_csv wrote."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
 def test_qp_generator_zero_gradient_at_origin():
@@ -186,7 +192,7 @@ def test_run_experiment_artifacts(tmp_path):
         "metadata.txt", "plot.py", "summary.csv",
         "trajectory_eta0.1.csv", "trajectory_eta1.csv", "trajectory_eta10.csv",
     ]
-    header, rows = read_csv(tmp_path / "summary.csv")
+    header, rows = read_table(tmp_path / "summary.csv")
     assert header == ["eta", "rho", "measured_rate", "theoretical_rate",
                       "spectral_rate"]
     assert [r[0] for r in rows] == [0.1, 1.0, 10.0]
@@ -195,7 +201,7 @@ def test_run_experiment_artifacts(tmp_path):
         # spectral rate of the linear flow reasonably well
         assert measured >= theoretical - 1e-9
         assert measured >= 0.9 * spectral
-    th, trows = read_csv(tmp_path / "trajectory_eta1.csv")
+    th, trows = read_table(tmp_path / "trajectory_eta1.csv")
     assert th == ["t", "dist_x", "dist_lambda", "V"]
     assert trows[0][0] == 0.0
     assert trows[-1][0] == pytest.approx(5.0, abs=1e-6)
@@ -256,9 +262,9 @@ def test_run_experiment_writes_validation_notes(tmp_path, monkeypatch):
 
 def test_run_experiment_zero_horizon(tmp_path):
     run_experiment(gen_equality_qp(42), [DynamicsParams()], 0.0, tmp_path)
-    _, rows = read_csv(tmp_path / "trajectory_eta1.csv")
-    assert rows == []
-    header, srows = read_csv(tmp_path / "summary.csv")
+    assert (tmp_path / "trajectory_eta1.csv").read_text(encoding="utf-8") == \
+        "t,dist_x,dist_lambda,V\n"
+    header, srows = read_table(tmp_path / "summary.csv")
     assert len(srows) == 1 and math.isnan(srows[0][2])
 
 

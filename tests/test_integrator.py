@@ -23,7 +23,6 @@ from saddleflow import (
     gen_equality_qp,
     gen_logistic_ineq,
     lipschitz_bound,
-    rk4_step,
     simulate,
     solve_equilibrium,
     step_size_admissible,
@@ -68,9 +67,8 @@ def test_euler_step_rejects_nonfinite_field():
     with pytest.raises(NonFiniteFieldError):
         euler_step(lambda z: np.array([np.nan]), np.array([1.0]), 0.1)
     for delta in (0.0, -0.1, np.nan):
-        for step in (euler_step, rk4_step):
-            with pytest.raises(ValueError, match="delta must be positive"):
-                step(lambda z: -z, np.array([1.0]), delta)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            euler_step(lambda z: -z, np.array([1.0]), delta)
 
 
 def test_simulate_refuses_a_nonpositive_step_and_a_short_horizon():
@@ -97,20 +95,10 @@ def test_states_that_do_not_fit_the_field_are_refused():
         assert field.dim == 7
         assert euler_step(field, np.zeros(7), 0.01).shape == (7,)
         for bad in (np.zeros(5), np.zeros(8), np.zeros((2, 5))):
-            for step in (euler_step, rk4_step):
-                with pytest.raises(DimensionMismatchError, match="z must have length 7"):
-                    step(field, bad, 0.01)
+            with pytest.raises(DimensionMismatchError, match="z must have length 7"):
+                euler_step(field, bad, 0.01)
             with pytest.raises(DimensionMismatchError, match="z0 must have length 7"):
                 simulate(field, bad, 0.01, 1.0)
-
-
-def test_rk4_more_accurate_than_euler():
-    # one step of dz = -z from 1: exact exp(-0.1)
-    exact = np.exp(-0.1)
-    e_err = abs(euler_step(lambda z: -z, np.array([1.0]), 0.1)[0] - exact)
-    r_err = abs(rk4_step(lambda z: -z, np.array([1.0]), 0.1)[0] - exact)
-    assert r_err < 1e-6  # local error ~ delta^5 / 5!
-    assert r_err < e_err * 1e-4
 
 
 def test_simulate_from_equilibrium_stays_put():
