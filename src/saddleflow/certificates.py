@@ -139,10 +139,18 @@ def build_p_matrix(A, eta: float, c: float) -> np.ndarray:
 
 
 def _finish_certificate(A, params, c, tau, variant, rank_aux=None) -> LyapunovCertificate:
-    P = build_p_matrix(A, params.eta, c)
-    # P > 0 iff c^2 > eta kappa_2; a failed Cholesky means the constants
-    # are out of the regime the certificate covers.
-    np.linalg.cholesky(P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = build_p_matrix(A, params.eta, c)
+    # P > 0 iff c^2 > eta kappa_2; constants outside the float range (c
+    # sits on P's diagonal) or a failed Cholesky mean the certificate does
+    # not cover these parameters.
+    try:
+        if not (np.isfinite(tau) and np.isfinite(P).all()):
+            raise np.linalg.LinAlgError
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        raise InfeasibleError(f"no {variant.value} certificate at eta {params.eta:g}, "
+                              f"rho {params.rho:g}: c = {c:g}, tau = {tau:g}") from None
     return LyapunovCertificate(P=P, c=float(c), tau=float(tau), variant=variant,
                                rank_aux=rank_aux)
 
@@ -171,10 +179,13 @@ def build_certificate_ineq(p: ConstrainedProblem, params: DynamicsParams) -> Lya
     mu, ell = p.objective.mu, p.objective.ell
     k1, k2 = p.bounds.kappa1, p.bounds.kappa2
     eta, rho = params.eta, params.rho
-    c = (20.0 * ell
-         * max(rho * k2 / mu, ell / mu) ** 2
-         * max(eta / (ell * rho), ell / mu) ** 2
-         * (k2 / k1))
+    try:
+        c = (20.0 * ell
+             * max(rho * k2 / mu, ell / mu) ** 2
+             * max(eta / (ell * rho), ell / mu) ** 2
+             * (k2 / k1))
+    except OverflowError:  # a float power past the float range
+        c = np.inf
     tau = eta * k1 / (2.0 * c)
     return _finish_certificate(p.constraints.A, params, c, tau, variant)
 

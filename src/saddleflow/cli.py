@@ -22,7 +22,7 @@ from .equilibrium import solve_equilibrium
 from .errors import InvalidInputError, SaddleflowError
 from .experiments import (
     TRAJECTORY_HEADER,
-    _variant_kind,
+    _check_variant,
     certificate_for,
     equilibrium_metadata,
     gen_equality_qp,
@@ -31,7 +31,7 @@ from .experiments import (
     run_experiment,
     run_from_origin,
 )
-from .problem import DynamicsParams, EqualityConstraints, QuadraticObjective
+from .problem import DynamicsParams
 from .spectral import eta_sweep
 
 
@@ -66,8 +66,8 @@ _FLAGS = {
     "--eta": dict(type=_positive, default=1.0),
     "--rho": dict(type=_positive, default=1.0),
     "--tol": dict(type=_positive, default=1e-8),
-    "--variant": dict(choices=["eq", "ineq", "ts", "rank"], default=None,
-                      help="certificate variant (default: by problem)"),
+    "--variant": dict(choices=["rank"], default=None,
+                      help="the rank-relaxed certificate (default: by problem)"),
     "--delta": dict(type=_positive, default=None),
     "--horizon": dict(type=_finite, default=5.0),
 }
@@ -172,7 +172,7 @@ def _cmd_simulate(args) -> int:
     if not args.horizon > 0:
         raise UsageError(f"--horizon must be positive, got {args.horizon:g}")
     p = _load_problem(args)
-    _variant_kind(p, args.variant)
+    _check_variant(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
     eq = solve_equilibrium(p, params)
     (run,) = run_from_origin(p, [params], eq, args.horizon, args.delta, args.variant)
@@ -203,7 +203,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_certify(args) -> int:
     p = _load_problem(args)
-    _variant_kind(p, args.variant)
+    _check_variant(p, args.variant)
     params = DynamicsParams(eta=args.eta, rho=args.rho)
     eq = solve_equilibrium(p, params) if args.variant == "rank" else None
     cert = certificate_for(p, params, args.variant, eq)
@@ -253,12 +253,8 @@ def _cmd_sweep_eta(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     p = _load_problem(args)
-    if not (isinstance(p.objective, QuadraticObjective)
-            and isinstance(p.constraints, EqualityConstraints)):
-        raise UsageError("spectrum needs a quadratic objective with equality "
-                         "constraints (the flow must be linear)")
     grid = _parse_grid(args.eta_grid)
-    table = eta_sweep(p.objective.W, p.constraints.A, grid)
+    table = eta_sweep(p, grid)  # InvalidInputError unless the flow is linear
     out = _out_dir(args)
     fileio.write_csv(out / "spectrum.csv",
                      ["eta", "spectral_rate", "certified_rate"], table.rows())

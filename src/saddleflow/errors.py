@@ -16,7 +16,7 @@ class InvalidInputError(SaddleflowError, ValueError):
 
 class ProblemFileError(InvalidInputError):
     """A problem file is malformed: unknown section, missing key,
-    non-numeric entry, or a matrix of the wrong size."""
+    non-numeric or non-finite entry, or a matrix of the wrong size."""
 
 
 class DimensionMismatchError(SaddleflowError, ValueError):

@@ -30,7 +30,7 @@ from .certificates import (
     build_certificate_rank,
     condition_number,
 )
-from .dynamics import _AugmentedField, vector_field
+from .dynamics import AffineVectorField, _AugmentedField, vector_field
 from .equilibrium import Equilibrium, _integrate_to_equilibrium, solve_equilibrium
 from .errors import DivergedError, InvalidInputError, RankDeficientError
 from .integrator import (
@@ -51,7 +51,6 @@ from .problem import (
     InequalityConstraints,
     LogisticObjective,
     QuadraticObjective,
-    TwoSidedConstraints,
     spectral_bounds,
     validate_problem,
 )
@@ -155,31 +154,32 @@ def fit_decay_rate(times, dists) -> float:
     return float(-slope)
 
 
-def _variant_kind(p: ConstrainedProblem, variant: Optional[str] = None) -> str:
-    """p's constraint kind; InvalidInputError if the variant does not fit it."""
-    kind = {EqualityConstraints: "eq", InequalityConstraints: "ineq",
-            TwoSidedConstraints: "ts"}[type(p.constraints)]
-    if variant not in (None, kind) and (variant, kind) != ("rank", "ineq"):
-        raise InvalidInputError(f"variant {variant!r} does not apply to a problem "
+def _check_variant(p: ConstrainedProblem, variant: Optional[str] = None):
+    """InvalidInputError unless variant is None (p's own certificate) or
+    "rank", which needs inequality constraints."""
+    if variant not in (None, "rank"):
+        raise InvalidInputError(f"unknown certificate variant {variant!r}; "
+                                f"the only one is 'rank'")
+    if variant == "rank" and not isinstance(p.constraints, InequalityConstraints):
+        raise InvalidInputError(f"variant 'rank' does not apply to a problem "
                                 f"with {type(p.constraints).__name__}")
-    return kind
 
 
 def certificate_for(p: ConstrainedProblem, params: DynamicsParams,
                     variant: Optional[str] = None, eq: Optional[Equilibrium] = None):
-    """Lyapunov certificate of one variant: "eq", "ineq", "ts" or "rank".
+    """Lyapunov certificate for p: the paper's certificate for p's
+    constraint kind, or with variant "rank" the rank-relaxed one.
 
-    The default is the paper's certificate for p's constraint kind. The
-    rank-relaxed variant is built for the run from the origin to the
+    The rank-relaxed variant is built for the run from the origin to the
     solved equilibrium eq, which it needs. Raises InvalidInputError when
-    the variant does not apply to p's constraints.
+    the variant is not "rank" or does not apply to p's constraints.
     """
-    kind = _variant_kind(p, variant)
+    _check_variant(p, variant)
     if variant == "rank":
         if eq is None:
             raise ValueError("the rank-relaxed certificate needs the equilibrium eq")
         return build_certificate_rank(p, params, np.zeros(p.dim_n + p.dim_m), eq.z)
-    if kind == "eq":
+    if isinstance(p.constraints, EqualityConstraints):
         return build_certificate_eq(p, params)
     return build_certificate_ineq(p, params)
 
@@ -416,8 +416,7 @@ def run_experiment(p: ConstrainedProblem, grid, horizon: float, out_dir,
     else:
         eq = _integrate_to_equilibrium(p, rho, 1e-9)
     runs = run_from_origin(p, grid, eq, horizon, delta)
-    linear = isinstance(p.objective, QuadraticObjective) and isinstance(
-        p.constraints, EqualityConstraints)
+    linear = isinstance(vector_field(p, grid[0]), AffineVectorField)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -441,8 +440,7 @@ def run_experiment(p: ConstrainedProblem, grid, horizon: float, out_dir,
         tag = _eta_tag(params.eta)
         paths.append(fileio.write_csv(out / f"trajectory_eta{tag}.csv",
                                       TRAJECTORY_HEADER, run.rows))
-        spectral = (lti_matrix(p.objective.W, p.constraints.A, params.eta).rate
-                    if linear else float("nan"))
+        spectral = lti_matrix(p, params.eta).rate if linear else float("nan")
         summary_rows.append((params.eta, params.rho, run.measured_rate,
                              run.cert.tau / 2.0, spectral))
         meta[f"delta_eta{tag}"] = run.delta

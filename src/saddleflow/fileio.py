@@ -149,8 +149,9 @@ def load_problem(path) -> ConstrainedProblem:
     """Read a problem file written by save_problem.
 
     Raises ProblemFileError when the file is malformed: no magic line, an
-    unknown section, a missing header key or section, a non-numeric
-    entry, a matrix of the wrong size, or data the problem types reject.
+    unknown section, a missing header key or section, a non-numeric or
+    non-finite entry, a matrix of the wrong size, or data the problem
+    types reject (a non-finite reg among them).
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -188,6 +189,8 @@ def _parse_problem(lines) -> ConstrainedProblem:
         if len(block) != rows or any(len(row) != cols for row in block):
             raise ValueError(f"section {name!r} must be a {rows}x{cols} matrix")
         sections[name] = np.array([[float(v) for v in row] for row in block]).reshape(rows, cols)
+        if not np.isfinite(sections[name]).all():
+            raise ValueError(f"section {name!r} holds a non-finite entry")
         idx += 1 + rows
 
     if header["objective"] == "quadratic":

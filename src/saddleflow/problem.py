@@ -191,8 +191,8 @@ class LogisticObjective(ObjectiveOracle):
             )
         if not np.all(np.abs(y) == 1.0):
             raise ValueError("labels must be +1 or -1")
-        if not (reg > 0):
-            raise ValueError(f"reg must be positive, got {reg}")
+        if not (0 < reg < np.inf):
+            raise ValueError(f"reg must be positive and finite, got {reg}")
         self.D = _readonly(D)
         self.y = _readonly(y)
         # -D^T and -y for the gradient, in the layout the plain expressions
@@ -319,13 +319,11 @@ class DynamicsParams:
             raise ValueError(f"rho must be positive, got {self.rho}")
 
 
-def spectral_bounds(A, require_full_rank: bool = True) -> SpectralBounds:
+def spectral_bounds(A) -> SpectralBounds:
     """Extreme eigenvalues of A A^T as a SpectralBounds pair.
 
     Raises RankDeficientError when the smallest eigenvalue falls at or
-    below RANK_TOL times the largest, unless require_full_rank is False
-    (in which case kappa1 is clamped to a tiny positive value so the
-    container stays constructible for reporting purposes).
+    below RANK_TOL times the largest.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
@@ -333,13 +331,11 @@ def spectral_bounds(A, require_full_rank: bool = True) -> SpectralBounds:
         raise DimensionMismatchError("A must have at least one row")
     eigs = np.linalg.eigvalsh(A @ A.T)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    if require_full_rank and (hi <= 0 or lo <= RANK_TOL * hi):
+    if hi <= 0 or lo <= RANK_TOL * hi:
         raise RankDeficientError(
             f"A A^T has eigenvalue range [{lo:g}, {hi:g}]; smallest is below "
             f"the rank tolerance {RANK_TOL:g} * largest"
         )
-    if lo <= 0:
-        lo = np.finfo(float).tiny
     return SpectralBounds(kappa1=lo, kappa2=hi)
 
 

@@ -227,15 +227,14 @@ def test_criterion_7_exact_multiplier_nonnegativity():
 
 def test_criterion_8_spectral_saturation():
     p = gen_equality_qp(42, n=5, m=2)
-    W, A = p.objective.W, p.constraints.A
-    knee = saturation_knee(W, A)
+    knee = saturation_knee(p)
     grid = np.geomspace(knee / 100.0, knee, 9)
-    rates = np.array([lti_matrix(W, A, eta=e).rate for e in grid])
+    rates = np.array([lti_matrix(p, eta=e).rate for e in grid])
     monotone = bool(np.all(np.diff(rates) >= -1e-9))
-    plateau = (lti_matrix(W, A, eta=100.0 * knee).rate
-               <= 1.05 * lti_matrix(W, A, eta=10.0 * knee).rate)
+    plateau = (lti_matrix(p, eta=100.0 * knee).rate
+               <= 1.05 * lti_matrix(p, eta=10.0 * knee).rate)
     dominated = bool(np.all(
-        rates >= np.array([certified_rate(W, A, e) for e in grid]) - 1e-9))
+        rates >= np.array([certified_rate(p, e) for e in grid]) - 1e-9))
     _verdict(8, monotone and plateau and dominated,
              f"rate non-decreasing up to knee {knee:g}, <= 5% gain past "
              f"10x knee, always >= certified rate")
@@ -292,8 +291,7 @@ def test_criterion_10_unit_example_coverage():
     oracle_ok = (cert.c == hand_c and cert.tau == 1.0 / hand_c)
 
     roots = np.roots([1.0, 1.0, 1.0])
-    oracle_ok &= abs(max(roots.real)
-                     + lti_matrix(np.array([[1.0]]), np.array([[1.0]])).rate) < 1e-12
+    oracle_ok &= abs(max(roots.real) + lti_matrix(unit).rate) < 1e-12
 
     r = step_size_admissible(0.1, 1.0, 1.0, 1.0).contraction
     oracle_ok &= abs(r - (math.exp(-0.05) + 0.005)) < 1e-15

@@ -115,15 +115,12 @@ ARRAY_RESULTS = [
     ("Equilibrium", lambda seed: solve_equilibrium(gen_equality_qp(seed))),
     ("LyapunovCertificate",
      lambda seed: build_certificate_eq(gen_equality_qp(seed), DynamicsParams())),
-    ("LtiSystem", lambda seed: lti_matrix(gen_equality_qp(seed).objective.W,
-                                          gen_equality_qp(seed).constraints.A)),
+    ("LtiSystem", lambda seed: lti_matrix(gen_equality_qp(seed))),
     ("EqualityConstraints", lambda seed: gen_equality_qp(seed).constraints),
     ("InequalityConstraints",
      lambda seed: gen_logistic_ineq(seed, n=4, m=3, n_data=20).constraints),
     ("TwoSidedConstraints", lambda seed: _two_sided(gen_equality_qp(seed).constraints)),
-    ("EtaSweepResult", lambda seed: eta_sweep(gen_equality_qp(seed).objective.W,
-                                              gen_equality_qp(seed).constraints.A,
-                                              [0.5, 2.0])),
+    ("EtaSweepResult", lambda seed: eta_sweep(gen_equality_qp(seed), [0.5, 2.0])),
 ]
 
 

@@ -67,10 +67,10 @@ def test_certify_writes_report(tmp_path, capsys):
     assert "verdict = pass" in meta
 
 
-def test_certify_inconclusive_verdict_exits_on_passed(tmp_path, capsys):
+def test_certify_inconclusive_verdict_exits_zero_with_passed_one(tmp_path, capsys):
     # the paper's logistic certificate: the margins are rounding noise, so
-    # the verdict is inconclusive; only a fail verdict clears the passed
-    # column and exits 1
+    # the verdict is inconclusive, which exits 0 and writes 1 in the
+    # passed column of lmi_report.csv
     rc = run_cli(["certify", "--problem", "logistic", "--seed", "7", "--n", "10",
                   "--m", "8", "--out", str(tmp_path)])
     assert rc == 0
@@ -118,21 +118,51 @@ def test_certify_rank_variant(capsys):
 
 
 def test_variant_mismatch_is_usage_error(capsys):
-    assert run_cli(["certify", "--problem", "eq-qp", "--variant", "ineq"]) == 2
-    assert "does not apply" in capsys.readouterr().err
+    assert run_cli(["certify", "--problem", "eq-qp", "--variant", "rank"]) == 2
+    assert capsys.readouterr().err == ("error: variant 'rank' does not apply to a problem "
+                                       "with EqualityConstraints\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--problem", "logistic", "--n", "3", "--m", "2", "--variant", "eq"],
-    ["certify", "--problem", "eq-qp", "--variant", "rank"],
-], ids=["simulate-eq-on-logistic", "certify-rank-on-eq-qp"])
-def test_variant_mismatch_exits_before_the_solve(argv, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, refusal", [
+    (["simulate", "--problem", "logistic", "--n", "3", "--m", "2", "--variant", "eq"],
+     "invalid choice: 'eq'"),
+    (["certify", "--problem", "eq-qp", "--variant", "rank"], "does not apply"),
+    (["simulate", "--problem", "eq-qp", "--variant", "rank"], "does not apply"),
+], ids=["simulate-eq-on-logistic", "certify-rank-on-eq-qp", "simulate-rank-on-eq-qp"])
+def test_variant_mismatch_exits_before_the_solve(argv, refusal, tmp_path, monkeypatch,
+                                                 capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("solve_equilibrium ran before the variant check")
 
     monkeypatch.setattr(cli, "solve_equilibrium", refuse)
-    assert run_cli([*argv, "--out", str(tmp_path)]) == 2
-    assert "does not apply" in capsys.readouterr().err
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert refusal in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@pytest.mark.parametrize("variant", ["eq", "ineq", "ts"])
+def test_retired_variants_are_invalid_choices(command, variant, tmp_path, capsys):
+    # rank is the one variant: the others only named the problem's default
+    assert run_cli([command, "--variant", variant, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --variant: invalid choice: '{variant}'" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--problem", "eq-qp", "--eta", "1e300"],
+    ["simulate", "--problem", "eq-qp", "--eta", "1e300", "--horizon", "1"],
+    ["certify", "--problem", "logistic", "--n", "6", "--m", "3", "--seed", "2",
+     "--rho", "1e-300"],
+], ids=["certify-eta-1e300", "simulate-eta-1e300", "certify-logistic-rho-1e-300"])
+def test_certificate_constants_outside_the_float_range_exit_one(argv, tmp_path, capsys):
+    # c, tau or P past the float range: no certificate covers the flow
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InfeasibleError: no ") and "Traceback" not in err
+    assert "at eta " in err and ", rho " in err and ": c = " in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_seeded_qp(tmp_path, capsys):
@@ -366,7 +396,36 @@ b
 1
 """
 
+SMALL_LOGISTIC = """saddleflow-problem 1
+kind inequality
+n 2
+m 1
+objective logistic
+n_data 2
+reg 0.5
+D
+1 0
+0 1
+y
+1 -1
+A
+1 1
+b
+1
+"""
+
+# What a problem file's non-finite entry is refused for, by case name
+NON_FINITE = {
+    "nan-b": ("section 'b'", SMALL_PROBLEM.replace("b\n1\n", "b\nnan\n")),
+    "inf-b": ("section 'b'", SMALL_PROBLEM.replace("b\n1\n", "b\n-inf\n")),
+    "nan-q": ("section 'q'", SMALL_PROBLEM.replace("A\n", "q\nnan 0\nA\n")),
+    "inf-q": ("section 'q'", SMALL_PROBLEM.replace("A\n", "q\ninf 0\nA\n")),
+    "inf-inequality-bound": ("section 'b'", SMALL_LOGISTIC.replace("b\n1\n", "b\ninf\n")),
+    "inf-reg": ("reg must be positive and finite", SMALL_LOGISTIC.replace("reg 0.5", "reg inf")),
+}
+
 BAD_PROBLEMS = {
+    **{name: text for name, (_, text) in NON_FINITE.items()},
     "unknown-section": SMALL_PROBLEM + "C\n1\n",
     "missing-b": SMALL_PROBLEM.replace("b\n1\n", ""),
     "missing-W": SMALL_PROBLEM.replace("W\n1 0\n0 1\n", ""),
@@ -411,17 +470,35 @@ def test_bad_grid_and_bad_problem_are_usage_errors(tmp_path, capsys):
         bad_runs.append(["kkt-check", "--problem", str(path)])
     good = tmp_path / "good.txt"
     good.write_text(SMALL_PROBLEM, encoding="utf-8")
+    good_logistic = tmp_path / "good-logistic.txt"
+    good_logistic.write_text(SMALL_LOGISTIC, encoding="utf-8")
     # negative seeds, on a generator and on a problem file (where only the
     # LMI sweep draws from the seed)
     for command in ("simulate", "certify", "sweep-eta", "spectrum", "kkt-check", "gen"):
         bad_runs.append([command, "--out", str(tmp_path), "--seed", "-1"])
     bad_runs.append(["certify", "--problem", str(good), "--seed", "-1"])
     assert run_cli(["kkt-check", "--problem", str(good)]) == 0
+    assert run_cli(["kkt-check", "--problem", str(good_logistic)]) == 0
     capsys.readouterr()
     for argv in bad_runs:
         assert run_cli(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error: " in err and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_problem_file_entries_are_refused_by_name(case, tmp_path, capsys):
+    # such a file used to load: kkt-check and simulate then diverged,
+    # certify passed or ended in a traceback, and spectrum wrote its table
+    what, text = NON_FINITE[case]
+    path = tmp_path / "problem.txt"
+    path.write_text(text, encoding="utf-8")
+    for command in ("kkt-check", "simulate", "certify", "spectrum"):
+        out = tmp_path / "out"
+        assert run_cli([command, "--problem", str(path), "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {what}") and "Traceback" not in err, err
+        assert not out.exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -497,7 +574,7 @@ def test_parser_flags_match_the_readme_table():
 @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
                          ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
 def test_removed_flags_are_usage_errors(command, flag, tmp_path, capsys):
-    value = "eq" if flag == "--variant" else "2"
+    value = "rank" if flag == "--variant" else "2"
     assert run_cli([command, flag, value, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err

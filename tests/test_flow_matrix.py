@@ -39,10 +39,15 @@ def test_equality_qp_equilibrium_is_the_explicit_kkt_solve(eta):
 
 @pytest.mark.parametrize("eta", ETAS)
 def test_affine_field_matrix_is_the_lti_matrix(eta):
+    # the affine field's G is [[-W, -A^T], [eta A, 0]], written out, bit for
+    # bit, and lti_matrix hands on that same matrix
     for seed in EQ_QP_SEEDS:
         p = gen_equality_qp(seed)
+        W, A, m = p.objective.W, p.constraints.A, p.dim_m
         G = vector_field(p, DynamicsParams(eta=eta)).G
-        assert np.array_equal(G, lti_matrix(p.objective.W, p.constraints.A, eta).G), seed
+        want = np.block([[-W, -A.T], [eta * A, np.zeros((m, m))]])
+        assert np.array_equal(G, want), seed
+        assert np.array_equal(lti_matrix(p, eta).G, want), seed
 
 
 @pytest.mark.parametrize("eta", ETAS)
@@ -51,7 +56,7 @@ def test_equality_lmi_check_at_w_matches_the_lti_matrix(eta):
     for seed in EQ_QP_SEEDS:
         p = gen_equality_qp(seed)
         cert = build_certificate_eq(p, params)
-        G = lti_matrix(p.objective.W, p.constraints.A, eta).G
+        G = lti_matrix(p, eta).G
         P = cert.P
         M = -G.T @ P - P @ G - cert.tau * P
         want = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])

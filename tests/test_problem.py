@@ -62,13 +62,6 @@ def test_spectral_bounds_rank_deficient():
         spectral_bounds(A)
 
 
-def test_spectral_bounds_no_raise_mode():
-    A = np.array([[1.0, 1.0], [2.0, 2.0]])
-    got = spectral_bounds(A, require_full_rank=False)
-    assert got.kappa1 > 0
-    assert got.kappa2 == pytest.approx(10.0)
-
-
 def test_validate_consistent_quadratic_passes():
     p = ConstrainedProblem(
         QuadraticObjective(np.eye(2)),
@@ -178,6 +171,14 @@ def test_logistic_objective_constants():
     assert obj.ell == pytest.approx(0.2 + 0.25 * np.linalg.eigvalsh(D.T @ D)[-1])
     # zero logits give k log 2 plus no ridge term
     assert obj.value(np.zeros(5)) == pytest.approx(30 * np.log(2.0))
+
+
+def test_logistic_objective_refuses_a_reg_that_is_not_positive_and_finite():
+    # an infinite reg used to end a certificate in an eigenvalue failure
+    D, y = np.eye(2), np.array([1.0, -1.0])
+    for reg in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="reg must be positive and finite"):
+            LogisticObjective(D, y, reg)
 
 
 def test_logistic_objective_no_overflow_at_large_logits():

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from saddleflow import (
+    ConstrainedProblem,
     DynamicsParams,
-    NotSymmetricError,
+    EqualityConstraints,
+    InequalityConstraints,
+    InvalidInputError,
+    QuadraticObjective,
     build_certificate_eq,
     certified_rate,
     eta_sweep,
     gen_equality_qp,
+    gen_logistic_ineq,
     lti_matrix,
     saturation_knee,
 )
@@ -18,22 +23,18 @@ from saddleflow import (
 # characteristic polynomial s^2 + s + eta; for eta >= 1/4 the roots are
 # complex with real part -1/2, so the decay rate is exactly 0.5.
 SCALAR_RATE = 0.5
+SCALAR = ConstrainedProblem(QuadraticObjective([[1.0]]), EqualityConstraints([[1.0]], [0.0]))
 
 
-def test_pure_gradient_flow():
-    sys = lti_matrix(np.array([[1.0]]))
-    assert np.allclose(sys.G, [[-1.0]])
-    assert sys.abscissa == pytest.approx(-1.0)
-    assert sys.rate == pytest.approx(1.0)
-    W = np.array([[2.0, 1.0], [1.0, 3.0]])
-    assert np.array_equal(lti_matrix(W, np.zeros((0, 2)), eta=5.0).G, -W)
+def _quadratic(W, A):
+    return ConstrainedProblem(QuadraticObjective(W), EqualityConstraints(A, np.zeros(len(A))))
 
 
 def test_scalar_saddle_eta_one():
     # oracle: roots of s^2 + s + 1 are (-1 +- i sqrt(3)) / 2
     roots = np.roots([1.0, 1.0, 1.0])
     assert max(roots.real) == pytest.approx(-SCALAR_RATE)
-    sys = lti_matrix(np.array([[1.0]]), np.array([[1.0]]), eta=1.0)
+    sys = lti_matrix(SCALAR, eta=1.0)
     assert np.allclose(sys.G, [[-1.0, -1.0], [1.0, 0.0]])
     assert sys.rate == pytest.approx(SCALAR_RATE, rel=1e-12)
 
@@ -42,12 +43,12 @@ def test_scalar_saddle_eta_four():
     # oracle: roots of s^2 + s + 4 still have real part -1/2
     roots = np.roots([1.0, 1.0, 4.0])
     assert max(roots.real) == pytest.approx(-SCALAR_RATE)
-    sys = lti_matrix(np.array([[1.0]]), np.array([[1.0]]), eta=4.0)
+    sys = lti_matrix(SCALAR, eta=4.0)
     assert sys.rate == pytest.approx(SCALAR_RATE, rel=1e-12)
 
 
 def test_eta_sweep_saturated_scalar():
-    table = eta_sweep(np.array([[1.0]]), np.array([[1.0]]), np.array([1.0, 4.0, 100.0]))
+    table = eta_sweep(SCALAR, np.array([1.0, 4.0, 100.0]))
     assert np.allclose(table.rates, SCALAR_RATE, rtol=1e-10)
     assert table.etas.shape == table.rates.shape == table.certified.shape
 
@@ -55,28 +56,27 @@ def test_eta_sweep_saturated_scalar():
 def test_eta_sweep_refuses_an_empty_nonpositive_or_nan_grid():
     for grid in ([], [1.0, 0.0], [1.0, -2.0], [np.nan, 1.0], [1.0, np.nan]):
         with pytest.raises(ValueError, match="nonempty and positive"):
-            eta_sweep(np.array([[1.0]]), np.array([[1.0]]), np.array(grid))
+            eta_sweep(SCALAR, np.array(grid))
 
 
 def test_eta_to_zero_rate_vanishes():
     # roots of s^2 + s + eta approach {0, -1}: the slow root is about -eta
     eta = 1e-6
-    sys = lti_matrix(np.array([[1.0]]), np.array([[1.0]]), eta=eta)
+    sys = lti_matrix(SCALAR, eta=eta)
     assert sys.rate == pytest.approx(eta, rel=1e-2)
 
 
 def test_rate_dominates_certified_rate():
-    table = eta_sweep(np.array([[1.0]]), np.array([[1.0]]),
-                      np.array([0.1, 1.0, 10.0]))
+    table = eta_sweep(SCALAR, np.array([0.1, 1.0, 10.0]))
     assert np.all(table.rates >= table.certified - 1e-9)
 
 
 def test_certified_rate_matches_certificate_tau():
     p = gen_equality_qp(42)
-    W, A = p.objective.W, p.constraints.A
     for eta in (0.1, 1.0, 7.0):
         cert = build_certificate_eq(p, DynamicsParams(eta=eta))
-        assert certified_rate(W, A, eta) == pytest.approx(cert.tau / 2.0)
+        assert certified_rate(p, eta) == cert.tau / 2.0
+        assert eta_sweep(p, [eta]).certified[0] == cert.tau / 2.0
 
 
 def test_hurwitz_on_random_instances():
@@ -88,40 +88,49 @@ def test_hurwitz_on_random_instances():
         W = M @ M.T + 0.5 * np.eye(n)
         A = rng.standard_normal((m, n))
         eta = float(rng.uniform(0.05, 20.0))
-        sys = lti_matrix(W, A, eta=eta)
+        p = _quadratic(W, A)
+        sys = lti_matrix(p, eta=eta)
         assert sys.abscissa < 0.0
-        assert sys.rate >= certified_rate(W, A, eta) - 1e-9
+        assert sys.rate >= certified_rate(p, eta) - 1e-9
 
 
 def test_lti_matrix_input_validation():
-    with pytest.raises(NotSymmetricError):
-        lti_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        lti_matrix(np.diag([1.0, -1.0]))
+    # the flow must be linear: vector_field decides, and every spectral
+    # entry refuses a nonlinear flow with the same words
+    logistic = gen_logistic_ineq(3, n=4, m=3, n_data=20)
+    quadratic_ineq = ConstrainedProblem(QuadraticObjective(np.eye(2)),
+                                        InequalityConstraints([[1.0, 1.0]], [1.0]))
+    for p in (logistic, quadratic_ineq):
+        for call in (lambda: lti_matrix(p), lambda: eta_sweep(p, [1.0]),
+                     lambda: saturation_knee(p)):
+            with pytest.raises(InvalidInputError, match="the flow must be linear"):
+                call()
+    with pytest.raises(ValueError, match="eta must be positive"):
+        lti_matrix(SCALAR, eta=0.0)
 
 
 def test_lti_matrix_block_layout():
+    # G is [[-W, -A^T], [eta A, 0]], written out, bit for bit
     rng = np.random.default_rng(12)
     W = np.eye(3) * 2.0
     A = rng.standard_normal((2, 3))
     eta = 1.5
-    sys = lti_matrix(W, A, eta=eta)
-    assert np.allclose(sys.G[:3, :3], -W)
-    assert np.allclose(sys.G[:3, 3:], -A.T)
-    assert np.allclose(sys.G[3:, :3], eta * A)
-    assert np.allclose(sys.G[3:, 3:], 0.0)
+    G = lti_matrix(_quadratic(W, A), eta=eta).G
+    assert np.array_equal(G[:3, :3], -W)
+    assert np.array_equal(G[:3, 3:], -A.T)
+    assert np.array_equal(G[3:, :3], eta * A)
+    assert np.array_equal(G[3:, 3:], np.zeros((2, 2)))
 
 
 def test_saturation_knee_on_seeded_qp():
     p = gen_equality_qp(42)
-    W, A = p.objective.W, p.constraints.A
-    knee = saturation_knee(W, A)
+    knee = saturation_knee(p)
     assert knee > 0
     # past the knee the rate gains less than 5% per decade
-    r10 = lti_matrix(W, A, eta=10.0 * knee).rate
-    r100 = lti_matrix(W, A, eta=100.0 * knee).rate
+    r10 = lti_matrix(p, eta=10.0 * knee).rate
+    r100 = lti_matrix(p, eta=100.0 * knee).rate
     assert r100 <= 1.05 * r10
     # below the knee the rate is non-decreasing in eta
     grid = np.geomspace(knee / 100.0, knee, 9)
-    rates = [lti_matrix(W, A, eta=e).rate for e in grid]
+    rates = [lti_matrix(p, eta=e).rate for e in grid]
     assert np.all(np.diff(rates) >= -1e-9)
