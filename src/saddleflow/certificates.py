@@ -280,8 +280,11 @@ def solve_c_rank(mu: float, ell: float, kappa1: float, kappa2: float,
     """Smallest c making the rank-relaxed decay inequalities hold.
 
     The feasible set of rank_inequality_margins is an interval unbounded
-    above; bisection to absolute tolerance C_RANK_TOL returns (an upper
-    bracket of) its left endpoint, so the result is always feasible.
+    above; bisection to absolute tolerance C_RANK_TOL, or until the
+    midpoint is an end of the bracket (no float lies between them),
+    returns (an upper bracket of) its left endpoint, so the result is
+    always feasible. A c whose margins overflow the float range counts as
+    infeasible, so constants past it raise InfeasibleError.
     """
     if gamma_bar >= 1.0:
         raise InfeasibleError(
@@ -290,8 +293,11 @@ def solve_c_rank(mu: float, ell: float, kappa1: float, kappa2: float,
         )
 
     def feasible(c: float) -> bool:
-        margins = rank_inequality_margins(mu, ell, kappa1, kappa2,
-                                          eta, rho, gamma_bar, c)
+        try:
+            margins = rank_inequality_margins(mu, ell, kappa1, kappa2,
+                                              eta, rho, gamma_bar, c)
+        except OverflowError:  # a float power past the float range
+            return False
         return bool(np.all(margins >= 0.0))
 
     hi = max(rho * kappa2, 1.0)
@@ -304,6 +310,8 @@ def solve_c_rank(mu: float, ell: float, kappa1: float, kappa2: float,
     lo = 0.0
     while hi - lo > C_RANK_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if feasible(mid):
             hi = mid
         else:

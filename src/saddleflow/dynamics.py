@@ -205,12 +205,14 @@ class _AugmentedField:
     sequence of them sharing rho, for (K, d) stacks of states: column k
     then follows the flow at the k-th eta.
 
-    euler_update performs z + delta * field(z) with the dual block written
-    as the convex combination (1 - a) lam + a m, a = delta eta / rho. The
-    two forms agree algebraically; the combination keeps lam >= 0 exact in
-    floating point for the inequality flow whenever a <= 1 and m >= 0.
-    Each column of a stack takes the form its own a allows, and every
-    product is _matvec's, so a column gets the bits of its own run.
+    euler_block takes the Euler steps z + delta * field(z) of a block in
+    place, with the dual block written as the convex combination
+    (1 - a) lam + a m, a = delta eta / rho; euler_update is its one-step
+    case. The two forms agree algebraically; the combination keeps
+    lam >= 0 exact in floating point for the inequality flow whenever
+    a <= 1 and m >= 0. Each column of a stack takes the form its own a
+    allows, and every product is _matvec's, so a column gets the bits of
+    its own run.
     """
 
     def __init__(self, p: ConstrainedProblem, params):
@@ -251,20 +253,45 @@ class _AugmentedField:
         )
 
     def euler_update(self, z, delta):
-        """One Euler step of delta; for a stack, delta may be one step per column."""
-        x = z[..., : self.n]
-        lam = z[..., self.n:]
+        """One Euler step of delta; for a stack, delta may be one step per
+        column. The one-step case of euler_block."""
+        return self.euler_block(z, delta, 1)[0]
+
+    def euler_block(self, z, delta, k):
+        """The next min(k, _BLOCK_STEPS) Euler iterates of delta as rows.
+
+        Each row is euler_update's step from the row before, written in
+        place: x + delta (-grad f(x) - A^T m) and (1 - a) lam + a m, or
+        lam + a (m - lam) in a column where a = delta eta / rho > 1. a, 1 - a
+        and each column's choice are worked out once per block. The
+        oracle's gradient is only read, never written to: a black-box grad
+        may hand back its own argument.
+        """
+        n = self.n
+        grad, multiplier, A, At = self.grad, self.multiplier, self.A, self.At
         if getattr(delta, "ndim", 0) == 1:
             delta = delta[:, None]
-        m = self.multiplier(_matvec(self.A, x), lam)
         a = delta * self.eta / self.rho
-        x_next = x + delta * (-self.grad(x) - _matvec(self.At, m))
+        keep = 1.0 - a
         small = a <= 1.0  # one bool, or one per column
-        if small is True or (small is not False and small.all()):
-            lam_next = (1.0 - a) * lam + a * m
-        else:
-            lam_next = np.where(small, (1.0 - a) * lam + a * m, lam + a * (m - lam))
-        return np.concatenate([x_next, lam_next], axis=-1)
+        mixed = not np.all(small)
+        rows = np.empty((min(k, _BLOCK_STEPS),) + z.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in rows:
+                x, lam = z[..., :n], z[..., n:]
+                m = multiplier(_matvec(A, x), lam)
+                dx = np.negative(grad(x))
+                dx -= _matvec(At, m)
+                dx *= delta
+                np.add(x, dx, out=row[..., :n])
+                if mixed:
+                    row[..., n:] = np.where(small, keep * lam + a * m, lam + a * (m - lam))
+                else:
+                    np.multiply(keep, lam, out=row[..., n:])
+                    m *= a
+                    row[..., n:] += m
+                z = row
+        return rows
 
 
 def _flow_matrix(A, eta: float, rho: float = 1.0, gammas=None):

@@ -141,8 +141,11 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
     by the Armijo fraction. Returns (equilibrium, iterations, None) once
     the KKT residual is at most tol, or (None, iterations, reason) when
     Newton stalls: a non-finite field or step, a singular Jacobian, no
-    descent, or NEWTON_MAX_ITER iterations. No descent on a step below
-    rounding (NEWTON_ROUNDING_ULPS) raises MaxIterationsError instead.
+    descent, or NEWTON_MAX_ITER iterations. The rounding floor raises
+    MaxIterationsError instead: a field that is exactly 0 while the
+    residual is above tol (where every damped step would pass the Armijo
+    test without moving), or no descent on a step below rounding
+    (NEWTON_ROUNDING_ULPS), an exactly 0 step among them.
     """
     n = p.dim_n
     A = p.constraints.A
@@ -161,6 +164,10 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
             if k == NEWTON_MAX_ITER:
                 why = "iteration cap"
                 break
+            if norm == 0.0:
+                raise MaxIterationsError(
+                    f"KKT residual {res.total:.3g} did not reach {tol:g}: newton found the "
+                    f"field exactly 0 at iteration {k}")
             gammas = None
             if not equality:
                 gammas = (flow.multiplier(A @ z[:n], z[n:]) != 0.0)[None].astype(float)
@@ -248,10 +255,10 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     (default the origin) until the total KKT residual is at most tol; for
     an equality QP from the origin that is one exact linear solve. If
     Newton stalls, the flow is integrated from z0 instead, for at most
-    max_steps Euler steps. If Newton stalls on a step below rounding, the
-    residual has reached its floor, and MaxIterationsError says so at
-    once. The result records which method ran, its Newton iterations and
-    Euler steps, and why Newton stalled.
+    max_steps Euler steps. If Newton stalls on a step below rounding, or
+    its field is exactly 0, the residual has reached its floor, and
+    MaxIterationsError says so at once. The result records which method
+    ran, its Newton iterations and Euler steps, and why Newton stalled.
     """
     if params is None:
         params = DynamicsParams()

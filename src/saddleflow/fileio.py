@@ -1,8 +1,12 @@
 """Artifact serialization: CSV tables, metadata sidecars, problem files.
 
 CSV contract: UTF-8, comma delimiter, one header row, floats rendered with
-%.17g so files round-trip and diff cleanly. Each run gets one metadata
-sidecar of plain `key = value` lines.
+%.17g so files round-trip and diff cleanly. write_csv takes its rows one
+by one, or a float block of them at a time (a 2-D array, as
+Trajectory.rows() hands them): a block is formatted by one "%" call of
+the row template repeated, so a trajectory costs one call per block, not
+one per row, and reads the same bytes. Each run gets one metadata sidecar
+of plain `key = value` lines.
 
 Problem files are plain text with a dimensions header and whitespace
 sections, for example
@@ -51,9 +55,11 @@ def format_float(x) -> str:
 def write_csv(path, header, rows) -> Path:
     """Stream rows (any iterable, consumed once) to a CSV file under header.
 
-    A numeric row is formatted by one "%.17g,...,%.17g" template per row
-    width, which renders every cell exactly as format_float does; a row
-    holding a str falls back to formatting cell by cell.
+    An item of rows is one row, or a block of rows as a 2-D array. Rows of
+    one width share one "%.17g,...,%.17g" template, which renders every
+    cell exactly as format_float does; a block applies it, repeated once
+    per row, to the block's cells as Python floats in one call. A row or
+    block holding a str falls back to formatting cell by cell.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -61,18 +67,23 @@ def write_csv(path, header, rows) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            row = tuple(row)
-            template = templates.get(len(row))
+            if isinstance(row, np.ndarray) and row.ndim == 2:
+                block, width = row, row.shape[1]
+                cells = tuple(row.ravel().tolist())
+            else:
+                cells = tuple(row)
+                block, width = (cells,), len(cells)
+            template = templates.get(width)
             if template is None:
-                template = templates[len(row)] = ",".join(["%.17g"] * len(row)) + "\n"
+                template = templates[width] = ",".join(["%.17g"] * width) + "\n"
             try:
-                line = template % row
+                lines = (template * len(block)) % cells
             except TypeError:  # a str cell: "%g" refuses it
-                line = ",".join(
+                lines = "".join(",".join(
                     cell if isinstance(cell, str) else format_float(cell)
-                    for cell in row
-                ) + "\n"
-            fh.write(line)
+                    for cell in line
+                ) + "\n" for line in block)
+            fh.write(lines)
     return path
 
 

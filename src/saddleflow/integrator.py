@@ -29,6 +29,10 @@ from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, _m
 DIVERGENCE_NORM = 1e12
 _DIVERGENCE_NORM2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 
+# Most rows in one block of Trajectory.rows(): enough to spread write_csv's
+# per-call cost, few enough that a block's text stays small.
+CSV_BLOCK_ROWS = 1024
+
 # choose_step_size's contraction target, and its smallest dyadic step
 # 2^-STEP_MAX_EXPONENT.
 STEP_CONTRACTION_TARGET = 0.999
@@ -105,8 +109,14 @@ class Trajectory:
         return rec
 
     def rows(self):
-        """Lazy CSV rows (t, dist_x, dist_lambda, V) of a run recorded with z* and P."""
-        return zip(self.times, self.dist_x, self.dist_lambda, self.v_values)
+        """Lazy CSV rows (t, dist_x, dist_lambda, V) of a run recorded with z*
+        and P, as float blocks of at most CSV_BLOCK_ROWS rows (2-D arrays,
+        which fileio.write_csv formats a block per call). Each block is
+        sliced from the recorded columns as it is read."""
+        columns = (self.times, self.dist_x, self.dist_lambda, self.v_values)
+        for start in range(0, self.filled, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, self.filled)
+            yield np.column_stack([column[start:stop] for column in columns])
 
 
 def _step(f):
@@ -119,10 +129,11 @@ def _step(f):
 def _advance(f):
     """advance(z, delta, k): the next 1..k Euler iterates as rows.
 
-    The affine field's euler_block as it is (one matrix product per
-    block); any other field takes min(k, _BLOCK_STEPS) calls of _step(f),
+    The field's own euler_block as it is, affine (one matrix product per
+    block) or augmented (its steps written in place into the block's
+    rows); any other field takes min(k, _BLOCK_STEPS) calls of _step(f),
     each row with the bits of its own step. Overflow past a divergence is
-    left to the kernel's guard, as in the affine block.
+    left to the kernel's guard, as in the blocks.
     """
     block = getattr(f, "euler_block", None)
     if block is not None:
@@ -198,9 +209,11 @@ def simulate(field, z0, delta: float, horizon: float,
     step are always kept.
 
     The affine field takes its steps in blocks of iterates from one
-    matrix product; other fields in blocks of up to 256 steps of their
-    euler_update or of z + delta * field(z) (_advance). The Trajectory
-    records the distances and Lyapunov values block by block. Raises
+    matrix product, the augmented field in blocks of up to 256 steps of
+    its own kernel, other fields in blocks of up to 256 steps of
+    z + delta * field(z) (_advance). The Trajectory records the distances
+    and Lyapunov values block by block, and hands its CSV rows in blocks
+    (Trajectory.rows). Raises
     DivergedError when the state norm passes 1e12, naming the first such
     step whatever record_every is (inadmissible step sizes blow up
     geometrically, so this trips fast).

@@ -305,7 +305,8 @@ class SpectralBounds:
 class DynamicsParams:
     """Flow parameters: dual gain eta and penalty weight rho.
 
-    rho is ignored by the plain equality flow but must still be positive.
+    Both must be positive and finite; rho is ignored by the plain equality
+    flow but is checked all the same.
     The primal time constant is fixed to one; only the dual side is scaled.
     """
 
@@ -313,10 +314,10 @@ class DynamicsParams:
     rho: float = 1.0
 
     def __post_init__(self):
-        if not (self.eta > 0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not (self.rho > 0):
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not (0 < self.eta < np.inf):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        if not (0 < self.rho < np.inf):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
 
 def spectral_bounds(A) -> SpectralBounds:

@@ -266,6 +266,24 @@ def test_solve_c_rank_infeasible_gamma_bar():
         solve_c_rank(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
+def test_solve_c_rank_returns_where_floats_are_wider_than_its_tolerance():
+    # c near 1e18: adjacent floats are further apart than C_RANK_TOL, so the
+    # bisection stops once its midpoint is an end of the bracket
+    c = solve_c_rank(1.0, 1.0, 1.0, 1.0, 1.0, 1e9, 0.5)
+    assert np.spacing(c) > certificates.C_RANK_TOL
+    assert np.all(rank_inequality_margins(1.0, 1.0, 1.0, 1.0, 1.0, 1e9, 0.5, c) >= 0)
+    assert not np.all(rank_inequality_margins(1.0, 1.0, 1.0, 1.0, 1.0, 1e9, 0.5, 0.99 * c) >= 0)
+
+
+def test_solve_c_rank_overflow_is_infeasible():
+    # eta^2 past the float range raises OverflowError in the margins; that c
+    # counts as infeasible, so no c is found and InfeasibleError says so
+    with pytest.raises(OverflowError):
+        rank_inequality_margins(1.0, 1.0, 1.0, 1.0, 1e200, 1.0, 0.5, 1.0)
+    with pytest.raises(InfeasibleError, match="no feasible c"):
+        solve_c_rank(1.0, 1.0, 1.0, 1.0, 1e200, 1.0, 0.5)
+
+
 def test_lyapunov_value_quadratic_form():
     cert = build_certificate_eq(unit_eq_problem(), UNIT)  # P = [[4,1],[1,4]]
     eq = np.array([0.3, -0.7])

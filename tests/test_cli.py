@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,22 @@ def test_certificate_constants_outside_the_float_range_exit_one(argv, tmp_path, 
     assert err.startswith("error: InfeasibleError: no ") and "Traceback" not in err
     assert "at eta " in err and ", rho " in err and ": c = " in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["kkt-check", "--problem", "logistic", "--n", "4", "--m", "3", "--seed", "1",
+      "--tol", "1e-14"], "MaxIterationsError"),
+    (["certify", "--problem", "logistic", "--n", "6", "--m", "3", "--n-data", "20",
+      "--seed", "7", "--variant", "rank", "--eta", "1e200"], "InfeasibleError"),
+], ids=["kkt-check-zero-field-above-tol", "certify-rank-eta-1e200"])
+def test_solves_past_their_floor_exit_one_at_once(argv, error, tmp_path, capsys):
+    # a Newton field of exactly 0 above tol, and rank margins past the
+    # float range, are refused at once with their typed error
+    start = time.perf_counter()
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and "Traceback" not in err
 
 
 def test_simulate_seeded_qp(tmp_path, capsys):

@@ -11,12 +11,13 @@ from saddleflow import (
     InequalityConstraints,
     InvalidBandError,
     LogisticObjective,
+    ObjectiveOracle,
     QuadraticObjective,
     TwoSidedConstraints,
     gamma_coefficients,
     vector_field,
 )
-from saddleflow.dynamics import _AugmentedField
+from saddleflow.dynamics import _BLOCK_STEPS, _AugmentedField
 from saddleflow.integrator import _advance
 
 UNIT = DynamicsParams(eta=1.0, rho=1.0)
@@ -356,3 +357,49 @@ def test_stacked_euler_steps_match_each_column():
                 assert np.array_equal(row, z)
     with pytest.raises(ValueError, match="shared rho"):
         _AugmentedField(p, [UNIT, DynamicsParams(eta=1.0, rho=2.0)])
+
+
+def _oracle_euler_step(p, params, z, delta):
+    """One Euler step z + delta * field(z) of p's flow at params, written out
+    step by step: the dual block as the convex combination (1 - a) lam + a m,
+    or as lam + a (m - lam) where a = delta eta / rho > 1."""
+    n = p.dim_n
+    field = vector_field(p, params)
+    x, lam = z[:n], z[n:]
+    m = field.multiplier(p.constraints.A @ x, lam)
+    a = delta * params.eta / params.rho
+    dual = (1.0 - a) * lam + a * m if a <= 1.0 else lam + a * (m - lam)
+    return np.concatenate([x + delta * field(z)[:n], dual])
+
+
+@pytest.mark.parametrize("k", [1, 7, 256])
+def test_augmented_euler_block_is_step_by_step_euler(k):
+    # the fused kernel, bit for bit, against one oracle step at a time:
+    # one state and a (K, d) stack whose columns lie on both sides of
+    # a = 1, inequality and two-sided constraints, and a black-box oracle
+    # whose grad hands back its own argument (the kernel may not write
+    # into it)
+    rng = np.random.default_rng(57)
+    A = rng.standard_normal((3, 4))
+    objectives = [QuadraticObjective(np.eye(4) + 0.1 * np.ones((4, 4))),
+                  ObjectiveOracle(lambda x: 0.5 * x @ x, lambda x: x, 1.0, 1.0)]
+    constraints = [InequalityConstraints(A=A, b=rng.standard_normal(3)),
+                   TwoSidedConstraints(A=A, b_lo=-np.ones(3), b_hi=np.ones(3))]
+    grid = [DynamicsParams(eta=eta, rho=0.8) for eta in (0.5, 2.0, 6.0)]
+    delta = np.array([0.1, 0.3, 0.25])  # a = 0.0625, 0.75, 1.875
+    assert k <= _BLOCK_STEPS
+    for objective in objectives:
+        for cons in constraints:
+            p = ConstrainedProblem(objective, cons)
+            Z = rng.standard_normal((3, 7))
+            Z_before = Z.tobytes()
+            block = _AugmentedField(p, grid).euler_block(Z, delta, k)
+            assert block.shape == (k, 3, 7) and Z.tobytes() == Z_before
+            for c, params in enumerate(grid):
+                one = vector_field(p, params).euler_block(Z[c], delta[c], k)
+                assert one.shape == (k, 7)
+                z = Z[c]
+                for i in range(k):
+                    z = _oracle_euler_step(p, params, z, delta[c])
+                    assert block[i, c].tobytes() == z.tobytes()
+                    assert one[i].tobytes() == z.tobytes()

@@ -238,20 +238,26 @@ def test_fallback_integrates_at_eta_1():
         at_1.euler_steps, at_1.newton_iterations, at_1.fallback_reason)
 
 
-@pytest.mark.parametrize("p, tol", [(gen_equality_qp(42), 1e-20),
-                                    (gen_logistic_ineq(3, n=10, m=8), 1e-17)],
-                         ids=["eq-qp seed 42", "logistic seed 3"])
-def test_tolerance_below_rounding_stops_at_once(p, tol, monkeypatch):
-    # Newton stalls on a step below rounding, where integrating cannot get
-    # lower either: the solve says so at once instead of integrating
+_NO_DESCENT = r"no descent at iteration \d+ on a step of \S+, below the rounding"
+
+
+@pytest.mark.parametrize("p, tol, why", [
+    (gen_equality_qp(42), 1e-20, _NO_DESCENT),
+    (gen_logistic_ineq(3, n=10, m=8), 1e-17, _NO_DESCENT),
+    (gen_logistic_ineq(1, n=4, m=3), 1e-14, r"the field exactly 0 at iteration \d+"),
+], ids=["eq-qp seed 42", "logistic seed 3", "logistic 4x3 seed 1, zero field"])
+def test_tolerance_below_rounding_stops_at_once(p, tol, why, monkeypatch):
+    # Newton stalls on a step below rounding, or reaches a field of exactly
+    # 0 above tol (where every damped step passes without moving), where
+    # integrating cannot get lower either: the solve says so at once
+    # instead of integrating
     def refuse(*args, **kwargs):
         raise AssertionError("integrated below the rounding floor")
 
     monkeypatch.setattr(equilibrium, "_integrate_to_equilibrium", refuse)
     start = time.perf_counter()
     with pytest.raises(MaxIterationsError,
-                       match=rf"KKT residual \S+ did not reach {tol:g}: newton found no "
-                             r"descent at iteration \d+ on a step of \S+, below the rounding"):
+                       match=rf"KKT residual \S+ did not reach {tol:g}: newton found {why}"):
         solve_equilibrium(p, UNIT, tol=tol)
     assert time.perf_counter() - start < 1.0
 

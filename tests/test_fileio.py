@@ -12,6 +12,7 @@ from saddleflow import (
     LogisticObjective,
     ProblemFileError,
     QuadraticObjective,
+    Trajectory,
     TwoSidedConstraints,
     gen_equality_qp,
     gen_logistic_ineq,
@@ -19,6 +20,7 @@ from saddleflow import (
     save_problem,
 )
 from saddleflow.fileio import format_float, write_csv, write_metadata
+from saddleflow.integrator import CSV_BLOCK_ROWS
 
 
 def test_format_float_is_exact():
@@ -78,6 +80,31 @@ def test_csv_row_template_matches_per_cell_writer(tmp_path):
     got = write_csv(tmp_path / "template.csv", header, mixed_rows())
     _per_cell_csv(tmp_path / "per_cell.csv", header, mixed_rows())
     assert got.read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+
+
+B = CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_csv_blocks_match_per_cell_writer(count, tmp_path):
+    # a trajectory's rows come in float blocks of at most B rows, each
+    # formatted by one call; the bytes are the per-cell writer's
+    rng = np.random.default_rng(count)
+    header = ["t", "dist_x", "dist_lambda", "V"]
+    if count:
+        z_star = rng.standard_normal(5)
+        traj = Trajectory(np.zeros(5), 3, 0.1, count - 1, 1, z_star, np.eye(5))
+        traj.add(rng.standard_normal((count - 1, 5)) * 10.0 ** rng.integers(-150, 150, 5))
+        blocks = list(traj.rows())
+        rows = zip(traj.times, traj.dist_x, traj.dist_lambda, traj.v_values)
+    else:
+        blocks, rows = [np.empty((0, 4))], []
+    assert len(blocks) == max(1, -(-count // B))
+    assert all(block.shape[1:] == (4,) and len(block) <= B for block in blocks)
+    got = write_csv(tmp_path / "blocks.csv", header, iter(blocks))
+    _per_cell_csv(tmp_path / "per_cell.csv", header, rows)
+    assert got.read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+    assert len(got.read_text(encoding="utf-8").splitlines()) == count + 1
 
 
 def test_metadata_format(tmp_path):

@@ -229,6 +229,9 @@ def test_dynamics_params_positive():
         DynamicsParams(eta=0.0)
     with pytest.raises(ValueError):
         DynamicsParams(rho=-1.0)
+    for bad in ({"eta": np.inf}, {"rho": np.inf}, {"eta": np.nan}, {"rho": np.nan}):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            DynamicsParams(**bad)
 
 
 def test_spectral_bounds_container_ordering():

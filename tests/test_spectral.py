@@ -105,8 +105,9 @@ def test_lti_matrix_input_validation():
                      lambda: saturation_knee(p)):
             with pytest.raises(InvalidInputError, match="the flow must be linear"):
                 call()
-    with pytest.raises(ValueError, match="eta must be positive"):
-        lti_matrix(SCALAR, eta=0.0)
+    for eta in (0.0, np.inf):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            lti_matrix(SCALAR, eta=eta)
 
 
 def test_lti_matrix_block_layout():
