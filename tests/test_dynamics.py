@@ -17,7 +17,7 @@ from saddleflow import (
     gamma_coefficients,
     vector_field,
 )
-from saddleflow.dynamics import _BLOCK_STEPS, _AugmentedField
+from saddleflow.dynamics import _AugmentedField
 from saddleflow.integrator import _advance
 
 UNIT = DynamicsParams(eta=1.0, rho=1.0)
@@ -387,7 +387,6 @@ def test_augmented_euler_block_is_step_by_step_euler(k):
                    TwoSidedConstraints(A=A, b_lo=-np.ones(3), b_hi=np.ones(3))]
     grid = [DynamicsParams(eta=eta, rho=0.8) for eta in (0.5, 2.0, 6.0)]
     delta = np.array([0.1, 0.3, 0.25])  # a = 0.0625, 0.75, 1.875
-    assert k <= _BLOCK_STEPS
     for objective in objectives:
         for cons in constraints:
             p = ConstrainedProblem(objective, cons)
