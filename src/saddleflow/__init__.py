@@ -18,18 +18,14 @@ from .certificates import (
     build_certificate_rank,
     build_p_matrix,
     condition_number,
-    gamma_block_margin,
     lmi_check,
     lmi_sweep,
-    lyapunov_value,
-    rank_block_margin,
     rank_inequality_margins,
     solve_c_rank,
     xi_bound,
 )
 from .dynamics import (
     AffineVectorField,
-    gamma_coefficients,
     vector_field,
 )
 from .equilibrium import Equilibrium, KktResidual, kkt_residual, solve_equilibrium
@@ -40,7 +36,6 @@ from .errors import (
     InvalidBandError,
     InvalidInputError,
     MaxIterationsError,
-    NonFiniteFieldError,
     NoSlackError,
     NotSymmetricError,
     ProblemFileError,
@@ -60,7 +55,6 @@ from .integrator import (
     StepCertificate,
     Trajectory,
     choose_step_size,
-    euler_step,
     lipschitz_bound,
     simulate,
     step_size_admissible,
@@ -111,7 +105,6 @@ __all__ = [
     "LyapunovCertificate",
     "MaxIterationsError",
     "NoSlackError",
-    "NonFiniteFieldError",
     "NotSymmetricError",
     "ObjectiveOracle",
     "ProblemFileError",
@@ -133,10 +126,7 @@ __all__ = [
     "choose_step_size",
     "condition_number",
     "eta_sweep",
-    "euler_step",
     "fit_decay_rate",
-    "gamma_block_margin",
-    "gamma_coefficients",
     "gen_equality_qp",
     "gen_logistic_ineq",
     "kkt_residual",
@@ -145,9 +135,7 @@ __all__ = [
     "lmi_sweep",
     "load_problem",
     "lti_matrix",
-    "lyapunov_value",
     "pick_step_size",
-    "rank_block_margin",
     "rank_inequality_margins",
     "run_experiment",
     "saturation_knee",

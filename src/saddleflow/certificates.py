@@ -347,13 +347,6 @@ def build_certificate_rank(p: ConstrainedProblem, params: DynamicsParams,
                                CertificateVariant.RANK_RELAXED, rank_aux=aux)
 
 
-def lyapunov_value(cert: LyapunovCertificate, z, z_star) -> float:
-    """V(z) = (z - z*)^T P (z - z*) at the stacked points z and z_star."""
-    d = cert.P.shape[0]
-    u = _fitting(z, d, "z") - _fitting(z_star, d, "z_star")
-    return float(u @ (cert.P @ u))
-
-
 def _gamma_stack(cert, G, rest):
     """M_Gamma = -(G^T P + P G) - tau P at B = 0, symmetrized, for every G
     of the _flow_matrix stack (G, rest): the part of the LMI matrix that
@@ -575,45 +568,6 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
         eigvalsh_matrices=computed,
         screened_matrices=checked - computed,
     )
-
-
-def gamma_block_margin(A, eta: float, rho: float, c: float, gamma) -> float:
-    """Margin of the dual coupling bound used by the augmented certificate.
-
-    For c >= rho kappa_2 and any Gamma vertex,
-
-        eta (Gamma A A^T + A A^T Gamma) + (2 eta c / rho)(I - Gamma)
-            >= (3/2) eta A A^T
-
-    holds; the return value is the smallest eigenvalue of the difference.
-    """
-    return _coupling_block_margin(A, eta, rho, c, gamma,
-                                  lambda AAT: 1.5 * eta * AAT)
-
-
-def rank_block_margin(A, eta: float, rho: float, c: float,
-                      kappa1_active: float, gamma) -> float:
-    """Margin of the rank-relaxed dual block bound Q2 >= (eta kappa_1 / 2) I.
-
-    Q2 = eta (Gamma A A^T + A A^T Gamma) + (2 eta c / rho)(I - Gamma)
-         - tau c I with tau c = eta kappa_1 / 2, so the claim is that the
-    coupling block dominates eta kappa_1 I. gamma must already be capped
-    at gamma_bar on inactive rows.
-    """
-    return _coupling_block_margin(A, eta, rho, c, gamma,
-                                  lambda AAT: eta * kappa1_active * np.eye(len(AAT)))
-
-
-def _coupling_block_margin(A, eta, rho, c, gamma, floor) -> float:
-    """Smallest eigenvalue of eta (Gamma A A^T + A A^T Gamma)
-    + (2 eta c / rho)(I - Gamma) - floor(A A^T)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    gamma = np.asarray(gamma, dtype=float)
-    AAT = A @ A.T
-    GAAT = gamma[:, None] * AAT
-    M = eta * (GAAT + GAAT.T) + (2.0 * eta * c / rho) * np.diag(1.0 - gamma)
-    M = M - floor(AAT)
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 
 def condition_number(P) -> float:

@@ -37,52 +37,15 @@ from .problem import (
     _matvec,
 )
 
-# Relative scale below which a secant denominator counts as degenerate.
-GAMMA_DEGENERATE_TOL = 1e-14
 
-
-def _fitting(z, dim, name: str, stack: bool = False) -> np.ndarray:
-    """z as floats, if it is one stacked point of length dim or, with
-    stack, a (K, dim) stack of them; dim None takes any length (a plain
-    callable field). DimensionMismatchError names the argument otherwise."""
+def _fitting(z, dim, name: str) -> np.ndarray:
+    """z as floats, if it is one stacked point of length dim; dim None
+    takes any length (a plain callable field). DimensionMismatchError
+    names the argument otherwise."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.ndim > 1 + stack or dim not in (None, z.shape[-1]):
+    if z.ndim > 1 or dim not in (None, z.shape[-1]):
         raise DimensionMismatchError(f"{name} must have length {dim}, got shape {z.shape}")
     return z
-
-
-def gamma_coefficients(p: ConstrainedProblem, params: DynamicsParams, z,
-                       z_star) -> np.ndarray:
-    """Secant slopes of the effective multiplier between z and a reference z_star.
-
-    For each constraint j the slope is
-
-        gamma_j = (m_j(z) - m_j(z*)) / (rho a_j (x - x*) + (lam_j - lam_j*)),
-
-    set to zero when the denominator is degenerate. Each gamma_j lies in
-    [0, 1] because the multiplier map is monotone and 1-Lipschitz in its
-    scalar argument. With these slopes the dual residual satisfies exactly
-
-        dlam = eta Gamma A (x - x*) + (eta / rho) (Gamma - I)(lam - lam*)
-
-    whenever z_star is an equilibrium of the flow. Both are stacked
-    points (x, lam) of length n + m.
-    """
-    n = p.dim_n
-    z = _fitting(z, n + p.dim_m, "z")
-    z_star = _fitting(z_star, n + p.dim_m, "z_star")
-    if isinstance(p.constraints, EqualityConstraints):
-        raise ValueError("gamma coefficients are defined for inequality and "
-                         "two-sided constraints only")
-    A = p.constraints.A
-    multiplier = _AugmentedField(p, params).multiplier
-    u = z - z_star
-    num = multiplier(A @ z[:n], z[n:]) - multiplier(A @ z_star[:n], z_star[n:])
-    den = params.rho * (A @ u[:n]) + u[n:]
-    out = np.zeros(p.dim_m)
-    ok = np.abs(den) >= GAMMA_DEGENERATE_TOL * (1.0 + np.abs(num))
-    out[ok] = num[ok] / den[ok]
-    return np.clip(out, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -207,12 +170,12 @@ class _AugmentedField:
 
     euler_block takes the Euler steps z + delta * field(z) of a block in
     place, with the dual block written as the convex combination
-    (1 - a) lam + a m, a = delta eta / rho; euler_update is its one-step
-    case. The two forms agree algebraically; the combination keeps
-    lam >= 0 exact in floating point for the inequality flow whenever
-    a <= 1 and m >= 0. Each column of a stack takes the form its own a
-    allows, and every product is _matvec's, so a column gets the bits of
-    its own run.
+    (1 - a) lam + a m, a = delta eta / rho. The two forms agree
+    algebraically; the combination keeps lam >= 0 exact in floating point
+    for the inequality flow whenever a <= 1 and m >= 0. Each column of a
+    stack takes the form its own a allows, and every product is
+    _matvec's, so a column gets the bits of its own run. One step is
+    euler_block(z, delta, 1)[0].
     """
 
     def __init__(self, p: ConstrainedProblem, params):
@@ -252,16 +215,12 @@ class _AugmentedField:
             [-self.grad(x) - _matvec(self.At, m), (self.eta / self.rho) * (m - lam)], axis=-1
         )
 
-    def euler_update(self, z, delta):
-        """One Euler step of delta; for a stack, delta may be one step per
-        column. The one-step case of euler_block."""
-        return self.euler_block(z, delta, 1)[0]
-
     def euler_block(self, z, delta, k):
         """The next min(k, _BLOCK_STEPS) Euler iterates of delta as rows.
 
-        Each row is euler_update's step from the row before, written in
-        place: x + delta (-grad f(x) - A^T m) and (1 - a) lam + a m, or
+        Each row is one Euler step from the row before (for a stack,
+        delta may be one step per column), written in place:
+        x + delta (-grad f(x) - A^T m) and (1 - a) lam + a m, or
         lam + a (m - lam) in a column where a = delta eta / rho > 1. a, 1 - a
         and each column's choice are worked out once per block. The
         oracle's gradient is only read, never written to: a black-box grad

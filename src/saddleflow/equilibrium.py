@@ -29,7 +29,7 @@ from .problem import (
 
 # Euler steps between KKT residual checks while integrating to equilibrium.
 KKT_CHECK_EVERY = 100
-# Default budget of Euler steps for an integrated equilibrium.
+# Budget of Euler steps for an integrated equilibrium.
 MAX_EULER_STEPS = 10_000_000
 # Newton iterations before the solver falls back to integrating the flow.
 NEWTON_MAX_ITER = 50
@@ -202,7 +202,7 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
 
 
 def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float,
-                              z0=None, max_steps: int = MAX_EULER_STEPS) -> Equilibrium:
+                              z0=None) -> Equilibrium:
     """Drive the flow at eta = 1 from z0 (default the origin) until the KKT
     residual drops below tol: the solver's fallback, and the sweep's
     equilibrium. The equilibrium does not depend on eta, so eta = 1
@@ -212,8 +212,9 @@ def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float,
     min(1/(2 nu), rho): the certified step can be impractically small
     when the certificate constants are conservative, while the flow
     itself converges at its true (much faster) rate. The cap keeps inequality multipliers
-    nonnegative exactly. The residual is checked every KKT_CHECK_EVERY
-    steps and at max_steps (the states a Trajectory of that stride records).
+    nonnegative exactly. The run takes at most MAX_EULER_STEPS steps, read
+    at the call. The residual is checked every KKT_CHECK_EVERY steps and
+    at the last step (the states a Trajectory of that stride records).
     A block takes at most KKT_CHECK_EVERY steps, so it ends at the next
     check and no step is taken past the one that passes (an affine block
     from a shorter power table may run a few steps past it).
@@ -222,6 +223,7 @@ def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float,
     params = DynamicsParams(rho=rho)
     z0 = np.zeros(n + p.dim_m) if z0 is None else z0
     delta = _fallback_step(lipschitz_bound(p, params), params)
+    max_steps = MAX_EULER_STEPS
     advance = _advance(vector_field(p, params))
     checked = Trajectory(z0, n, delta, max_steps, KKT_CHECK_EVERY)
     checks = 0
@@ -245,8 +247,7 @@ def _equilibrium(p, z, res: KktResidual, **how) -> Equilibrium:
 
 
 def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
-                      tol: float = 1e-9, z0=None,
-                      max_steps: int = MAX_EULER_STEPS) -> Equilibrium:
+                      tol: float = 1e-9, z0=None) -> Equilibrium:
     """Compute the unique primal-dual equilibrium of p's flow.
 
     The equilibrium is p's KKT point, which does not depend on eta, so
@@ -255,7 +256,7 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     (default the origin) until the total KKT residual is at most tol; for
     an equality QP from the origin that is one exact linear solve. If
     Newton stalls, the flow is integrated from z0 instead, for at most
-    max_steps Euler steps. If Newton stalls on a step below rounding, or
+    MAX_EULER_STEPS Euler steps. If Newton stalls on a step below rounding, or
     its field is exactly 0, the residual has reached its floor, and
     MaxIterationsError says so at once. The result records which method
     ran, its Newton iterations and Euler steps, and why Newton stalled.
@@ -270,7 +271,7 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     if eq is not None:
         return eq
     try:
-        eq = _integrate_to_equilibrium(p, params.rho, tol, start, max_steps)
+        eq = _integrate_to_equilibrium(p, params.rho, tol, start)
     except MaxIterationsError as exc:
         raise MaxIterationsError(f"{exc} ({stalled})") from None
     return replace(eq, newton_iterations=iterations, fallback_reason=stalled)

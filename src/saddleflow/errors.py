@@ -45,10 +45,6 @@ class InfeasibleError(SaddleflowError, ValueError):
     """No admissible value exists for the requested quantity."""
 
 
-class NonFiniteFieldError(SaddleflowError, FloatingPointError):
-    """A vector field evaluation produced NaN or infinity."""
-
-
 class DivergedError(SaddleflowError, RuntimeError):
     """The simulated state left the trust region (norm above 1e12).
 

@@ -1,9 +1,9 @@
 """Explicit Euler integration with a contraction certificate.
 
 Everything here speaks the stacked state z = (x, lam): a field maps z to
-dz (dynamics.vector_field), euler_step and simulate take a stacked z0
-and return vectors, and a Trajectory records the iterates of one run
-block by block as the run goes.
+dz (dynamics.vector_field), simulate takes a stacked z0 and returns
+vectors, and a Trajectory records the iterates of one run block by
+block as the run goes.
 
 For a nu-Lipschitz field contracting in the P-norm at rate tau/2, the
 Euler map with step delta contracts by at least
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _BLOCK_STEPS, _fitting
-from .errors import DivergedError, NonFiniteFieldError
+from .errors import DimensionMismatchError, DivergedError
 from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, _matvec
 
 DIVERGENCE_NORM = 1e12
@@ -119,32 +119,29 @@ class Trajectory:
             yield np.column_stack([column[start:stop] for column in columns])
 
 
-def _step(f):
-    """step(z, delta), one explicit Euler step of the stacked field f: its
-    own euler_update when it has one, otherwise z + delta * f(z)."""
-    return getattr(f, "euler_update", None) or (
-        lambda z, delta: z + delta * np.asarray(f(z), dtype=float))
-
-
 def _advance(f):
     """advance(z, delta, k): the next 1..k Euler iterates as rows.
 
     The field's own euler_block as it is, affine (one matrix product per
     block) or augmented (its steps written in place into the block's
-    rows); any other field takes min(k, _BLOCK_STEPS) calls of _step(f),
-    each row with the bits of its own step. Overflow past a divergence is
-    left to the kernel's guard, as in the blocks.
+    rows); any other field takes min(k, _BLOCK_STEPS) steps
+    z + delta * f(z), each row with the bits of its own step. An f(z) of
+    another shape than z raises DimensionMismatchError. Overflow past a
+    divergence is left to the kernel's guard, as in the blocks.
     """
     block = getattr(f, "euler_block", None)
     if block is not None:
         return block
-    step = _step(f)
 
     def advance(z, delta, k):
         rows = np.empty((min(k, _BLOCK_STEPS),) + z.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(len(rows)):
-                rows[i] = z = step(z, delta)
+                dz = np.asarray(f(z), dtype=float)
+                if dz.shape != z.shape:
+                    raise DimensionMismatchError(
+                        f"field returned shape {dz.shape} for a state of shape {z.shape}")
+                rows[i] = z = z + delta * dz
         return rows
     return advance
 
@@ -179,21 +176,6 @@ def _euler_iterates(advance, z, delta, steps):
                                     step=at, column=int(column[0]) if column else None)
         z, k = rows[-1], k + len(rows)
         yield rows
-
-
-def euler_step(field, z, delta: float) -> np.ndarray:
-    """One explicit Euler step z + delta * field(z) of a field on stacked
-    vectors (its own euler_update when it has one); z may be a (K, d)
-    stack where the field maps stacks. Raises DimensionMismatchError when
-    z does not fit the field's dim, and NonFiniteFieldError when the step
-    comes out NaN or infinite.
-    """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    out = _step(field)(_fitting(z, getattr(field, "dim", None), "z", stack=True), delta)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteFieldError("field returned non-finite values")
-    return out
 
 
 def simulate(field, z0, delta: float, horizon: float,

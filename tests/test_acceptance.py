@@ -26,14 +26,12 @@ from saddleflow import (
     certificate_for,
     certified_rate,
     condition_number,
-    gamma_block_margin,
     gen_equality_qp,
     gen_logistic_ineq,
     lipschitz_bound,
     lmi_sweep,
     lti_matrix,
     pick_step_size,
-    rank_block_margin,
     rank_inequality_margins,
     saturation_knee,
     simulate,
@@ -43,6 +41,8 @@ from saddleflow import (
     step_size_admissible,
     vector_field,
 )
+
+from oracles import gamma_block_margin, rank_block_margin
 
 PARAMS = DynamicsParams(eta=1.0, rho=1.0)
 

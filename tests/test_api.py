@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -15,16 +16,12 @@ from saddleflow import (
     DynamicsParams,
     TwoSidedConstraints,
     build_certificate_eq,
-    build_certificate_ineq,
     build_certificate_rank,
-    euler_step,
     eta_sweep,
-    gamma_coefficients,
     gen_equality_qp,
     gen_logistic_ineq,
     kkt_residual,
     lti_matrix,
-    lyapunov_value,
     simulate,
     solve_equilibrium,
     vector_field,
@@ -66,23 +63,16 @@ def test_import_and_certify_leave_scipy_modules_unloaded():
 _PROBLEM = gen_logistic_ineq(3, n=4, m=3, n_data=20)
 _PARAMS = DynamicsParams()
 _FIELD = vector_field(_PROBLEM, _PARAMS)
-_CERT = build_certificate_ineq(_PROBLEM, _PARAMS)
 _OK = np.zeros(7)
 POINT_ENTRIES = {
     "solve_equilibrium z0": ("z0", lambda bad: solve_equilibrium(_PROBLEM, _PARAMS, z0=bad)),
     "kkt_residual z": ("z", lambda bad: kkt_residual(_PROBLEM, bad)),
-    "lyapunov_value z": ("z", lambda bad: lyapunov_value(_CERT, bad, _OK)),
-    "lyapunov_value z_star": ("z_star", lambda bad: lyapunov_value(_CERT, _OK, bad)),
-    "gamma_coefficients z": ("z", lambda bad: gamma_coefficients(_PROBLEM, _PARAMS, bad, _OK)),
-    "gamma_coefficients z_star": (
-        "z_star", lambda bad: gamma_coefficients(_PROBLEM, _PARAMS, _OK, bad)),
     "xi_bound z0": ("z0", lambda bad: xi_bound(_PROBLEM, _PARAMS, bad, _OK)),
     "xi_bound z_star": ("z_star", lambda bad: xi_bound(_PROBLEM, _PARAMS, _OK, bad)),
     "build_certificate_rank z0": (
         "z0", lambda bad: build_certificate_rank(_PROBLEM, _PARAMS, bad, _OK)),
     "build_certificate_rank z_star": (
         "z_star", lambda bad: build_certificate_rank(_PROBLEM, _PARAMS, _OK, bad)),
-    "euler_step z": ("z", lambda bad: euler_step(_FIELD, bad, 0.01)),
     "simulate z0": ("z0", lambda bad: simulate(_FIELD, bad, 0.01, 0.01)),
     "simulate eq": ("eq", lambda bad: simulate(_FIELD, _OK, 0.01, 0.01, eq=bad)),
 }
@@ -98,15 +88,30 @@ def test_every_point_entry_refuses_a_point_of_another_length(entry, length):
         call(np.zeros(length))
 
 
-def test_only_the_steps_take_a_stack_of_points():
-    # euler_step maps a (K, d) stack of the augmented field; every other
-    # entry wants one point and refuses a stack
-    for entry, (name, call) in POINT_ENTRIES.items():
-        if entry == "euler_step z":
-            assert call(np.zeros((2, 7))).shape == (2, 7)
-        else:
-            with pytest.raises(DimensionMismatchError, match=rf"got shape \(2, 7\)"):
-                call(np.zeros((2, 7)))
+def test_no_point_entry_takes_a_stack():
+    # every entry wants one point and refuses a (K, d) stack of them
+    for name, call in POINT_ENTRIES.values():
+        with pytest.raises(DimensionMismatchError, match=rf"got shape \(2, 7\)"):
+            call(np.zeros((2, 7)))
+
+
+# Public names retired with their one-step or proof-lemma role, as
+# (module, name): none is exported or left on its old module.
+RETIRED = [
+    ("integrator", "euler_step"),
+    ("errors", "NonFiniteFieldError"),
+    ("certificates", "lyapunov_value"),
+    ("dynamics", "gamma_coefficients"),
+    ("certificates", "gamma_block_margin"),
+    ("certificates", "rank_block_margin"),
+]
+
+
+@pytest.mark.parametrize("module, name", RETIRED, ids=[name for _, name in RETIRED])
+def test_retired_names_stay_retired(module, name):
+    assert name not in saddleflow.__all__
+    assert not hasattr(saddleflow, name)
+    assert not hasattr(importlib.import_module(f"saddleflow.{module}"), name)
 
 
 # Results that hold arrays, each built twice from one seed and once from

@@ -25,16 +25,17 @@ from saddleflow import (
     build_certificate_rank,
     build_p_matrix,
     condition_number,
-    gamma_block_margin,
     lmi_check,
     lmi_sweep,
-    lyapunov_value,
-    rank_block_margin,
     rank_inequality_margins,
+    simulate,
     solve_c_rank,
+    vector_field,
     xi_bound,
 )
 from saddleflow.experiments import gen_logistic_ineq
+
+from oracles import gamma_block_margin, rank_block_margin
 
 UNIT = DynamicsParams(eta=1.0, rho=1.0)
 
@@ -285,17 +286,24 @@ def test_solve_c_rank_overflow_is_infeasible():
 
 
 def test_lyapunov_value_quadratic_form():
-    cert = build_certificate_eq(unit_eq_problem(), UNIT)  # P = [[4,1],[1,4]]
+    # V(z) = (z - z*)^T P (z - z*), as a run records it at its start
+    p = unit_eq_problem()
+    cert = build_certificate_eq(p, UNIT)  # P = [[4,1],[1,4]]
+    field = vector_field(p, UNIT)
+
+    def lyapunov_value(z, eq):
+        return simulate(field, z, 0.1, 0.1, cert=cert, eq=eq).v_values[0]
+
     eq = np.array([0.3, -0.7])
-    same = lyapunov_value(cert, eq, eq)
+    same = lyapunov_value(eq, eq)
     assert same == 0.0
-    assert lyapunov_value(cert, eq + [1.0, 0.0], eq) == pytest.approx(4.0)
+    assert lyapunov_value(eq + [1.0, 0.0], eq) == pytest.approx(4.0)
     s = eq + 1.0
-    assert lyapunov_value(cert, s, eq) == pytest.approx(10.0)
+    assert lyapunov_value(s, eq) == pytest.approx(10.0)
     wide = np.zeros(3)
     for args in ((wide, eq), (s, wide), (np.zeros(1), eq)):
         with pytest.raises(DimensionMismatchError):
-            lyapunov_value(cert, *args)
+            lyapunov_value(*args)
 
 
 def test_lmi_check_equality_scalar():

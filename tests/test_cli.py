@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import math
 import re
 import shlex
 import time
@@ -10,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saddleflow import cli, experiments
+from saddleflow import (
+    ConstrainedProblem,
+    EqualityConstraints,
+    cli,
+    experiments,
+    gen_logistic_ineq,
+    save_problem,
+)
 from saddleflow.cli import UsageError, _build_parser, _parse_grid, run_cli
 
 
@@ -379,6 +387,32 @@ def test_sidecars_name_the_problem_they_ran(tmp_path, capsys):
         assert (meta["objective"], meta["constraints"], meta["n"], meta["m"]) == (
             "QuadraticObjective", "EqualityConstraints", "5", "2"), command
         assert "n_data" not in meta and "reg" not in meta
+
+
+def test_logistic_equality_problem_file_runs_the_generic_euler_path(tmp_path, capsys):
+    # a logistic objective under equality constraints has neither an
+    # affine nor an augmented field, so simulate and sweep-eta step it
+    # with the generic z + delta F(z); each run decays at its certified rate
+    p = gen_logistic_ineq(4, n=5, m=2, n_data=20)
+    path = save_problem(tmp_path / "problem.txt", ConstrainedProblem(
+        p.objective, EqualityConstraints(p.constraints.A, p.constraints.b)))
+    runs = {"simulate": [], "sweep-eta": ["--eta-grid", "0.5:2:3"]}
+    for command, extra in runs.items():
+        out = tmp_path / command
+        assert run_cli([command, "--problem", str(path), "--horizon", "0.1", *extra,
+                        "--out", str(out)]) == 0, command
+        meta = _metadata(out / "metadata.txt")
+        assert (meta["objective"], meta["constraints"]) == (
+            "LogisticObjective", "EqualityConstraints"), command
+        tags = [""] if command == "simulate" else ["_eta0.5", "_eta1.25", "_eta2"]
+        for tag in tags:
+            _, rows = read_table(out / f"trajectory{tag}.csv")
+            steps = math.ceil(0.1 / float(meta[f"delta{tag}"]) - 1e-9)
+            if tag:
+                assert int(meta[f"steps{tag}"]) == steps
+            assert len(rows) == steps + 1, (command, tag)
+            t, v = rows[:, 0], rows[:, 3]
+            assert np.all(v <= v[0] * np.exp(-float(meta[f"tau{tag}"]) * t) * (1 + 1e-6))
 
 
 def test_spectrum_seeded_qp(tmp_path, capsys):

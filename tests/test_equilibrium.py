@@ -201,10 +201,12 @@ def test_tolerance_must_be_positive(tol):
         solve_equilibrium(gen_logistic_ineq(3, n=4, m=3, n_data=20), UNIT, tol=tol)
 
 
-def test_max_iterations_error_on_tiny_budget():
-    # Newton stalls, so the flow is integrated, for at most max_steps steps
+def test_max_iterations_error_on_tiny_budget(monkeypatch):
+    # Newton stalls, so the flow is integrated, for at most MAX_EULER_STEPS
+    # steps, read when the solve runs
+    monkeypatch.setattr(equilibrium, "MAX_EULER_STEPS", 3)
     with pytest.raises(MaxIterationsError, match="within 3 steps.*newton stalled"):
-        solve_equilibrium(_wrong_hessian_qp(), UNIT, max_steps=3)
+        solve_equilibrium(_wrong_hessian_qp(), UNIT)
 
 
 @pytest.mark.parametrize("hess, why", [

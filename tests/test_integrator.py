@@ -1,5 +1,6 @@
 """Tests for Euler stepping, trajectory recording, and contraction sizing."""
 
+import re
 import warnings
 
 import numpy as np
@@ -13,13 +14,11 @@ from saddleflow import (
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
-    NonFiniteFieldError,
     QuadraticObjective,
     Trajectory,
     build_certificate_eq,
     choose_step_size,
     condition_number,
-    euler_step,
     gen_equality_qp,
     gen_logistic_ineq,
     lipschitz_bound,
@@ -42,14 +41,19 @@ R_AT_DELTA_1E4 = 0.9999500062499791  # 1 - 5e-5 + ... + 5e-9
 EULER_POW_10 = 0.3486784401000001  # 0.9 ** 10
 
 
+def _one_step(field, z, delta):
+    """The state after one Euler step of simulate."""
+    return simulate(field, z, delta, delta).zs[-1]
+
+
 def test_euler_step_zero_field_is_identity():
     z = np.array([1.0, -2.0, 0.5])
-    out = euler_step(lambda z: np.zeros(3), z, 0.1)
+    out = _one_step(lambda z: np.zeros(3), z, 0.1)
     assert np.array_equal(out, z)
 
 
 def test_euler_step_scalar_decay():
-    out = euler_step(lambda z: -z, np.array([1.0]), 0.1)
+    out = _one_step(lambda z: -z, np.array([1.0]), 0.1)
     assert out[0] == pytest.approx(0.9)
 
 
@@ -59,16 +63,24 @@ def test_euler_step_on_saddle_field():
         QuadraticObjective(np.eye(1)),
         EqualityConstraints(A=np.array([[1.0]]), b=np.array([1.0])),
     )
-    out = euler_step(vector_field(p, DynamicsParams()), np.array([2.0, 0.0]), 0.5)
+    out = _one_step(vector_field(p, DynamicsParams()), np.array([2.0, 0.0]), 0.5)
     assert out == pytest.approx([1.0, 0.5])
 
 
 def test_euler_step_rejects_nonfinite_field():
-    with pytest.raises(NonFiniteFieldError):
-        euler_step(lambda z: np.array([np.nan]), np.array([1.0]), 0.1)
-    for delta in (0.0, -0.1, np.nan):
-        with pytest.raises(ValueError, match="delta must be positive"):
-            euler_step(lambda z: -z, np.array([1.0]), delta)
+    # a NaN or infinite step is a divergence, named at its step
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DivergedError, match="by step 1$"):
+            _one_step(lambda z: np.array([bad]), np.array([1.0]), 0.1)
+
+
+def test_generic_step_refuses_a_field_output_of_another_shape():
+    # a plain callable whose output does not have the state's shape is
+    # refused, naming both shapes, rather than broadcast
+    for out in (np.array([-1.0]), np.zeros(4), np.zeros((1, 3))):
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"shape {out.shape} for a state of shape (3,)")):
+            simulate(lambda z: out, np.zeros(3), 0.1, 1.0)
 
 
 def test_simulate_refuses_a_nonpositive_step_and_a_short_horizon():
@@ -84,7 +96,7 @@ def test_simulate_refuses_a_nonpositive_step_and_a_short_horizon():
 def test_states_that_do_not_fit_the_field_are_refused():
     # each field of vector_field knows its length n + m (affine, oracle
     # equality and augmented); a state of any other length is refused
-    # before any step, a single one or a (K, d) stack
+    # before any step, and so is a (K, d) stack, even of fitting points
     rng = np.random.default_rng(5)
     logistic = LogisticObjective(rng.standard_normal((20, 4)),
                                  rng.choice([-1.0, 1.0], size=20), reg=0.1)
@@ -93,10 +105,8 @@ def test_states_that_do_not_fit_the_field_are_refused():
               ConstrainedProblem(logistic, EqualityConstraints(A=A, b=np.zeros(3)))):
         field = vector_field(p, DynamicsParams())
         assert field.dim == 7
-        assert euler_step(field, np.zeros(7), 0.01).shape == (7,)
-        for bad in (np.zeros(5), np.zeros(8), np.zeros((2, 5))):
-            with pytest.raises(DimensionMismatchError, match="z must have length 7"):
-                euler_step(field, bad, 0.01)
+        assert simulate(field, np.zeros(7), 0.01, 0.01).zs.shape == (2, 7)
+        for bad in (np.zeros(5), np.zeros(8), np.zeros((2, 5)), np.zeros((2, 7))):
             with pytest.raises(DimensionMismatchError, match="z0 must have length 7"):
                 simulate(field, bad, 0.01, 1.0)
 
@@ -278,7 +288,7 @@ def test_simulate_names_the_same_diverged_step_at_any_record_every():
     for field, z0, delta in cases:
         z, first = z0, 0
         while np.linalg.norm(z) <= 1e12:
-            z, first = euler_step(field, z, delta), first + 1
+            z, first = _advance(field)(z, delta, 1)[0], first + 1
         assert first % 7, "pick a case whose diverged step is not a multiple of 7"
         for record_every in (1, 7):
             with pytest.raises(DivergedError, match=f"by step {first}$") as exc:
@@ -289,7 +299,7 @@ def test_simulate_names_the_same_diverged_step_at_any_record_every():
 def test_generic_block_is_iterated_euler_step():
     # the equality field of a non-quadratic objective, as it is and as a
     # plain callable: _advance's block of _BLOCK_STEPS rows has, row by
-    # row, the bits of euler_step applied in turn
+    # row, the bits of z + delta * field(z) applied in turn
     rng = np.random.default_rng(14)
     n, m = 5, 2
     p = ConstrainedProblem(LogisticObjective(rng.standard_normal((20, n)),
@@ -298,7 +308,7 @@ def test_generic_block_is_iterated_euler_step():
                                                b=rng.standard_normal(m)))
     params = DynamicsParams(eta=1.5)
     smooth = vector_field(p, params)
-    assert not hasattr(smooth, "euler_block") and not hasattr(smooth, "euler_update")
+    assert not hasattr(smooth, "euler_block")
     z0 = rng.standard_normal(n + m)
     for field in (smooth, lambda z: smooth(z)):
         for k in (3, 10 * _BLOCK_STEPS):
@@ -306,7 +316,7 @@ def test_generic_block_is_iterated_euler_step():
             assert rows.shape == (min(k, _BLOCK_STEPS), n + m)
             z = z0
             for row in rows:
-                z = euler_step(field, z, 0.01)
+                z = z + 0.01 * field(z)
                 assert np.array_equal(row, z)
 
 
@@ -471,7 +481,7 @@ def test_discrete_multiplier_nonnegativity_at_cap():
     delta = params.rho / params.eta  # exactly the cap
     z = np.concatenate([rng.standard_normal(4) * 5, np.abs(rng.standard_normal(3))])
     for _ in range(500):
-        z = field.euler_update(z, delta)
+        z = field.euler_block(z, delta, 1)[0]
         assert np.min(z[4:]) >= 0.0
 
 
