@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .certificates import lmi_sweep
-from .equilibrium import solve_equilibrium
+from .equilibrium import WARMUP_TOL, solve_equilibrium
 from .errors import InvalidInputError, SaddleflowError
 from .experiments import (
     TRAJECTORY_HEADER,
@@ -280,9 +280,11 @@ def _cmd_kkt_check(args) -> int:
     print(f"dual             {res.dual:.3e}")
     print(f"complementarity  {res.complementarity:.3e}")
     print(f"active set       {list(eq.active_set)}")
+    warmup = (f" ({eq.warmup_steps} of them a warm-up to {WARMUP_TOL:g})"
+              if eq.warmup_steps else "")
     how = f"; {eq.fallback_reason}" if eq.fallback_reason else ""
     print(f"method           {eq.method}, {eq.newton_iterations} Newton iterations, "
-          f"{eq.euler_steps} Euler steps{how}")
+          f"{eq.euler_steps} Euler steps{warmup}{how}")
     ok = res.total <= args.tol
     print(f"total {res.total:.3e} {'<=' if ok else '>'} tol {args.tol:g}")
     return 0 if ok else 1

@@ -192,18 +192,29 @@ class _AugmentedField:
             self.rho = rhos.pop()
         self.n = p.dim_n
         self.dim = p.dim_n + p.dim_m
-        # the effective multiplier m(ax, lam); it checks nothing, because
-        # the field calls it on every step
+        # the effective multiplier m(ax, lam), written into out when given;
+        # it checks nothing, because the kernel calls it on every step
         rho = self.rho
         if isinstance(p.constraints, InequalityConstraints):
             b = p.constraints.b
-            self.multiplier = lambda ax, lam: np.maximum(rho * (ax - b) + lam, 0.0)
+
+            def clip(ax, lam, out=None):
+                m = np.subtract(ax, b, out=out)
+                m *= rho
+                m += lam
+                return np.maximum(m, 0.0, out=m)
+
+            self.multiplier = clip
         else:
             lo, hi = rho * p.constraints.b_lo, rho * p.constraints.b_hi
 
-            def soft_threshold(ax, lam):
-                y = rho * ax + lam
-                return np.maximum(np.minimum(y - lo, 0.0), y - hi)
+            def soft_threshold(ax, lam, out=None):
+                y = np.multiply(rho, ax, out=out)
+                y += lam
+                above = y - hi
+                np.subtract(y, lo, out=y)
+                np.minimum(y, 0.0, out=y)
+                return np.maximum(y, above, out=y)
 
             self.multiplier = soft_threshold
 
@@ -219,12 +230,20 @@ class _AugmentedField:
         """The next min(k, _BLOCK_STEPS) Euler iterates of delta as rows.
 
         Each row is one Euler step from the row before (for a stack,
-        delta may be one step per column), written in place:
-        x + delta (-grad f(x) - A^T m) and (1 - a) lam + a m, or
-        lam + a (m - lam) in a column where a = delta eta / rho > 1. a, 1 - a
-        and each column's choice are worked out once per block. The
-        oracle's gradient is only read, never written to: a black-box grad
-        may hand back its own argument.
+        delta may be one step per column), written in place: a work array
+        w takes the multiplier m in its dual part and -grad f(x) - A^T m in
+        its primal part, and the step is the one update K z + C w, with
+        K = (1, ..., 1, 1 - a) and C = (delta, ..., delta, a) per column,
+        a = delta eta / rho. That is x + delta (-grad f(x) - A^T m) and
+        (1 - a) lam + a m bit for bit, as 1 * x is exact; a column where
+        a > 1 takes lam + a (m - lam) instead. K, C and each column's
+        choice are worked out once per block. Within the block a (K, d)
+        stack is laid out as one flat row per step, the K primal parts and
+        then the K dual parts, so that every operand of a step is
+        contiguous (numpy's fast path for small arrays); the rows are put
+        back in (K, d) form once per block. The oracle's gradient is only
+        read, never written to: a black-box grad may hand back its own
+        argument.
         """
         n = self.n
         grad, multiplier, A, At = self.grad, self.multiplier, self.A, self.At
@@ -234,22 +253,38 @@ class _AugmentedField:
         keep = 1.0 - a
         small = a <= 1.0  # one bool, or one per column
         mixed = not np.all(small)
-        rows = np.empty((min(k, _BLOCK_STEPS),) + z.shape)
+        steps = min(k, _BLOCK_STEPS)
+        primal, dual = z[..., :n].shape, z[..., n:].shape
+        cut = z[..., :n].size
+
+        def parts(v):
+            """The primal and dual parts of flat rows v, as views."""
+            return (v[..., :cut].reshape(v.shape[:-1] + primal),
+                    v[..., cut:].reshape(v.shape[:-1] + dual))
+
+        flat = np.empty((steps + 1, z.size))  # row 0 holds z
+        xs, lams = parts(flat)
+        xs[0], lams[0] = z[..., :n], z[..., n:]
+        K, C, w = np.empty((3, z.size))
+        (K_x, K_lam), (C_x, C_lam), (dx, m) = parts(K), parts(C), parts(w)
+        K_x[...], K_lam[...] = 1.0, keep
+        C_x[...], C_lam[...] = delta, a
         with np.errstate(over="ignore", invalid="ignore"):
-            for row in rows:
-                x, lam = z[..., :n], z[..., n:]
-                m = multiplier(_matvec(A, x), lam)
-                dx = np.negative(grad(x))
-                dx -= _matvec(At, m)
-                dx *= delta
-                np.add(x, dx, out=row[..., :n])
+            for now, after, x, lam, lam_after in zip(flat, flat[1:], xs, lams, lams[1:]):
+                multiplier(_matvec(A, x), lam, out=m)
                 if mixed:
-                    row[..., n:] = np.where(small, keep * lam + a * m, lam + a * (m - lam))
-                else:
-                    np.multiply(keep, lam, out=row[..., n:])
-                    m *= a
-                    row[..., n:] += m
-                z = row
+                    lam_mixed = np.where(small, keep * lam + a * m, lam + a * (m - lam))
+                np.negative(grad(x), out=dx)
+                dx -= _matvec(At, m)
+                np.multiply(K, now, out=after)
+                w *= C
+                after += w
+                if mixed:
+                    lam_after[...] = lam_mixed
+        if z.ndim == 1:
+            return flat[1:]
+        rows = np.empty((steps,) + z.shape)
+        rows[..., :n], rows[..., n:] = xs[1:], lams[1:]
         return rows
 
 

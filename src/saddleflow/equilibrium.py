@@ -31,6 +31,9 @@ from .problem import (
 KKT_CHECK_EVERY = 100
 # Budget of Euler steps for an integrated equilibrium.
 MAX_EULER_STEPS = 10_000_000
+# KKT residual the flow is integrated to when Newton stalls, before Newton
+# is tried once more from there.
+WARMUP_TOL = 1e-2
 # Newton iterations before the solver falls back to integrating the flow.
 NEWTON_MAX_ITER = 50
 # A damped Newton step must cut |F| by this fraction of its damping t;
@@ -61,8 +64,10 @@ class Equilibrium:
     z is the read-only stacked z* = (x*, lam*), and x_star and
     lambda_star are its two parts. method is "newton" or "integration";
     newton_iterations and euler_steps count the work of each;
-    fallback_reason says why Newton stalled, when it did. These four and
-    z are outside ==, which compares x_star and lambda_star entrywise.
+    warmup_steps counts the Euler steps of the warm-up after a Newton
+    stall (0 without one), which euler_steps includes; fallback_reason
+    says why Newton last stalled, when it did. These five and z are
+    outside ==, which compares x_star and lambda_star entrywise.
     """
 
     x_star: np.ndarray
@@ -72,6 +77,7 @@ class Equilibrium:
     method: str = field(kw_only=True, compare=False)
     newton_iterations: int = field(default=0, kw_only=True, compare=False)
     euler_steps: int = field(default=0, kw_only=True, compare=False)
+    warmup_steps: int = field(default=0, kw_only=True, compare=False)
     fallback_reason: str = field(default="", kw_only=True, compare=False)
     z: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -129,7 +135,7 @@ def _active_set(p: ConstrainedProblem, x: np.ndarray) -> tuple:
     return tuple(int(j) for j in np.flatnonzero(mask))
 
 
-def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
+def _newton(p: ConstrainedProblem, rho: float, tol: float, z, done: int = 0):
     """Damped semismooth Newton on F(z) = 0, F the flow's field at eta = 1.
 
     The equilibrium does not depend on eta, so eta = 1 serves every flow.
@@ -138,10 +144,12 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
     constraints whose effective multiplier is nonzero (the penalty clip
     passes its argument there). From the origin of an equality QP the
     first step is the exact KKT solve. The step is halved until |F| falls
-    by the Armijo fraction. Returns (equilibrium, iterations, None) once
-    the KKT residual is at most tol, or (None, iterations, reason) when
-    Newton stalls: a non-finite field or step, a singular Jacobian, no
-    descent, or NEWTON_MAX_ITER iterations. The rounding floor raises
+    by the Armijo fraction. Iterations are numbered on from done, the
+    iterations of an earlier run of the same solve. Returns (equilibrium,
+    iterations, None) once the KKT residual is at most tol, or (None,
+    iterations, reason) when Newton stalls: a non-finite field or step, a
+    singular Jacobian, no descent, or NEWTON_MAX_ITER iterations of this
+    run. The rounding floor raises
     MaxIterationsError instead: a field that is exactly 0 while the
     residual is above tol (where every damped step would pass the Armijo
     test without moving), or no descent on a step below rounding
@@ -154,14 +162,14 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
     with np.errstate(over="ignore", invalid="ignore"):
         F = flow(z)
         norm = float(np.linalg.norm(F))
-        for k in range(NEWTON_MAX_ITER + 1):
+        for k in range(done, done + NEWTON_MAX_ITER + 1):
             if not np.isfinite(norm):
                 why = "non-finite field"
                 break
             res = kkt_residual(p, z)
             if res.total <= tol:
                 return _equilibrium(p, z, res, method="newton", newton_iterations=k), k, None
-            if k == NEWTON_MAX_ITER:
+            if k == done + NEWTON_MAX_ITER:
                 why = "iteration cap"
                 break
             if norm == 0.0:
@@ -201,43 +209,50 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z):
     return None, k, f"newton stalled at iteration {k}, |F| = {norm:.3g}: {why}"
 
 
-def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float,
-                              z0=None) -> Equilibrium:
-    """Drive the flow at eta = 1 from z0 (default the origin) until the KKT
-    residual drops below tol: the solver's fallback, and the sweep's
-    equilibrium. The equilibrium does not depend on eta, so eta = 1
-    serves every flow, as in _newton.
+def _kkt_checks(p: ConstrainedProblem, rho: float, z0):
+    """Drive the flow at eta = 1 from z0 for at most MAX_EULER_STEPS Euler
+    steps (read at the call), yielding (steps taken, z, KKT residual) at
+    every KKT_CHECK_EVERY-th step and at the last: the states a Trajectory
+    of that stride records. The equilibrium does not depend on eta, so
+    eta = 1 serves every flow, as in _newton.
 
     The step is the stability heuristic min(1/(2 nu), rho/eta), here
     min(1/(2 nu), rho): the certified step can be impractically small
     when the certificate constants are conservative, while the flow
-    itself converges at its true (much faster) rate. The cap keeps inequality multipliers
-    nonnegative exactly. The run takes at most MAX_EULER_STEPS steps, read
-    at the call. The residual is checked every KKT_CHECK_EVERY steps and
-    at the last step (the states a Trajectory of that stride records).
-    A block takes at most KKT_CHECK_EVERY steps, so it ends at the next
-    check and no step is taken past the one that passes (an affine block
-    from a shorter power table may run a few steps past it).
+    itself converges at its true (much faster) rate. The cap keeps
+    inequality multipliers nonnegative exactly. A block takes at most
+    KKT_CHECK_EVERY steps, so it ends at the next check, and a caller that
+    stops at a check leaves no step taken past it (an affine block from a
+    shorter power table may run a few steps past it).
     """
-    n = p.dim_n
     params = DynamicsParams(rho=rho)
-    z0 = np.zeros(n + p.dim_m) if z0 is None else z0
     delta = _fallback_step(lipschitz_bound(p, params), params)
     max_steps = MAX_EULER_STEPS
     advance = _advance(vector_field(p, params))
-    checked = Trajectory(z0, n, delta, max_steps, KKT_CHECK_EVERY)
+    checked = Trajectory(z0, p.dim_n, delta, max_steps, KKT_CHECK_EVERY)
     checks = 0
     for rows in _euler_iterates(lambda z, d, k: advance(z, d, min(k, KKT_CHECK_EVERY)),
                                 z0, delta, max_steps):
         for z in checked.add(rows):
             checks += 1
-            res = kkt_residual(p, z)
-            if res.total <= tol:
-                return _equilibrium(p, z, res, method="integration",
-                                    euler_steps=min(checks * KKT_CHECK_EVERY, max_steps))
+            yield min(checks * KKT_CHECK_EVERY, max_steps), z, kkt_residual(p, z)
+
+
+def _integrate_until(checks, tol: float):
+    """The first (steps, z, residual) of checks whose residual is at most
+    tol; MaxIterationsError when the run's step budget ends first."""
+    for steps, z, res in checks:
+        if res.total <= tol:
+            return steps, z, res
     raise MaxIterationsError(
-        f"KKT residual did not reach {tol:g} within {max_steps} steps"
-    )
+        f"KKT residual did not reach {tol:g} within {MAX_EULER_STEPS} steps")
+
+
+def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float) -> Equilibrium:
+    """Integrate the flow at eta = 1 from the origin until the KKT residual
+    is at most tol (_kkt_checks): the sweep's equilibrium."""
+    steps, z, res = _integrate_until(_kkt_checks(p, rho, np.zeros(p.dim_n + p.dim_m)), tol)
+    return _equilibrium(p, z, res, method="integration", euler_steps=steps)
 
 
 def _equilibrium(p, z, res: KktResidual, **how) -> Equilibrium:
@@ -255,11 +270,14 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     Damped semismooth Newton on the flow's field from the stacked z0
     (default the origin) until the total KKT residual is at most tol; for
     an equality QP from the origin that is one exact linear solve. If
-    Newton stalls, the flow is integrated from z0 instead, for at most
-    MAX_EULER_STEPS Euler steps. If Newton stalls on a step below rounding, or
-    its field is exactly 0, the residual has reached its floor, and
-    MaxIterationsError says so at once. The result records which method
-    ran, its Newton iterations and Euler steps, and why Newton stalled.
+    Newton stalls, the flow is integrated from z0 to a KKT residual of
+    WARMUP_TOL (the warm-up), and Newton runs once more from there; if it
+    stalls again, the same integration goes on to tol. All of it takes at
+    most MAX_EULER_STEPS Euler steps. If Newton stalls on a step below
+    rounding, or its field is exactly 0, the residual has reached its
+    floor, and MaxIterationsError says so at once. The result records
+    which method finished, the Newton iterations, the Euler steps and
+    those of the warm-up, and why Newton last stalled.
     """
     if params is None:
         params = DynamicsParams()
@@ -270,8 +288,19 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     eq, iterations, stalled = _newton(p, params.rho, tol, start)
     if eq is not None:
         return eq
+    checks = _kkt_checks(p, params.rho, start)
     try:
-        eq = _integrate_to_equilibrium(p, params.rho, tol, start)
+        steps, z, res = _integrate_until(checks, max(tol, WARMUP_TOL))
+        warmup = 0
+        if res.total > tol:
+            warmup = steps
+            eq, iterations, again = _newton(p, params.rho, tol, z, iterations)
+            if eq is not None:
+                return replace(eq, euler_steps=steps, warmup_steps=steps,
+                               fallback_reason=stalled)
+            stalled = again
+            steps, z, res = _integrate_until(checks, tol)
     except MaxIterationsError as exc:
         raise MaxIterationsError(f"{exc} ({stalled})") from None
-    return replace(eq, newton_iterations=iterations, fallback_reason=stalled)
+    return _equilibrium(p, z, res, method="integration", newton_iterations=iterations,
+                        euler_steps=steps, warmup_steps=warmup, fallback_reason=stalled)

@@ -249,21 +249,16 @@ class OriginRun:
     measured_rate: float
 
 
-def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
-                    horizon: float, delta: Optional[float] = None,
-                    variant: Optional[str] = None) -> list:
-    """Certify, pick the step and run the flow from the origin towards eq,
-    once per DynamicsParams of grid; returns one OriginRun per entry.
+def _plan_runs(p: ConstrainedProblem, grid, horizon: float, delta: Optional[float] = None,
+               variant: Optional[str] = None, eq: Optional[Equilibrium] = None) -> list:
+    """One plan (cert, delta, certified, steps, record_every) per
+    DynamicsParams of grid, for run_from_origin's runs.
 
-    Per entry, in order: certificate_for(variant); delta, or
-    pick_step_size; the horizon check (InvalidInputError below one step).
-    Then every run goes from z = 0, recording every
-    ceil(steps / MAX_RECORDED_ROWS)-th step, and gets its CSV rows and
-    fit_decay_rate. The equality flows run one simulate each (the affine
-    one already steps in blocks); the augmented flows run as one stack
-    (_run_stack). Either way a DivergedError names the eta, the step and,
-    as its column, the grid index. A zero horizon stops after the step: no
-    trajectory, no rows, a NaN rate.
+    Per entry, in order: certificate_for(variant, eq); delta, or
+    pick_step_size; the horizon check (InvalidInputError below one step);
+    then the steps to the horizon, recording every
+    ceil(steps / MAX_RECORDED_ROWS)-th. Only the rank-relaxed variant
+    reads eq, so without it the plans can be made before the solve.
     """
     plans = []
     for params in grid:
@@ -278,6 +273,33 @@ def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
         steps = _step_count(horizon, step)
         stride = max(1, -(-steps // MAX_RECORDED_ROWS))
         plans.append((cert, step, str(certified), steps, stride))
+    return plans
+
+
+def run_from_origin(p: ConstrainedProblem, grid, eq: Equilibrium,
+                    horizon: float, delta: Optional[float] = None,
+                    variant: Optional[str] = None) -> list:
+    """Certify, pick the step and run the flow from the origin towards eq,
+    once per DynamicsParams of grid; returns one OriginRun per entry.
+
+    The certificate, step and horizon check are _plan_runs'. Then every
+    run goes from z = 0 and gets its CSV rows and fit_decay_rate
+    (_run_plans).
+    """
+    return _run_plans(p, grid, eq, horizon, _plan_runs(p, grid, horizon, delta, variant, eq))
+
+
+def _run_plans(p: ConstrainedProblem, grid, eq: Equilibrium, horizon: float,
+               plans: list) -> list:
+    """The runs of plans (_plan_runs) from the origin towards eq, one
+    OriginRun per entry of grid.
+
+    The equality flows run one simulate each (the affine one already
+    steps in blocks); the augmented flows run as one stack (_run_stack).
+    Either way a DivergedError names the eta, the step and, as its
+    column, the grid index. A zero horizon stops after the plans: no
+    trajectory, no rows, a NaN rate.
+    """
     if horizon == 0:
         return [OriginRun(*plan, None, [], float("nan")) for plan in plans]
     z0 = np.zeros(p.dim_n + p.dim_m)
@@ -386,8 +408,10 @@ def run_experiment(p: ConstrainedProblem, grid, horizon: float, out_dir,
     seed seeds validate_problem and is recorded. Before anything is
     solved: the grid must be nonempty with one rho and no two etas sharing
     a file tag (_eta_tag), horizon nonnegative and finite, and delta, when
-    given, positive; InvalidInputError otherwise. out_dir is made only
-    once every run has returned. Returns the written paths.
+    given, positive; InvalidInputError otherwise. Each eta's certificate
+    and step are picked before the solve too, so a horizon shorter than
+    one step is refused before any solving. out_dir is made only once
+    every run has returned. Returns the written paths.
     """
     grid = list(grid)
     if len({params.rho for params in grid}) != 1:
@@ -404,6 +428,7 @@ def run_experiment(p: ConstrainedProblem, grid, horizon: float, out_dir,
         raise InvalidInputError("horizon must be nonnegative and finite")
     if delta is not None and not delta > 0:
         raise InvalidInputError("delta must be positive when given")
+    plans = _plan_runs(p, grid, horizon, delta)
     report = validate_problem(p, samples=50, seed=seed)
     rho = grid[0].rho
     # The equilibrium is solved at eta = 1 either way, so the rates depend
@@ -415,7 +440,7 @@ def run_experiment(p: ConstrainedProblem, grid, horizon: float, out_dir,
         eq = solve_equilibrium(p, DynamicsParams(rho=rho), tol=1e-9)
     else:
         eq = _integrate_to_equilibrium(p, rho, 1e-9)
-    runs = run_from_origin(p, grid, eq, horizon, delta)
+    runs = _run_plans(p, grid, eq, horizon, plans)
     linear = isinstance(vector_field(p, grid[0]), AffineVectorField)
 
     out = Path(out_dir)

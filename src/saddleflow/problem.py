@@ -195,10 +195,12 @@ class LogisticObjective(ObjectiveOracle):
             raise ValueError(f"reg must be positive and finite, got {reg}")
         self.D = _readonly(D)
         self.y = _readonly(y)
-        # -D^T and -y for the gradient, in the layout the plain expressions
-        # -D.T @ v and -y * u would build on every call
-        self._neg_dt = -self.D.T
-        self._neg_y = -self.y
+        # the pre-signed rows R = -diag(y) D, so the margins are u = R x and
+        # the data term of the gradient is R^T sigma(u); R^T is a view in the
+        # layout -D.T has. A sign flip is exact, so these give the bits of
+        # the plain -y * (D x) and -D^T (y sigma(u)).
+        self._R = -self.y[:, None] * self.D
+        self._Rt = self._R.T
         self.reg = float(reg)
         from scipy.special import expit  # here, so importing saddleflow loads no scipy
         self._expit = expit
@@ -206,12 +208,11 @@ class LogisticObjective(ObjectiveOracle):
         super().__init__(self._lvalue, self._lgrad, reg, ell, hess=self._lhess)
 
     def _lvalue(self, x):
-        u = self._neg_y * (self.D @ x)
+        u = self._R @ x
         return float(np.sum(np.logaddexp(0.0, u))) + 0.5 * self.reg * float(x @ x)
 
     def _lgrad(self, x):
-        u = self._neg_y * _matvec(self.D, x)
-        return _matvec(self._neg_dt, self.y * self._expit(u)) + self.reg * x
+        return _matvec(self._Rt, self._expit(_matvec(self._R, x))) + self.reg * x
 
     def _lhess(self, x):
         # D^T diag(s (1 - s)) D + reg I, s the sigmoid of the margins

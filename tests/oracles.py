@@ -76,3 +76,16 @@ def _coupling_block_margin(A, eta, rho, c, gamma, floor):
     M = eta * (GAAT + GAAT.T) + (2.0 * eta * c / rho) * np.diag(1.0 - gamma)
     M = M - floor(AAT)
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+
+
+def logistic_value(D, y, reg, x):
+    """The ridge-regularized logistic loss written out from the data:
+    sum_i log(1 + exp(-y_i d_i^T x)) + (reg/2) ||x||^2."""
+    return float(np.sum(np.logaddexp(0.0, -y * (D @ x)))) + 0.5 * reg * float(x @ x)
+
+
+def logistic_grad(D, y, reg, x):
+    """Its gradient, -D^T (y sigma(-y D x)) + reg x."""
+    from scipy.special import expit
+
+    return -D.T @ (y * expit(-y * (D @ x))) + reg * x

@@ -190,6 +190,20 @@ def test_solves_past_their_floor_exit_one_at_once(argv, error, tmp_path, capsys)
     assert err.startswith(f"error: {error}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rho, steps", [("0.1", 9300), ("1", 10000)])
+def test_kkt_check_warms_up_after_a_newton_stall(rho, steps, capsys):
+    # Newton from the origin stalls on logistic 4x3 seed 8; the flow is
+    # integrated to a residual of 1e-2, and Newton from there reaches tol
+    start = time.perf_counter()
+    assert run_cli(["kkt-check", "--problem", "logistic", "--n", "4", "--m", "3",
+                    "--seed", "8", "--tol", "1e-12", "--rho", rho]) == 0
+    assert time.perf_counter() - start < 5.0
+    method = re.search(r"^method +(.*)$", capsys.readouterr().out, re.M).group(1)
+    assert re.fullmatch(rf"newton, \d+ Newton iterations, {steps} Euler steps "
+                        rf"\({steps} of them a warm-up to 0\.01\); "
+                        r"newton stalled at iteration \d+, .*: no descent", method)
+
+
 def test_simulate_seeded_qp(tmp_path, capsys):
     rc = run_cli(["simulate", "--problem", "eq-qp", "--seed", "42",
                   "--horizon", "5", "--out", str(tmp_path)])

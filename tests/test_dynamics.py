@@ -370,16 +370,30 @@ def _oracle_euler_step(p, params, z, delta):
     return np.concatenate([x + delta * field(z)[:n], dual])
 
 
+def _blocks(field, z, delta, k, count=3):
+    """count euler_block calls of k steps, each from the last row of the
+    one before, as one array of rows."""
+    blocks = []
+    for _ in range(count):
+        blocks.append(field.euler_block(z, delta, k))
+        z = blocks[-1][-1]
+    return np.concatenate(blocks)
+
+
 @pytest.mark.parametrize("k", [1, 7, 256])
 def test_augmented_euler_block_is_step_by_step_euler(k):
-    # the fused kernel, bit for bit, against one oracle step at a time:
-    # one state and a (K, d) stack whose columns lie on both sides of
-    # a = 1, inequality and two-sided constraints, and a black-box oracle
+    # the fused kernel, bit for bit, against one oracle step at a time over
+    # three blocks: one state, a (K, d) stack whose columns all have
+    # a <= 1 (one fused update per step) and one whose columns lie on both
+    # sides of a = 1, inequality and two-sided constraints, the logistic
+    # objective's pre-signed rows, and a black-box oracle (no _stacks)
     # whose grad hands back its own argument (the kernel may not write
     # into it)
     rng = np.random.default_rng(57)
     A = rng.standard_normal((3, 4))
     objectives = [QuadraticObjective(np.eye(4) + 0.1 * np.ones((4, 4))),
+                  LogisticObjective(rng.standard_normal((9, 4)),
+                                    rng.choice([-1.0, 1.0], size=9), reg=0.1),
                   ObjectiveOracle(lambda x: 0.5 * x @ x, lambda x: x, 1.0, 1.0)]
     constraints = [InequalityConstraints(A=A, b=rng.standard_normal(3)),
                    TwoSidedConstraints(A=A, b_lo=-np.ones(3), b_hi=np.ones(3))]
@@ -388,15 +402,16 @@ def test_augmented_euler_block_is_step_by_step_euler(k):
     for objective in objectives:
         for cons in constraints:
             p = ConstrainedProblem(objective, cons)
-            Z = rng.standard_normal((3, 7))
-            Z_before = Z.tobytes()
-            block = _AugmentedField(p, grid).euler_block(Z, delta, k)
-            assert block.shape == (k, 3, 7) and Z.tobytes() == Z_before
-            for c, params in enumerate(grid):
-                one = vector_field(p, params).euler_block(Z[c], delta[c], k)
-                assert one.shape == (k, 7)
-                z = Z[c]
-                for i in range(k):
-                    z = _oracle_euler_step(p, params, z, delta[c])
-                    assert block[i, c].tobytes() == z.tobytes()
-                    assert one[i].tobytes() == z.tobytes()
+            for cols in ([0, 1], [0, 1, 2]):
+                Z = rng.standard_normal((len(cols), 7))
+                Z_before = Z.tobytes()
+                block = _blocks(_AugmentedField(p, [grid[c] for c in cols]), Z, delta[cols], k)
+                assert block.shape == (3 * k, len(cols), 7) and Z.tobytes() == Z_before
+                for i, c in enumerate(cols):
+                    one = _blocks(vector_field(p, grid[c]), Z[i], delta[c], k)
+                    assert one.shape == (3 * k, 7)
+                    z = Z[i]
+                    for j in range(3 * k):
+                        z = _oracle_euler_step(p, grid[c], z, delta[c])
+                        assert block[j, i].tobytes() == z.tobytes()
+                        assert one[j].tobytes() == z.tobytes()

@@ -222,6 +222,11 @@ def test_stalled_newton_falls_back_to_integration(hess, why):
     assert eq.fallback_reason.startswith(f"newton stalled at iteration {eq.newton_iterations}, ")
     assert eq.fallback_reason.endswith(why)
     assert eq.residual.total <= 1e-9
+    # Newton stalls again after the warm-up, and the same run goes on to
+    # tol, as if it had not stopped
+    straight = _integrate_to_equilibrium(p, UNIT.rho, 1e-9)
+    assert 0 < eq.warmup_steps < eq.euler_steps == straight.euler_steps
+    assert eq.z.tobytes() == straight.z.tobytes()
     right = solve_equilibrium(ConstrainedProblem(QuadraticObjective(np.eye(3)),
                                                  p.constraints), UNIT)
     assert right.method == "newton"

@@ -123,6 +123,13 @@ def test_run_experiment_checks_its_inputs_before_solving(tmp_path, solve_fails):
     with pytest.raises(InvalidInputError, match="share one rho"):
         run_experiment(p, [DynamicsParams(eta=1.0), DynamicsParams(eta=2.0, rho=2.0)],
                        1.0, out)
+    # a horizon shorter than one step, picked or given, on an equality and
+    # an inequality problem
+    for problem in (p, gen_logistic_ineq(1, 4, 3, n_data=20)):
+        for horizon, delta in ((1e-9, None), (0.005, 0.01)):
+            with pytest.raises(InvalidInputError, match="shorter than one step"):
+                run_experiment(problem, [DynamicsParams(eta=1.0), DynamicsParams(eta=2.0)],
+                               horizon, out, delta)
     assert not out.exists()
     # the benchmark's grids 0.25:4:8:log and 1:1:1 pass the checks, on to the solve
     for grid in (np.logspace(np.log10(0.25), np.log10(4.0), 8), [1.0]):

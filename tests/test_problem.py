@@ -22,6 +22,8 @@ from saddleflow import (
 )
 from saddleflow.problem import _fd_jacobian, _matvec
 
+from oracles import logistic_grad, logistic_value
+
 # Oracle fixtures for spectral_bounds (hand eigenvalues of A A^T).
 #   A = I2          -> A A^T = I2,        spectrum {1, 1}
 #   A = [1 1]       -> A A^T = [2],       spectrum {2}
@@ -258,8 +260,6 @@ def test_matvec_rows_have_the_bits_of_one_product():
 def test_stacked_gradients_match_row_by_row():
     # grad of a (K, n) stack is grad of each row, bit for bit; a user's
     # callable only ever sees single points
-    from scipy.special import expit
-
     rng = np.random.default_rng(22)
     D = rng.standard_normal((30, 6))
     y = rng.integers(0, 2, 30) * 2.0 - 1.0
@@ -280,10 +280,24 @@ def test_stacked_gradients_match_row_by_row():
         for row, x in zip(got, X):
             assert np.array_equal(row, obj.grad(x))
     assert set(seen) == {(6,)}
-    # the stored -D^T and -y keep the bits of the plain expression
-    x = X[0]
-    plain = -logistic.D.T @ (y * expit(-y * (D @ x))) + 0.1 * x
-    assert np.array_equal(logistic.grad(x), plain)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3], ids=["margins", "saturated margins"])
+def test_logistic_value_and_gradient_are_the_textbook_bits(scale):
+    # the pre-signed rows R = -diag(y) D give the bits of the expressions
+    # written out from D and y, also where sigma and log(1 + e^u) saturate
+    rng = np.random.default_rng(23)
+    D = rng.standard_normal((30, 6))
+    y = rng.integers(0, 2, 30) * 2.0 - 1.0
+    logistic = LogisticObjective(D, y, 0.1)
+    X = scale * rng.standard_normal((200, 6))
+    if scale > 1:
+        assert np.abs(D @ X.T).max() > 1e3
+    for x in X:
+        assert logistic.grad(x).tobytes() == logistic_grad(D, y, 0.1, x).tobytes()
+        assert logistic.value(x) == logistic_value(D, y, 0.1, x)
+    assert logistic.grad(X).tobytes() == np.array(
+        [logistic_grad(D, y, 0.1, x) for x in X]).tobytes()
 
 
 def test_analytic_hessians_match_finite_differences():
