@@ -3,7 +3,9 @@
 Subcommands: simulate, certify, sweep-eta, spectrum, kkt-check, gen.
 Exit codes: 0 success, 1 validation failure (a certify verdict of fail,
 unverified equilibrium, diverged run), 2 usage error (bad flag value,
-variant or problem file; printed as `error: ...`). Standard output
+variant or problem file; printed as `error: ...`), 3 a file that could not
+be made, written or read (an OSError, such as an --out under a regular
+file, or CsvWriteError; printed as `error: ...`). Standard output
 carries a short human summary only; data goes to CSV files under --out.
 """
 
@@ -194,7 +196,8 @@ def _cmd_simulate(args) -> int:
         "variant": cert.variant.value,
         **equilibrium_metadata(eq),
     })
-    print(f"simulated {len(traj)} recorded steps to t={traj.times[-1]:g}")
+    # the last recorded state is the run's last step
+    print(f"simulated {len(traj)} recorded steps to t={traj.steps * traj.delta:g}")
     print(f"final distance {traj.distances[-1]:.6g}, measured rate "
           f"{run.measured_rate:.6g}, certified rate {cert.tau / 2:.6g}")
     print(f"wrote {out / 'trajectory.csv'}")
@@ -320,6 +323,9 @@ def run_cli(argv) -> int:
     except (UsageError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # CsvWriteError among them
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except SaddleflowError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import ACTIVE_TOL
 from .dynamics import _fitting, _flow_matrix, _with_primal, vector_field
-from .errors import MaxIterationsError
+from .errors import InfeasibleError, MaxIterationsError
 from .integrator import Trajectory, _advance, _euler_iterates, _fallback_step, lipschitz_bound
 from .problem import (
     ConstrainedProblem,
@@ -275,7 +275,9 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     stalls again, the same integration goes on to tol. All of it takes at
     most MAX_EULER_STEPS Euler steps. If Newton stalls on a step below
     rounding, or its field is exactly 0, the residual has reached its
-    floor, and MaxIterationsError says so at once. The result records
+    floor, and MaxIterationsError says so at once; if the field at z0
+    overflows (a non-finite |F|, as at rho = 1e200), InfeasibleError says
+    so at once, before any Euler step. The result records
     which method finished, the Newton iterations, the Euler steps and
     those of the warm-up, and why Newton last stalled.
     """
@@ -288,6 +290,12 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     eq, iterations, stalled = _newton(p, params.rho, tol, start)
     if eq is not None:
         return eq
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = float(np.linalg.norm(vector_field(p, DynamicsParams(rho=params.rho))(start)))
+    if not np.isfinite(size):
+        raise InfeasibleError(
+            f"the field at the start overflows (|F| = {size:g} at rho = {params.rho:g}): "
+            "neither Newton nor the flow can take a finite step from it")
     checks = _kkt_checks(p, params.rho, start)
     try:
         steps, z, res = _integrate_until(checks, max(tol, WARMUP_TOL))

@@ -58,5 +58,10 @@ class DivergedError(SaddleflowError, RuntimeError):
         self.column = column
 
 
+class CsvWriteError(SaddleflowError, OSError):
+    """A CSV file could not be written: the process that formatted its
+    back half (fileio.write_csv's split) exited with a nonzero code."""
+
+
 class MaxIterationsError(SaddleflowError, RuntimeError):
     """An iterative solve hit its step budget before reaching tolerance."""

@@ -236,7 +236,7 @@ class OriginRun:
     delta_certified is "True", "False" (the fallback heuristic) or
     "user-supplied"; the run takes `steps` steps and records every
     record_every-th; its trajectory keeps no states (zs is None); rows are
-    its Trajectory.rows(), to be read once.
+    its Trajectory.rows(), the sized sequence of CSV blocks.
     """
 
     cert: LyapunovCertificate

@@ -18,6 +18,7 @@ exponential decay of the flow.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,11 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.minimum(np.arange(self.filled) * self.stride, self.steps) * self.delta
+        return self._times(0, self.filled)
+
+    def _times(self, start, stop):
+        """The times of recorded states start..stop-1."""
+        return np.minimum(np.arange(start, stop) * self.stride, self.steps) * self.delta
 
     def __len__(self):
         return self.filled
@@ -109,14 +114,35 @@ class Trajectory:
         return rec
 
     def rows(self):
-        """Lazy CSV rows (t, dist_x, dist_lambda, V) of a run recorded with z*
-        and P, as float blocks of at most CSV_BLOCK_ROWS rows (2-D arrays,
-        which fileio.write_csv formats a block per call). Each block is
-        sliced from the recorded columns as it is read."""
-        columns = (self.times, self.dist_x, self.dist_lambda, self.v_values)
-        for start in range(0, self.filled, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, self.filled)
-            yield np.column_stack([column[start:stop] for column in columns])
+        """The CSV rows (t, dist_x, dist_lambda, V) of a run recorded with z*
+        and P, as a sized sequence of float blocks of at most CSV_BLOCK_ROWS
+        rows (2-D arrays, which fileio.write_csv formats a block per call).
+        Block i is sliced from the recorded columns, its times computed,
+        when it is read; no whole table or times column is built."""
+        return _RowBlocks(self)
+
+
+class _RowBlocks(Sequence):
+    """Trajectory.rows(): block i holds recorded states
+    i * CSV_BLOCK_ROWS onwards, built at each read."""
+
+    def __init__(self, traj):
+        self._traj = traj
+
+    def __len__(self):
+        return -(-self._traj.filled // CSV_BLOCK_ROWS)
+
+    def __getitem__(self, i):
+        count = len(self)
+        if i < 0:
+            i += count
+        if not 0 <= i < count:
+            raise IndexError(f"block {i} of {count}")
+        traj = self._traj
+        start = i * CSV_BLOCK_ROWS
+        stop = min(start + CSV_BLOCK_ROWS, traj.filled)
+        return np.column_stack([traj._times(start, stop)] + [
+            column[start:stop] for column in (traj.dist_x, traj.dist_lambda, traj.v_values)])
 
 
 def _advance(f):

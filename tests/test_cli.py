@@ -2,7 +2,9 @@
 
 import argparse
 import dataclasses
+import errno
 import math
+import os
 import re
 import shlex
 import time
@@ -16,6 +18,7 @@ from saddleflow import (
     EqualityConstraints,
     cli,
     experiments,
+    fileio,
     gen_logistic_ineq,
     save_problem,
 )
@@ -188,6 +191,47 @@ def test_solves_past_their_floor_exit_one_at_once(argv, error, tmp_path, capsys)
     assert time.perf_counter() - start < 10.0
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+
+
+def test_a_field_that_overflows_at_the_start_is_refused_at_once(tmp_path, capsys):
+    # at rho = 1e200 |F| at the origin overflows: Newton stalls at once,
+    # and a warm-up at the step rho/eta ~ 1e-201 would never end
+    start = time.perf_counter()
+    assert run_cli(["certify", "--problem", "logistic", "--n", "6", "--m", "3",
+                    "--n-data", "20", "--seed", "7", "--variant", "rank", "--rho", "1e200",
+                    "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: InfeasibleError: the field at the start overflows "
+                          "(|F| = inf at rho = 1e+200)")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["out-under-a-file", "failed-split-child"])
+def test_outputs_that_cannot_be_written_exit_three(case, tmp_path, monkeypatch, capsys):
+    # an --out that cannot be made, or a trajectory whose split writer's
+    # child fails (its part path links into a missing directory), is an
+    # `error: ...` line and exit 3, with no part file or child left
+    out = tmp_path / "out"
+    if case == "out-under-a-file":
+        out.write_text("", encoding="utf-8")
+        out = out / "sub"
+        want = f"error: [Errno {errno.ENOTDIR}] "
+    else:
+        if not hasattr(os, "fork"):
+            pytest.skip("the split writer needs os.fork")
+        monkeypatch.setattr(fileio, "SPLIT_MIN_ROWS", 1)
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+        out.mkdir()
+        (out / "trajectory.csv.part").symlink_to(tmp_path / "missing" / "part")
+        want = f"error: {out / 'trajectory.csv'}: the process formatting rows from item 2 "
+    assert run_cli(["simulate", "--problem", "eq-qp", "--seed", "1", "--horizon", "0.1",
+                    "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(want) and str(out) in err and "Traceback" not in err
+    assert not os.path.lexists(tmp_path / "out" / "trajectory.csv.part")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("rho, steps", [("0.1", 9300), ("1", 10000)])

@@ -1,5 +1,7 @@
 """Round-trip tests for CSV, metadata, and problem-file serialization."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from saddleflow import (
     ConstrainedProblem,
+    CsvWriteError,
     EqualityConstraints,
     InequalityConstraints,
     LogisticObjective,
@@ -19,6 +22,7 @@ from saddleflow import (
     load_problem,
     save_problem,
 )
+from saddleflow import fileio
 from saddleflow.fileio import format_float, write_csv, write_metadata
 from saddleflow.integrator import CSV_BLOCK_ROWS
 
@@ -105,6 +109,91 @@ def test_csv_blocks_match_per_cell_writer(count, tmp_path):
     _per_cell_csv(tmp_path / "per_cell.csv", header, rows)
     assert got.read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
     assert len(got.read_text(encoding="utf-8").splitlines()) == count + 1
+
+
+def _trajectory_blocks(count, seed=0):
+    # the sized block sequence of a Trajectory with count recorded rows
+    rng = np.random.default_rng(seed)
+    traj = Trajectory(np.zeros(5), 3, 0.1, count - 1, 1, rng.standard_normal(5), np.eye(5))
+    traj.add(rng.standard_normal((count - 1, 5)) * 10.0 ** rng.integers(-150, 150, 5))
+    return traj.rows()
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts os.fork calls, with two usable CPUs whatever the host has."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the split writer needs os.fork")
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+    return calls
+
+
+SPLIT_AT = 2 * B + 5
+
+
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1,
+                                   SPLIT_AT - 1, SPLIT_AT, 2 * SPLIT_AT + 3])
+def test_split_writer_matches_serial_writer(count, tmp_path, monkeypatch, forks):
+    # from SPLIT_MIN_ROWS rows on, a forked child formats the back half of
+    # the blocks; the file is the serial writer's, byte for byte, and
+    # neither a part file nor a child is left
+    monkeypatch.setattr(fileio, "SPLIT_MIN_ROWS", SPLIT_AT)
+    header = ["t", "dist_x", "dist_lambda", "V"]
+    blocks = _trajectory_blocks(count, count) if count else [np.empty((0, 4))]
+    got = write_csv(tmp_path / "split.csv", header, blocks)
+    want = write_csv(tmp_path / "serial.csv", header, iter(blocks))
+    assert len(forks) == (count >= SPLIT_AT)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text(encoding="utf-8").splitlines()) == count + 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["serial.csv", "split.csv"]
+    _assert_no_child()
+
+
+def test_split_writer_refuses_a_failed_child(tmp_path, monkeypatch, forks):
+    # the child cannot open its part path (a link into a missing
+    # directory): CsvWriteError, and no part file or child is left
+    monkeypatch.setattr(fileio, "SPLIT_MIN_ROWS", 1)
+    path = tmp_path / "t.csv"
+    part = tmp_path / "t.csv.part"
+    part.symlink_to(tmp_path / "missing" / "part")
+    with pytest.raises(CsvWriteError, match="exited with code 1"):
+        write_csv(path, ["t", "dist_x", "dist_lambda", "V"], _trajectory_blocks(3 * B))
+    assert forks and not os.path.lexists(part)
+    _assert_no_child()
+
+
+def _no_fork():
+    raise AssertionError("the serial writer forked")
+
+
+@pytest.mark.parametrize("host", ["no-fork", "one-cpu-affinity", "one-cpu-count"])
+def test_split_writer_stays_serial_without_fork_or_a_second_cpu(host, tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.setattr(fileio, "SPLIT_MIN_ROWS", 1)
+    if host == "no-fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+        if host == "one-cpu-affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    blocks = _trajectory_blocks(3 * B)
+    got = write_csv(tmp_path / "t.csv", ["t", "dist_x", "dist_lambda", "V"], blocks)
+    assert len(got.read_text(encoding="utf-8").splitlines()) == 3 * B + 1
 
 
 def test_metadata_format(tmp_path):
