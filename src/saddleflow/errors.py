@@ -59,8 +59,9 @@ class DivergedError(SaddleflowError, RuntimeError):
 
 
 class CsvWriteError(SaddleflowError, OSError):
-    """A CSV file could not be written: the process that formatted its
-    back half (fileio.write_csv's split) exited with a nonzero code."""
+    """A CSV file could not be written: the process that formatted the
+    back half of its table (fileio.write_csv's split) exited with a
+    nonzero code."""
 
 
 class MaxIterationsError(SaddleflowError, RuntimeError):

@@ -31,7 +31,12 @@ from .certificates import (
     condition_number,
 )
 from .dynamics import AffineVectorField, _AugmentedField, vector_field
-from .equilibrium import Equilibrium, _integrate_to_equilibrium, solve_equilibrium
+from .equilibrium import (
+    MAX_EULER_STEPS,
+    Equilibrium,
+    _integrate_to_equilibrium,
+    solve_equilibrium,
+)
 from .errors import DivergedError, InvalidInputError, RankDeficientError
 from .integrator import (
     DIVERGENCE_NORM,
@@ -42,7 +47,6 @@ from .integrator import (
     _step_count,
     choose_step_size,
     lipschitz_bound,
-    simulate,
 )
 from .problem import (
     ConstrainedProblem,
@@ -236,7 +240,7 @@ class OriginRun:
     delta_certified is "True", "False" (the fallback heuristic) or
     "user-supplied"; the run takes `steps` steps and records every
     record_every-th; its trajectory keeps no states (zs is None); rows are
-    its Trajectory.rows(), the sized sequence of CSV blocks.
+    its Trajectory.rows(), the CSV table.
     """
 
     cert: LyapunovCertificate
@@ -255,8 +259,9 @@ def _plan_runs(p: ConstrainedProblem, grid, horizon: float, delta: Optional[floa
     DynamicsParams of grid, for run_from_origin's runs.
 
     Per entry, in order: certificate_for(variant, eq); delta, or
-    pick_step_size; the horizon check (InvalidInputError below one step);
-    then the steps to the horizon, recording every
+    pick_step_size; the horizon checks (InvalidInputError below one step
+    or above equilibrium.MAX_EULER_STEPS steps); then the steps to the
+    horizon, recording every
     ceil(steps / MAX_RECORDED_ROWS)-th. Only the rank-relaxed variant
     reads eq, so without it the plans can be made before the solve.
     """
@@ -270,6 +275,10 @@ def _plan_runs(p: ConstrainedProblem, grid, horizon: float, delta: Optional[floa
         if horizon != 0 and horizon < step:
             raise InvalidInputError(f"horizon {horizon:g} is shorter than one step "
                                     f"(delta {step:g} at eta {params.eta:g})")
+        if horizon / step > MAX_EULER_STEPS:
+            raise InvalidInputError(f"horizon {horizon:g} takes {horizon / step:.6g} steps "
+                                    f"of delta {step:g} at eta {params.eta:g}, more than "
+                                    f"the budget of {MAX_EULER_STEPS}")
         steps = _step_count(horizon, step)
         stride = max(1, -(-steps // MAX_RECORDED_ROWS))
         plans.append((cert, step, str(certified), steps, stride))
@@ -294,35 +303,37 @@ def _run_plans(p: ConstrainedProblem, grid, eq: Equilibrium, horizon: float,
     """The runs of plans (_plan_runs) from the origin towards eq, one
     OriginRun per entry of grid.
 
-    The equality flows run one simulate each (the affine one already
-    steps in blocks); the augmented flows run as one stack (_run_stack).
-    Either way a DivergedError names the eta, the step and, as its
-    column, the grid index. A zero horizon stops after the plans: no
-    trajectory, no rows, a NaN rate.
+    Each run records into a Trajectory that keeps no states. The equality
+    flows run one after another through the one Euler loop (the affine
+    one already steps in blocks); the augmented flows run as one stack
+    (_run_stack). Either way a DivergedError names the eta, the step and,
+    as its column, the grid index. A zero horizon stops after the plans:
+    no trajectory, no rows, a NaN rate.
     """
     if horizon == 0:
         return [OriginRun(*plan, None, [], float("nan")) for plan in plans]
     z0 = np.zeros(p.dim_n + p.dim_m)
-    c = 0  # the grid index of the equality run under way
-    try:
-        if isinstance(p.constraints, EqualityConstraints):
-            trajs = []
-            for c, (params, (cert, step, _, _, stride)) in enumerate(zip(grid, plans)):
-                traj = simulate(vector_field(p, params), z0, step, horizon,
-                                cert=cert, eq=eq.z, record_every=stride)
-                traj.zs = None  # one trajectory's states in memory at a time
-                trajs.append(traj)
-        else:
-            trajs = [Trajectory(z0, p.dim_n, step, steps, stride, eq.z, cert.P)
-                     for cert, step, _, steps, stride in plans]
-            _run_stack(p, grid, trajs)
-    except DivergedError as exc:
-        c = c if exc.column is None else exc.column
-        raise DivergedError(f"eta {grid[c].eta:g}: state norm passed {DIVERGENCE_NORM:g} "
-                            f"by step {exc.step}", step=exc.step, column=c) from None
+    trajs = [Trajectory(z0, p.dim_n, step, steps, stride, eq.z, cert.P)
+             for cert, step, _, steps, stride in plans]
+    if isinstance(p.constraints, EqualityConstraints):
+        for c, (params, traj) in enumerate(zip(grid, trajs)):
+            try:
+                for rows in _euler_iterates(_advance(vector_field(p, params)), z0,
+                                            traj.delta, traj.steps):
+                    traj.add(rows)
+            except DivergedError as exc:
+                raise _diverged(grid, c, exc.step) from None
+    else:
+        _run_stack(p, grid, trajs)
     return [OriginRun(*plan, traj, traj.rows(),
                       fit_decay_rate(traj.times, traj.distances))
             for plan, traj in zip(plans, trajs)]
+
+
+def _diverged(grid, c, step) -> DivergedError:
+    """The DivergedError of grid entry c's run, first past the norm at step."""
+    return DivergedError(f"eta {grid[c].eta:g}: state norm passed {DIVERGENCE_NORM:g} "
+                         f"by step {step}", step=step, column=c)
 
 
 def _run_stack(p: ConstrainedProblem, grid, trajs):
@@ -332,8 +343,8 @@ def _run_stack(p: ConstrainedProblem, grid, trajs):
     Column c takes trajs[c].steps steps of trajs[c].delta at grid[c],
     handing trajs[c] its states; then it leaves the stack.
     The stack goes through the one Euler kernel, whose divergence guard
-    looks at every step of every column: DivergedError's column is the
-    grid index and its step counts from the origin. Keeps no states.
+    looks at every step of every column: DivergedError (_diverged) names
+    the grid entry, and its step counts from the origin. Keeps no states.
     """
     steps = np.array([traj.steps for traj in trajs])
     deltas = np.array([traj.delta for traj in trajs])
@@ -347,9 +358,7 @@ def _run_stack(p: ConstrainedProblem, grid, trajs):
                 for i, c in enumerate(live):
                     trajs[c].add(rows[:, i])
         except DivergedError as exc:
-            at = done + exc.step
-            raise DivergedError(f"state norm passed {DIVERGENCE_NORM:g} by step {at}",
-                                step=at, column=int(live[exc.column])) from None
+            raise _diverged(grid, int(live[exc.column]), done + exc.step) from None
         z[live] = rows[-1]
         done = end
 

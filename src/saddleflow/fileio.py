@@ -1,14 +1,14 @@
 """Artifact serialization: CSV tables, metadata sidecars, problem files.
 
 CSV contract: UTF-8, comma delimiter, one header row, floats rendered with
-%.17g so files round-trip and diff cleanly. write_csv takes its rows one
-by one, or a float block of them at a time (a 2-D array, as
-Trajectory.rows() hands them): a block is formatted by one "%" call of
-the row template repeated, so a trajectory costs one call per block, not
-one per row, and reads the same bytes. A long sized sequence of items
-(SPLIT_MIN_ROWS rows or more, with two CPUs and os.fork) is formatted by
-two processes, the back half in a forked child, and reads the same bytes
-too. Each run gets one metadata sidecar of plain `key = value` lines.
+%.17g so files round-trip and diff cleanly. write_csv takes a table (a
+2-D float array, as Trajectory.rows() hands it) or any iterable of rows:
+a table is formatted CSV_BLOCK_ROWS rows per "%" call of the row
+template repeated, so a trajectory costs one call per block, not one per
+row, and reads the same bytes. A long table (SPLIT_MIN_ROWS rows or
+more, with two CPUs and os.fork) is formatted by two processes, the back
+half in a forked child, and reads the same bytes too. Each run gets one
+metadata sidecar of plain `key = value` lines.
 
 Problem files are plain text with a dimensions header and whitespace
 sections, for example
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import shutil
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +51,10 @@ from .problem import (
 
 FORMAT_VERSION = 1
 
+# Most rows of a table that write_csv formats in one "%" call: enough to
+# spread the per-call cost, few enough that a block's text stays small.
+CSV_BLOCK_ROWS = 1024
+
 # Fewest rows write_csv splits between two processes. The fork, the wait
 # and the copy of the back half cost a few ms: on 4-column trajectory
 # tables (2 vCPUs, median of 15 writes) the split lost at 4,096 rows
@@ -65,40 +68,45 @@ def format_float(x) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Stream rows (any iterable, consumed once) to a CSV file under header.
+    """Write rows to a CSV file under header: a table (a 2-D float array,
+    as Trajectory.rows() hands it) or any iterable of rows, consumed once.
 
-    An item of rows is one row, or a block of rows as a 2-D array. Rows of
-    one width share one "%.17g,...,%.17g" template, which renders every
-    cell exactly as format_float does; a block applies it, repeated once
-    per row, to the block's cells as Python floats in one call. A row or
-    block holding a str falls back to formatting cell by cell.
+    Rows of one width share one "%.17g,...,%.17g" template, which renders
+    every cell exactly as format_float does; a table applies it, repeated
+    once per row, to CSV_BLOCK_ROWS rows of cells as Python floats in one
+    call. A row holding a str falls back to formatting cell by cell.
 
-    A sized sequence of at least SPLIT_MIN_ROWS rows (counted as if every
-    item but the last were as long as the first) is split at its middle
-    item when os.fork exists and two CPUs are usable: a forked child
-    formats the back half into <path>.part while this process formats the
-    front half, then appends the part file and deletes it. The bytes are
-    the same. A child that fails raises CsvWriteError; no part file or
-    child is left.
+    A table of at least SPLIT_MIN_ROWS rows is split at row len // 2 when
+    os.fork exists and two CPUs are usable: a forked child formats the
+    back half into <path>.part while this process formats the front half,
+    then appends the part file and deletes it. The bytes are the same. A
+    child that fails raises CsvWriteError; no part file or child is left.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     head = ",".join(header) + "\n"
-    half = _split_point(rows)
-    if half is None:
+    if (_is_table(rows) and len(rows) >= SPLIT_MIN_ROWS and hasattr(os, "fork")
+            and _usable_cpus() >= 2):
+        _write_split(path, head, rows)
+    else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(head)
             _write_rows(fh, rows)
-    else:
-        _write_split(path, head, rows, half)
     return path
+
+
+def _is_table(rows) -> bool:
+    return isinstance(rows, np.ndarray) and rows.ndim == 2
 
 
 def _write_rows(fh, rows):
     """Format rows (see write_csv) onto fh."""
+    table = _is_table(rows)
+    if table:
+        rows = [rows[i: i + CSV_BLOCK_ROWS] for i in range(0, len(rows), CSV_BLOCK_ROWS)]
     templates = {}
     for row in rows:
-        if isinstance(row, np.ndarray) and row.ndim == 2:
+        if table:
             block, width = row, row.shape[1]
             cells = tuple(row.ravel().tolist())
         else:
@@ -123,32 +131,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _rows_in(item) -> int:
-    return len(item) if isinstance(item, np.ndarray) and item.ndim == 2 else 1
-
-
-def _split_point(rows):
-    """The item write_csv's child starts at, or None to write serially."""
-    if not isinstance(rows, (Sequence, np.ndarray)) or len(rows) < 2:
-        return None
-    count = (len(rows) - 1) * _rows_in(rows[0]) + _rows_in(rows[-1])
-    if count < SPLIT_MIN_ROWS or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return None
-    return (len(rows) + 1) // 2
-
-
-def _write_split(path, head, rows, half):
-    """Write head and rows[:half] to path while a forked child writes
-    rows[half:] to <path>.part; then append the part file to path. The
-    child only builds and formats items and writes its file, so no lock
-    that another thread of this process held at the fork is waited on."""
+def _write_split(path, head, rows):
+    """Write head and the table rows[:half] to path while a forked child
+    writes rows[half:] to <path>.part, half = len(rows) // 2; then append
+    the part file to path. The child only formats rows and writes its
+    file, so no lock that another thread of this process held at the fork
+    is waited on."""
     part = path.with_name(path.name + ".part")
+    half = len(rows) // 2
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             with open(part, "w", encoding="utf-8", newline="\n") as fh:
-                _write_rows(fh, (rows[i] for i in range(half, len(rows))))
+                _write_rows(fh, rows[half:])
             code = 0
         finally:
             os._exit(code)
@@ -156,11 +152,11 @@ def _write_split(path, head, rows, half):
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(head)
-                _write_rows(fh, (rows[i] for i in range(half)))
+                _write_rows(fh, rows[:half])
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code:
-            raise CsvWriteError(f"{path}: the process formatting rows from item {half} "
+            raise CsvWriteError(f"{path}: the process formatting rows from row {half} "
                                 f"on exited with code {code}")
         with open(part, "rb") as back, open(path, "ab") as fh:
             shutil.copyfileobj(back, fh)

@@ -18,7 +18,6 @@ exponential decay of the flow.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,6 @@ from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, _m
 
 DIVERGENCE_NORM = 1e12
 _DIVERGENCE_NORM2 = DIVERGENCE_NORM * DIVERGENCE_NORM
-
-# Most rows in one block of Trajectory.rows(): enough to spread write_csv's
-# per-call cost, few enough that a block's text stays small.
-CSV_BLOCK_ROWS = 1024
 
 # choose_step_size's contraction target, and its smallest dyadic step
 # 2^-STEP_MAX_EXPONENT.
@@ -58,13 +53,15 @@ class Trajectory:
 
     A run of `steps` steps of delta from z0 records step 0 (when the
     trajectory is made), the multiples of stride and the last step: the
-    recording rule of every run. Given z*, each recorded state adds its
-    distances to z* (of z, x and lam, n being the primal dimension), and
-    given P its Lyapunov value V = (z - z*)^T P (z - z*) as well, one
-    _matvec product per state, so no value depends on the block split.
+    recording rule of every run. Given z*, each recorded state adds a row
+    (t, dist_x, dist_lambda, V) to table: its time, its distances to z*
+    of x and lam (n being the primal dimension) and, given P, its Lyapunov
+    value V = (z - z*)^T P (z - z*), one _matvec product per state, so no
+    value depends on the block split; its distance of z goes to distances.
     keep=True keeps the states in zs (simulate's); otherwise zs is None.
     times, distances, dist_x, dist_lambda and v_values hold one entry per
-    recorded state; the distances are None without z*, v_values without P.
+    recorded state, all but distances columns of table; table and the
+    distances are None without z*, v_values and table's V column without P.
     """
 
     def __init__(self, z0, n, delta, steps, stride, z_star=None, P=None, keep=False):
@@ -72,16 +69,20 @@ class Trajectory:
         self.n, self.delta, self.steps, self.stride = n, delta, steps, stride
         self.z_star, self.P = z_star, P
         self.zs = np.empty((size, len(z0))) if keep else None
-        self.distances = self.dist_x = self.dist_lambda = self.v_values = None
+        self.table = self.distances = self.dist_x = self.dist_lambda = self.v_values = None
         if z_star is not None:
-            self.distances, self.dist_x, self.dist_lambda = np.empty((3, size))
+            self.table = np.empty((size, 3 if P is None else 4))
+            self.distances = np.empty(size)
+            self.dist_x, self.dist_lambda = self.table[:, 1], self.table[:, 2]
         if P is not None:
-            self.v_values = np.empty(size)
+            self.v_values = self.table[:, 3]
         self.taken, self.filled = -1, 0  # z0 is the state after step 0
         self.add(np.asarray(z0)[None])
 
     @property
     def times(self) -> np.ndarray:
+        if self.table is not None:
+            return self.table[: self.filled, 0]
         return self._times(0, self.filled)
 
     def _times(self, start, stop):
@@ -104,45 +105,22 @@ class Trajectory:
         if self.z_star is None:
             return rec
         U = rec - self.z_star
+        table = self.table[i: self.filled]
+        table[:, 0] = self._times(i, self.filled)
         if self.P is not None:
-            self.v_values[i: self.filled] = np.einsum("ij,ij->i", _matvec(self.P, U), U)
+            table[:, 3] = np.einsum("ij,ij->i", _matvec(self.P, U), U)
         # np.linalg.norm's arithmetic from one in-place square
         U *= U
         self.distances[i: self.filled] = np.sqrt(U.sum(axis=1))
-        self.dist_x[i: self.filled] = np.sqrt(U[:, : self.n].sum(axis=1))
-        self.dist_lambda[i: self.filled] = np.sqrt(U[:, self.n:].sum(axis=1))
+        table[:, 1] = np.sqrt(U[:, : self.n].sum(axis=1))
+        table[:, 2] = np.sqrt(U[:, self.n:].sum(axis=1))
         return rec
 
     def rows(self):
-        """The CSV rows (t, dist_x, dist_lambda, V) of a run recorded with z*
-        and P, as a sized sequence of float blocks of at most CSV_BLOCK_ROWS
-        rows (2-D arrays, which fileio.write_csv formats a block per call).
-        Block i is sliced from the recorded columns, its times computed,
-        when it is read; no whole table or times column is built."""
-        return _RowBlocks(self)
-
-
-class _RowBlocks(Sequence):
-    """Trajectory.rows(): block i holds recorded states
-    i * CSV_BLOCK_ROWS onwards, built at each read."""
-
-    def __init__(self, traj):
-        self._traj = traj
-
-    def __len__(self):
-        return -(-self._traj.filled // CSV_BLOCK_ROWS)
-
-    def __getitem__(self, i):
-        count = len(self)
-        if i < 0:
-            i += count
-        if not 0 <= i < count:
-            raise IndexError(f"block {i} of {count}")
-        traj = self._traj
-        start = i * CSV_BLOCK_ROWS
-        stop = min(start + CSV_BLOCK_ROWS, traj.filled)
-        return np.column_stack([traj._times(start, stop)] + [
-            column[start:stop] for column in (traj.dist_x, traj.dist_lambda, traj.v_values)])
+        """The CSV table of a run recorded with z*: the recorded rows
+        (t, dist_x, dist_lambda, V) so far, a view of table (without P,
+        no V column), which fileio.write_csv takes as it is."""
+        return self.table[: self.filled]
 
 
 def _advance(f):
@@ -219,8 +197,8 @@ def simulate(field, z0, delta: float, horizon: float,
     The affine field takes its steps in blocks of iterates from one
     matrix product, the augmented field in blocks of up to 256 steps of
     its own kernel, other fields in blocks of up to 256 steps of
-    z + delta * field(z) (_advance). The Trajectory records the distances
-    and Lyapunov values block by block, and hands its CSV rows in blocks
+    z + delta * field(z) (_advance). The Trajectory records the times,
+    distances and Lyapunov values block by block into its CSV table
     (Trajectory.rows). Raises
     DivergedError when the state norm passes 1e12, naming the first such
     step whatever record_every is (inadmissible step sizes blow up

@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificates import build_certificate_eq
 from .dynamics import AffineVectorField, vector_field
-from .errors import InvalidInputError
+from .errors import InfeasibleError, InvalidInputError
 from .problem import ConstrainedProblem, DynamicsParams, _fields_equal, _readonly
 
 # saturation_knee's grid eta = KNEE_ETA0 * 10^k, k = 0 ... KNEE_DECADES,
@@ -64,12 +64,16 @@ def lti_matrix(p: ConstrainedProblem, eta: float = 1.0) -> LtiSystem:
     """System matrix G of p's flow at dual gain eta and its spectral abscissa.
 
     G is the affine field's matrix: vector_field decides whether the flow
-    is linear, and InvalidInputError says so when it is not.
+    is linear, and InvalidInputError says so when it is not. A G that
+    overflows (eta A past the largest float) raises InfeasibleError.
     """
-    field = vector_field(p, DynamicsParams(eta=eta))
+    with np.errstate(over="ignore"):
+        field = vector_field(p, DynamicsParams(eta=eta))
     if not isinstance(field, AffineVectorField):
         raise InvalidInputError("spectrum needs a quadratic objective with equality "
                                 "constraints (the flow must be linear)")
+    if not np.isfinite(field.G).all():
+        raise InfeasibleError(f"the flow matrix overflows at eta = {eta:g}")
     return LtiSystem(G=field.G, abscissa=float(np.max(np.real(np.linalg.eigvals(field.G)))))
 
 

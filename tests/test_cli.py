@@ -182,10 +182,13 @@ def test_certificate_constants_outside_the_float_range_exit_one(argv, tmp_path, 
       "--tol", "1e-14"], "MaxIterationsError"),
     (["certify", "--problem", "logistic", "--n", "6", "--m", "3", "--n-data", "20",
       "--seed", "7", "--variant", "rank", "--eta", "1e200"], "InfeasibleError"),
-], ids=["kkt-check-zero-field-above-tol", "certify-rank-eta-1e200"])
+    (["spectrum", "--problem", "eq-qp", "--seed", "1", "--eta-grid", "1e300:1e308:3:log"],
+     "InfeasibleError"),
+], ids=["kkt-check-zero-field-above-tol", "certify-rank-eta-1e200", "spectrum-eta-1e308"])
 def test_solves_past_their_floor_exit_one_at_once(argv, error, tmp_path, capsys):
-    # a Newton field of exactly 0 above tol, and rank margins past the
-    # float range, are refused at once with their typed error
+    # a Newton field of exactly 0 above tol, rank margins past the float
+    # range, and a flow matrix that overflows are refused at once with
+    # their typed error
     start = time.perf_counter()
     assert run_cli([*argv, "--out", str(tmp_path / "out")]) == 1
     assert time.perf_counter() - start < 10.0
@@ -207,6 +210,23 @@ def test_a_field_that_overflows_at_the_start_is_refused_at_once(tmp_path, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--horizon", "1e300"],
+    ["simulate", "--horizon", "5", "--delta", "1e-300"],
+    ["sweep-eta", "--horizon", "1e300", "--eta-grid", "1:1:1"],
+], ids=["simulate-long-horizon", "simulate-tiny-delta", "sweep-eta-long-horizon"])
+def test_origin_runs_past_the_step_budget_exit_two_at_once(argv, tmp_path, capsys):
+    # more Euler steps than equilibrium.MAX_EULER_STEPS are refused when
+    # the run is planned, naming the step count and the eta
+    start = time.perf_counter()
+    assert run_cli([argv[0], "--problem", "eq-qp", "--seed", "1", *argv[1:],
+                    "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert re.match(r"error: horizon \S+ takes \S+ steps of delta \S+ at eta 1, "
+                    r"more than the budget of 10000000$", err.strip()), err
+
+
 @pytest.mark.parametrize("case", ["out-under-a-file", "failed-split-child"])
 def test_outputs_that_cannot_be_written_exit_three(case, tmp_path, monkeypatch, capsys):
     # an --out that cannot be made, or a trajectory whose split writer's
@@ -224,7 +244,7 @@ def test_outputs_that_cannot_be_written_exit_three(case, tmp_path, monkeypatch, 
         monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
         out.mkdir()
         (out / "trajectory.csv.part").symlink_to(tmp_path / "missing" / "part")
-        want = f"error: {out / 'trajectory.csv'}: the process formatting rows from item 2 "
+        want = f"error: {out / 'trajectory.csv'}: the process formatting rows from row 1639 "
     assert run_cli(["simulate", "--problem", "eq-qp", "--seed", "1", "--horizon", "0.1",
                     "--out", str(out)]) == 3
     err = capsys.readouterr().err

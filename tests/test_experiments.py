@@ -130,11 +130,20 @@ def test_run_experiment_checks_its_inputs_before_solving(tmp_path, solve_fails):
             with pytest.raises(InvalidInputError, match="shorter than one step"):
                 run_experiment(problem, [DynamicsParams(eta=1.0), DynamicsParams(eta=2.0)],
                                horizon, out, delta)
+        # more than equilibrium.MAX_EULER_STEPS = 10^7 steps, picked or given
+        for horizon, delta in ((1e300, None), (5.0, 1e-300), (1e7 + 1, 1.0)):
+            with pytest.raises(InvalidInputError, match=r"steps of delta \S+ at eta 1, "
+                                                        r"more than the budget of 10000000"):
+                run_experiment(problem, [DynamicsParams(eta=1.0), DynamicsParams(eta=2.0)],
+                               horizon, out, delta)
     assert not out.exists()
-    # the benchmark's grids 0.25:4:8:log and 1:1:1 pass the checks, on to the solve
+    # the benchmark's grids 0.25:4:8:log and 1:1:1 pass the checks, on to
+    # the solve, and so do 10^7 steps
     for grid in (np.logspace(np.log10(0.25), np.log10(4.0), 8), [1.0]):
         with pytest.raises(SolveReached):
             sweep(grid, delta=0.01)
+    with pytest.raises(SolveReached):
+        sweep([1.0], horizon=1e7, delta=1.0)
     assert not out.exists()
 
 
@@ -306,6 +315,16 @@ def _runs_match_simulate(p, grid, eq, horizon, delta=None):
         np.testing.assert_allclose(traj.v_values, ref.v_values, rtol=1e-13, atol=0)
         assert run.measured_rate == fit_decay_rate(ref.times, ref.distances)
     return runs
+
+
+def test_equality_origin_runs_match_simulate():
+    # the equality flows record straight into their tables, with no states
+    # kept, and read one simulate per eta
+    p = gen_equality_qp(42)
+    eq = solve_equilibrium(p, DynamicsParams(), tol=1e-9)
+    runs = _runs_match_simulate(p, [DynamicsParams(eta=eta) for eta in (0.5, 1.0, 4.0)],
+                                eq, 2.0)
+    assert len({run.delta for run in runs}) > 1
 
 
 @pytest.mark.parametrize("seed", [3, 66, 145])

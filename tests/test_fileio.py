@@ -1,6 +1,7 @@
 """Round-trip tests for CSV, metadata, and problem-file serialization."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +24,7 @@ from saddleflow import (
     save_problem,
 )
 from saddleflow import fileio
-from saddleflow.fileio import format_float, write_csv, write_metadata
-from saddleflow.integrator import CSV_BLOCK_ROWS
+from saddleflow.fileio import CSV_BLOCK_ROWS, format_float, write_csv, write_metadata
 
 
 def test_format_float_is_exact():
@@ -89,34 +89,31 @@ def test_csv_row_template_matches_per_cell_writer(tmp_path):
 B = CSV_BLOCK_ROWS
 
 
-@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 3])
-def test_csv_blocks_match_per_cell_writer(count, tmp_path):
-    # a trajectory's rows come in float blocks of at most B rows, each
-    # formatted by one call; the bytes are the per-cell writer's
-    rng = np.random.default_rng(count)
-    header = ["t", "dist_x", "dist_lambda", "V"]
-    if count:
-        z_star = rng.standard_normal(5)
-        traj = Trajectory(np.zeros(5), 3, 0.1, count - 1, 1, z_star, np.eye(5))
-        traj.add(rng.standard_normal((count - 1, 5)) * 10.0 ** rng.integers(-150, 150, 5))
-        blocks = list(traj.rows())
-        rows = zip(traj.times, traj.dist_x, traj.dist_lambda, traj.v_values)
-    else:
-        blocks, rows = [np.empty((0, 4))], []
-    assert len(blocks) == max(1, -(-count // B))
-    assert all(block.shape[1:] == (4,) and len(block) <= B for block in blocks)
-    got = write_csv(tmp_path / "blocks.csv", header, iter(blocks))
-    _per_cell_csv(tmp_path / "per_cell.csv", header, rows)
-    assert got.read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
-    assert len(got.read_text(encoding="utf-8").splitlines()) == count + 1
-
-
-def _trajectory_blocks(count, seed=0):
-    # the sized block sequence of a Trajectory with count recorded rows
+def _trajectory_table(count, seed=0):
+    # the CSV table of a Trajectory with count recorded rows
     rng = np.random.default_rng(seed)
+    if not count:
+        return np.empty((0, 4))
     traj = Trajectory(np.zeros(5), 3, 0.1, count - 1, 1, rng.standard_normal(5), np.eye(5))
     traj.add(rng.standard_normal((count - 1, 5)) * 10.0 ** rng.integers(-150, 150, 5))
     return traj.rows()
+
+
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_csv_blocks_match_per_cell_writer(count, tmp_path):
+    # a trajectory's table is formatted B rows per call, one write each;
+    # the bytes are the per-cell writer's
+    header = ["t", "dist_x", "dist_lambda", "V"]
+    table = _trajectory_table(count, count)
+    assert table.shape == (count, 4)
+    writes = []
+    fileio._write_rows(SimpleNamespace(write=writes.append), table)
+    assert [text.count("\n") for text in writes] == [min(B, count - i)
+                                                      for i in range(0, count, B)]
+    got = write_csv(tmp_path / "table.csv", header, table)
+    _per_cell_csv(tmp_path / "per_cell.csv", header, table)
+    assert got.read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+    assert len(got.read_text(encoding="utf-8").splitlines()) == count + 1
 
 
 def _assert_no_child():
@@ -147,13 +144,14 @@ SPLIT_AT = 2 * B + 5
                                    SPLIT_AT - 1, SPLIT_AT, 2 * SPLIT_AT + 3])
 def test_split_writer_matches_serial_writer(count, tmp_path, monkeypatch, forks):
     # from SPLIT_MIN_ROWS rows on, a forked child formats the back half of
-    # the blocks; the file is the serial writer's, byte for byte, and
-    # neither a part file nor a child is left
+    # the table, from row count // 2 (odd counts included); the file is
+    # the serial writer's, byte for byte, and neither a part file nor a
+    # child is left
     monkeypatch.setattr(fileio, "SPLIT_MIN_ROWS", SPLIT_AT)
     header = ["t", "dist_x", "dist_lambda", "V"]
-    blocks = _trajectory_blocks(count, count) if count else [np.empty((0, 4))]
-    got = write_csv(tmp_path / "split.csv", header, blocks)
-    want = write_csv(tmp_path / "serial.csv", header, iter(blocks))
+    table = _trajectory_table(count, count)
+    got = write_csv(tmp_path / "split.csv", header, table)
+    want = write_csv(tmp_path / "serial.csv", header, iter(table))
     assert len(forks) == (count >= SPLIT_AT)
     assert got.read_bytes() == want.read_bytes()
     assert len(got.read_text(encoding="utf-8").splitlines()) == count + 1
@@ -168,8 +166,8 @@ def test_split_writer_refuses_a_failed_child(tmp_path, monkeypatch, forks):
     path = tmp_path / "t.csv"
     part = tmp_path / "t.csv.part"
     part.symlink_to(tmp_path / "missing" / "part")
-    with pytest.raises(CsvWriteError, match="exited with code 1"):
-        write_csv(path, ["t", "dist_x", "dist_lambda", "V"], _trajectory_blocks(3 * B))
+    with pytest.raises(CsvWriteError, match=f"from row {3 * B // 2} on exited with code 1"):
+        write_csv(path, ["t", "dist_x", "dist_lambda", "V"], _trajectory_table(3 * B))
     assert forks and not os.path.lexists(part)
     _assert_no_child()
 
@@ -191,8 +189,8 @@ def test_split_writer_stays_serial_without_fork_or_a_second_cpu(host, tmp_path,
         else:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    blocks = _trajectory_blocks(3 * B)
-    got = write_csv(tmp_path / "t.csv", ["t", "dist_x", "dist_lambda", "V"], blocks)
+    table = _trajectory_table(3 * B)
+    got = write_csv(tmp_path / "t.csv", ["t", "dist_x", "dist_lambda", "V"], table)
     assert len(got.read_text(encoding="utf-8").splitlines()) == 3 * B + 1
 
 

@@ -28,7 +28,8 @@ from saddleflow import (
     vector_field,
 )
 from saddleflow.dynamics import _BLOCK_STEPS
-from saddleflow.integrator import CSV_BLOCK_ROWS, _advance, _euler_iterates
+from saddleflow.fileio import CSV_BLOCK_ROWS
+from saddleflow.integrator import _advance, _euler_iterates
 from saddleflow.problem import LogisticObjective
 
 # Oracle fixtures for the contraction factor r = exp(-tau d/2) + kP nu^2 d^2/2
@@ -274,32 +275,24 @@ def test_recorder_keeps_step_zero_the_multiples_of_its_stride_and_the_last():
         assert traj.distances.tolist() == [0] + want
 
 
-def _column_blocks(traj):
-    # the reference: each block sliced from the whole recorded columns
-    columns = (traj.times, traj.dist_x, traj.dist_lambda, traj.v_values)
-    for start in range(0, traj.filled, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, traj.filled)
-        yield np.column_stack([column[start:stop] for column in columns])
-
-
 @pytest.mark.parametrize("steps, stride", [(0, 1), (CSV_BLOCK_ROWS - 1, 1),
                                            (CSV_BLOCK_ROWS, 1), (5 * CSV_BLOCK_ROWS, 3),
                                            (2 * CSV_BLOCK_ROWS + 7, 1)])
-def test_trajectory_rows_are_a_sized_sequence_of_the_column_blocks(steps, stride):
-    # Trajectory.rows() has a length, and block i, built when it is read,
-    # holds the bits of the same rows sliced from the whole columns
+def test_trajectory_rows_are_a_view_of_the_recorded_columns(steps, stride):
+    # Trajectory.rows() is the recorded table itself, no copy, holding the
+    # bits of the columns side by side; its times are the recording rule's
     rng = np.random.default_rng(steps)
     traj = Trajectory(np.zeros(4), 2, 2.0 ** -15, steps, stride, rng.standard_normal(4),
                       np.eye(4))
     if steps:
         traj.add(rng.standard_normal((steps, 4)))
-    rows, want = traj.rows(), list(_column_blocks(traj))
-    assert len(rows) == len(want) == -(-len(traj) // CSV_BLOCK_ROWS)
-    assert all(got.tobytes() == block.tobytes() and got.shape == block.shape
-               for got, block in zip(rows, want))
-    assert rows[-1].tobytes() == want[-1].tobytes()
-    with pytest.raises(IndexError):
-        rows[len(rows)]
+    rows = traj.rows()
+    want = np.column_stack((traj.times, traj.dist_x, traj.dist_lambda, traj.v_values))
+    assert rows.shape == (len(traj), 4) and rows.flags.c_contiguous
+    assert rows.base is traj.table and np.shares_memory(rows, traj.v_values)
+    assert rows.tobytes() == want.tobytes()
+    times = np.minimum(np.arange(len(traj)) * stride, steps) * 2.0 ** -15
+    assert traj.times.tobytes() == times.tobytes()
 
 
 def test_simulate_names_the_same_diverged_step_at_any_record_every():

@@ -8,6 +8,7 @@ from saddleflow import (
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
+    InfeasibleError,
     InvalidInputError,
     QuadraticObjective,
     build_certificate_eq,
@@ -108,6 +109,9 @@ def test_lti_matrix_input_validation():
     for eta in (0.0, np.inf):
         with pytest.raises(ValueError, match="eta must be positive"):
             lti_matrix(SCALAR, eta=eta)
+    # a finite eta whose eta A overflows leaves no spectrum to take
+    with pytest.raises(InfeasibleError, match=r"overflows at eta = 1e\+308"):
+        lti_matrix(gen_equality_qp(1), eta=1e308)
 
 
 def test_lti_matrix_block_layout():
