@@ -290,6 +290,22 @@ def _cmd_kkt_check(args) -> int:
           f"{eq.euler_steps} Euler steps{warmup}{how}")
     ok = res.total <= args.tol
     print(f"total {res.total:.3e} {'<=' if ok else '>'} tol {args.tol:g}")
+    if args.out:
+        fileio.write_metadata(_out_dir(args) / "metadata.txt", {
+            "command": "kkt-check",
+            "problem": args.problem,
+            "seed": args.seed,
+            **problem_metadata(p),
+            "rho": args.rho,
+            "tol": args.tol,
+            "kkt_stationarity": res.stationarity,
+            "kkt_primal": res.primal,
+            "kkt_dual": res.dual,
+            "kkt_complementarity": res.complementarity,
+            "kkt_total": res.total,
+            "active_set": list(eq.active_set),
+            **equilibrium_metadata(eq),
+        })
     return 0 if ok else 1
 
 

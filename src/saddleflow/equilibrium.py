@@ -17,7 +17,8 @@ import numpy as np
 from .certificates import ACTIVE_TOL
 from .dynamics import _fitting, _flow_matrix, _with_primal, vector_field
 from .errors import InfeasibleError, MaxIterationsError
-from .integrator import Trajectory, _advance, _euler_iterates, _fallback_step, lipschitz_bound
+from .integrator import (MAX_EULER_STEPS, Trajectory, _advance, _euler_iterates,
+                         _fallback_step, lipschitz_bound)
 from .problem import (
     ConstrainedProblem,
     DynamicsParams,
@@ -29,8 +30,6 @@ from .problem import (
 
 # Euler steps between KKT residual checks while integrating to equilibrium.
 KKT_CHECK_EVERY = 100
-# Budget of Euler steps for an integrated equilibrium.
-MAX_EULER_STEPS = 10_000_000
 # KKT residual the flow is integrated to when Newton stalls, before Newton
 # is tried once more from there.
 WARMUP_TOL = 1e-2

@@ -15,8 +15,10 @@ class InvalidInputError(SaddleflowError, ValueError):
 
 
 class ProblemFileError(InvalidInputError):
-    """A problem file is malformed: unknown section, missing key,
-    non-numeric or non-finite entry, or a matrix of the wrong size."""
+    """A problem file is malformed: no magic line of the format version, a
+    header key or section its kind and objective do not hold, one given
+    twice or missing, a non-numeric or non-finite entry, or a matrix of
+    the wrong size."""
 
 
 class DimensionMismatchError(SaddleflowError, ValueError):

@@ -32,7 +32,6 @@ from .certificates import (
 )
 from .dynamics import AffineVectorField, _AugmentedField, vector_field
 from .equilibrium import (
-    MAX_EULER_STEPS,
     Equilibrium,
     _integrate_to_equilibrium,
     solve_equilibrium,
@@ -40,6 +39,7 @@ from .equilibrium import (
 from .errors import DivergedError, InvalidInputError, RankDeficientError
 from .integrator import (
     DIVERGENCE_NORM,
+    MAX_EULER_STEPS,
     Trajectory,
     _advance,
     _euler_iterates,
@@ -260,7 +260,7 @@ def _plan_runs(p: ConstrainedProblem, grid, horizon: float, delta: Optional[floa
 
     Per entry, in order: certificate_for(variant, eq); delta, or
     pick_step_size; the horizon checks (InvalidInputError below one step
-    or above equilibrium.MAX_EULER_STEPS steps); then the steps to the
+    or above integrator.MAX_EULER_STEPS steps); then the steps to the
     horizon, recording every
     ceil(steps / MAX_RECORDED_ROWS)-th. Only the rank-relaxed variant
     reads eq, so without it the plans can be made before the solve.

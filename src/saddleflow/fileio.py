@@ -26,15 +26,16 @@ sections, for example
     b
     1
 
-Two-sided problems carry `b_lo` and `b_hi` sections instead of `b`;
-logistic objectives carry `reg`, an `n_data` header, and `D` / `y`
-sections instead of `W`.
+_SCHEMA says which header keys and sections each constraint kind and
+objective holds.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,26 @@ from .problem import (
 )
 
 FORMAT_VERSION = 1
+
+# What a problem file holds, by header key ("kind", "objective") and name:
+# the class; its sections in file order, each with its shape in header
+# dimensions (1 for a vector's one row); its header keys, each a dimension
+# (n, m, n_data) or else a float argument of the class (reg). A constraint
+# class's sections are its dataclass fields: A, then its right-hand sides.
+_SCHEMA = {
+    "kind": {
+        kind: (cls, {f.name: ("m", "n") if f.name == "A" else (1, "m") for f in fields(cls)},
+               ("n", "m"))
+        for kind, cls in (("equality", EqualityConstraints),
+                          ("inequality", InequalityConstraints),
+                          ("two-sided", TwoSidedConstraints))
+    },
+    "objective": {
+        "quadratic": (QuadraticObjective, {"W": ("n", "n"), "q": (1, "n")}, ()),
+        "logistic": (LogisticObjective, {"D": ("n_data", "n"), "y": (1, "n_data")},
+                     ("n_data", "reg")),
+    },
+}
 
 # Most rows of a table that write_csv formats in one "%" call: enough to
 # spread the per-call cost, few enough that a block's text stays small.
@@ -175,57 +196,24 @@ def write_metadata(path, mapping) -> Path:
     return path
 
 
-def _matrix_lines(M):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return [" ".join(format_float(v) for v in row) for row in M]
-
-
 def save_problem(path, p: ConstrainedProblem) -> Path:
-    """Write p as a plain-text problem file.
-
-    Only quadratic and logistic objectives are representable; black-box
-    oracles have no portable form.
-    """
-    cons = p.constraints
-    if isinstance(cons, EqualityConstraints):
-        kind = "equality"
-    elif isinstance(cons, InequalityConstraints):
-        kind = "inequality"
-    elif isinstance(cons, TwoSidedConstraints):
-        kind = "two-sided"
-    else:
-        raise ValueError(f"unknown constraint set {type(cons).__name__}")
-
-    lines = [f"saddleflow-problem {FORMAT_VERSION}", f"kind {kind}",
-             f"n {p.dim_n}", f"m {p.dim_m}"]
-    if isinstance(p.objective, QuadraticObjective):
-        lines.append("objective quadratic")
-        lines.append("W")
-        lines += _matrix_lines(p.objective.W)
-        lines.append("q")
-        lines += _matrix_lines(p.objective.q)
-    elif isinstance(p.objective, LogisticObjective):
-        lines.append("objective logistic")
-        lines.append(f"n_data {p.objective.D.shape[0]}")
-        lines.append(f"reg {format_float(p.objective.reg)}")
-        lines.append("D")
-        lines += _matrix_lines(p.objective.D)
-        lines.append("y")
-        lines += _matrix_lines(p.objective.y)
-    else:
-        raise ValueError(
-            "only quadratic and logistic objectives can be written to file"
-        )
-    lines.append("A")
-    lines += _matrix_lines(cons.A)
-    if isinstance(cons, TwoSidedConstraints):
-        lines.append("b_lo")
-        lines += _matrix_lines(cons.b_lo)
-        lines.append("b_hi")
-        lines += _matrix_lines(cons.b_hi)
-    else:
-        lines.append("b")
-        lines += _matrix_lines(cons.b)
+    """Write p as a plain-text problem file laid out by _SCHEMA; a black-box
+    objective oracle has no portable form (ValueError)."""
+    parts = [(key, part, name, sections, keys)
+             for key, part in (("kind", p.constraints), ("objective", p.objective))
+             for name, (cls, sections, keys) in _SCHEMA[key].items() if isinstance(part, cls)]
+    if len(parts) < 2:
+        raise ValueError("only quadratic and logistic objectives can be written to file")
+    # the objective's sections come first, then the constraints'
+    blocks = [(name, np.atleast_2d(getattr(part, name)), layout)
+              for _, part, _, sections, _ in parts[::-1] for name, layout in sections.items()]
+    dims = {axis: size for _, M, layout in blocks for axis, size in zip(layout, M.shape)}
+    lines = [f"saddleflow-problem {FORMAT_VERSION}"]
+    for key, part, name, _, keys in parts:
+        lines.append(f"{key} {name}")
+        lines += [f"{h} {dims[h] if h in dims else format_float(getattr(part, h))}" for h in keys]
+    for name, M, _ in blocks:
+        lines += [name, *(" ".join(format_float(v) for v in row) for row in M)]
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -236,15 +224,16 @@ def save_problem(path, p: ConstrainedProblem) -> Path:
 def load_problem(path) -> ConstrainedProblem:
     """Read a problem file written by save_problem.
 
-    Raises ProblemFileError when the file is malformed: no magic line, an
-    unknown section, a missing header key or section, a non-numeric or
+    Raises ProblemFileError when the file is malformed: no magic line of
+    FORMAT_VERSION, an unknown kind or objective, a header key or section
+    they do not hold or one given twice, a missing one, a non-numeric or
     non-finite entry, a matrix of the wrong size, or data the problem
     types reject (a non-finite reg among them).
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("saddleflow-problem"):
-        raise ProblemFileError(f"{path}: not a saddleflow problem file")
+    if not lines or lines[0].split() != ["saddleflow-problem", str(FORMAT_VERSION)]:
+        raise ProblemFileError(f"{path}: not a saddleflow-problem {FORMAT_VERSION} file")
     try:
         return _parse_problem(lines)
     except KeyError as exc:
@@ -254,49 +243,50 @@ def load_problem(path) -> ConstrainedProblem:
 
 
 def _parse_problem(lines) -> ConstrainedProblem:
-    header = {}
-    idx = 1
-    while idx < len(lines) and len(lines[idx].split()) == 2 and lines[idx].split()[0] in (
-        "kind", "n", "m", "objective", "n_data", "reg"
-    ):
+    # the header: the lines of two words before the first section
+    header, idx = {}, 1
+    while idx < len(lines) and len(lines[idx].split()) == 2:
         key, value = lines[idx].split()
+        if key in header:
+            raise ValueError(f"header key {key!r} given twice")
         header[key] = value
         idx += 1
-    n, m = int(header["n"]), int(header["m"])
-    n_data = int(header.get("n_data", 0))
-    shapes = {"W": (n, n), "q": (1, n), "D": (n_data, n), "y": (1, n_data),
-              "A": (m, n), "b": (1, m), "b_lo": (1, m), "b_hi": (1, m)}
+    entries = []
+    for key in ("objective", "kind"):
+        if header[key] not in _SCHEMA[key]:
+            raise ValueError(f"unknown {key} {header[key]!r}")
+        entries.append(_SCHEMA[key][header[key]])
+    what = f"a {header['objective']} problem under {header['kind']} constraints"
+    reads = {"kind", "objective"}.union(*(keys for *_, keys in entries))
+    unread = [key for key in header if key not in reads]
+    if unread:
+        raise ValueError(f"header key {unread[0]!r} is not read by {what}")
+    layouts = {name: layout for _, sections, _ in entries for name, layout in sections.items()}
+    dims = {axis: int(header[axis]) for layout in layouts.values()
+            for axis in layout if isinstance(axis, str)}
 
     sections = {}
     while idx < len(lines):
         name = lines[idx]
-        if name not in shapes:
-            raise ValueError(f"unknown section {name!r}")
-        rows, cols = shapes[name]
+        if name not in layouts:
+            raise ValueError(f"unexpected section {name!r}: {what} holds {', '.join(layouts)}")
+        if name in sections:
+            raise ValueError(f"section {name!r} given twice")
+        rows, cols = (dims.get(axis, axis) for axis in layouts[name])
         block = [ln.split() for ln in lines[idx + 1: idx + 1 + rows]]
         if len(block) != rows or any(len(row) != cols for row in block):
             raise ValueError(f"section {name!r} must be a {rows}x{cols} matrix")
-        sections[name] = np.array([[float(v) for v in row] for row in block]).reshape(rows, cols)
-        if not np.isfinite(sections[name]).all():
+        M = np.array([[float(v) for v in row] for row in block]).reshape(rows, cols)
+        if not np.isfinite(M).all():
             raise ValueError(f"section {name!r} holds a non-finite entry")
+        sections[name] = M.ravel() if layouts[name][0] == 1 else M
         idx += 1 + rows
 
-    if header["objective"] == "quadratic":
-        objective = QuadraticObjective(sections["W"], sections.get("q", np.zeros((1, n))).ravel())
-    elif header["objective"] == "logistic":
-        objective = LogisticObjective(sections["D"], sections["y"].ravel(),
-                                      float(header["reg"]))
-    else:
-        raise ValueError(f"unknown objective kind {header['objective']!r}")
+    def build(cls, layout, keys):
+        # a section for an argument with a default (q) may be left out
+        params = inspect.signature(cls).parameters
+        return cls(**{name: sections[name] for name in layout  # KeyError when missing
+                      if name in sections or params[name].default is params[name].empty},
+                   **{key: float(header[key]) for key in keys if key not in dims})
 
-    A = sections["A"]
-    if header["kind"] == "equality":
-        cons = EqualityConstraints(A=A, b=sections["b"].ravel())
-    elif header["kind"] == "inequality":
-        cons = InequalityConstraints(A=A, b=sections["b"].ravel())
-    elif header["kind"] == "two-sided":
-        cons = TwoSidedConstraints(A=A, b_lo=sections["b_lo"].ravel(),
-                                   b_hi=sections["b_hi"].ravel())
-    else:
-        raise ValueError(f"unknown constraint kind {header['kind']!r}")
-    return ConstrainedProblem(objective=objective, constraints=cons)
+    return ConstrainedProblem(*(build(*entry) for entry in entries))

@@ -23,10 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _BLOCK_STEPS, _fitting
-from .errors import DimensionMismatchError, DivergedError
+from .errors import DimensionMismatchError, DivergedError, InvalidInputError
 from .problem import ConstrainedProblem, DynamicsParams, EqualityConstraints, _matvec
 
 DIVERGENCE_NORM = 1e12
+# Budget of Euler steps for one run: simulate's, an origin run's or an
+# integrated equilibrium's.
+MAX_EULER_STEPS = 10_000_000
 _DIVERGENCE_NORM2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 
 # choose_step_size's contraction target, and its smallest dyadic step
@@ -192,7 +195,8 @@ def simulate(field, z0, delta: float, horizon: float,
     (of z, x and lam), with both the Lyapunov values as well. A z0 or eq
     that is not one point of the field's dim is refused.
     record_every thins the recording for long runs; step 0 and the final
-    step are always kept.
+    step are always kept. A run of more than MAX_EULER_STEPS steps is
+    refused with InvalidInputError before any step.
 
     The affine field takes its steps in blocks of iterates from one
     matrix product, the augmented field in blocks of up to 256 steps of
@@ -208,6 +212,9 @@ def simulate(field, z0, delta: float, horizon: float,
         raise ValueError(f"delta must be positive, got {delta}")
     if not horizon >= delta:
         raise ValueError(f"horizon must be at least delta, got {horizon} < {delta}")
+    if horizon / delta > MAX_EULER_STEPS:
+        raise InvalidInputError(f"horizon {horizon:g} takes {horizon / delta:.6g} steps of "
+                                f"delta {delta:g}, more than the budget of {MAX_EULER_STEPS}")
     if cert is not None and eq is None:
         raise ValueError("recording Lyapunov values requires the equilibrium")
     z = _fitting(z0, getattr(field, "dim", None), "z0")

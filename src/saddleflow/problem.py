@@ -223,64 +223,52 @@ class LogisticObjective(ObjectiveOracle):
 
 @dataclass(frozen=True, eq=False)
 class _RowConstraints:
-    """Constraint rows A with one right-hand side b; == compares them
-    entrywise."""
+    """Constraint rows A, then the right-hand sides: each field after A,
+    one entry per row of A. == compares them entrywise."""
 
     A: np.ndarray
-    b: np.ndarray
 
     __eq__ = _fields_equal
 
     def __post_init__(self):
         A = _readonly(np.atleast_2d(self.A))
-        b = _readonly(np.atleast_1d(self.b))
-        if A.shape[0] != b.shape[0]:
-            raise DimensionMismatchError(
-                f"A has {A.shape[0]} rows but b has {b.shape[0]} entries"
-            )
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        for f in fields(self)[1:]:
+            rhs = _readonly(np.atleast_1d(getattr(self, f.name)))
+            if rhs.shape[0] != A.shape[0]:
+                raise DimensionMismatchError(
+                    f"A has {A.shape[0]} rows but {f.name} has {rhs.shape[0]} entries")
+            object.__setattr__(self, f.name, rhs)
 
 
 @dataclass(frozen=True, eq=False)
 class EqualityConstraints(_RowConstraints):
     """A x = b."""
 
+    b: np.ndarray
+
 
 @dataclass(frozen=True, eq=False)
 class InequalityConstraints(_RowConstraints):
     """A x <= b."""
 
+    b: np.ndarray
+
 
 @dataclass(frozen=True, eq=False)
-class TwoSidedConstraints:
-    """b_lo <= A x <= b_hi, strictly separated bands; == compares them
-    entrywise."""
+class TwoSidedConstraints(_RowConstraints):
+    """b_lo <= A x <= b_hi, strictly separated bands."""
 
-    A: np.ndarray
     b_lo: np.ndarray
     b_hi: np.ndarray
 
-    __eq__ = _fields_equal
-
     def __post_init__(self):
-        A = _readonly(np.atleast_2d(self.A))
-        lo = _readonly(np.atleast_1d(self.b_lo))
-        hi = _readonly(np.atleast_1d(self.b_hi))
-        if not (A.shape[0] == lo.shape[0] == hi.shape[0]):
-            raise DimensionMismatchError(
-                f"rows of A ({A.shape[0]}), b_lo ({lo.shape[0]}) and "
-                f"b_hi ({hi.shape[0]}) disagree"
-            )
+        super().__post_init__()
+        lo, hi = self.b_lo, self.b_hi
         if not np.all(lo < hi):
             j = int(np.argmin(hi - lo))
             raise InvalidBandError(
-                f"need b_lo < b_hi componentwise; row {j} has "
-                f"[{lo[j]:g}, {hi[j]:g}]"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b_lo", lo)
-        object.__setattr__(self, "b_hi", hi)
+                f"need b_lo < b_hi componentwise; row {j} has [{lo[j]:g}, {hi[j]:g}]")
 
 
 ConstraintSet = Union[EqualityConstraints, InequalityConstraints, TwoSidedConstraints]

@@ -630,6 +630,60 @@ def test_non_finite_problem_file_entries_are_refused_by_name(case, tmp_path, cap
         assert not out.exists()
 
 
+# Problem files that used to load, each refused by its offending part
+REFUSED_PROBLEMS = {
+    "section-of-another-kind": ("unexpected section 'b_lo'", SMALL_PROBLEM + "b_lo\n0\n"),
+    "section-twice": ("section 'A' given twice", SMALL_PROBLEM + "A\n9 9\n"),
+    "unread-header-key": ("header key 'reg' is not read by a quadratic problem",
+                          SMALL_PROBLEM.replace("objective quadratic\n",
+                                                "objective quadratic\nreg 0.1\n")),
+    "version-2": ("not a saddleflow-problem 1 file",
+                  SMALL_PROBLEM.replace("saddleflow-problem 1", "saddleflow-problem 2")),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_PROBLEMS)
+def test_malformed_problem_files_are_usage_errors_on_every_subcommand(case, tmp_path,
+                                                                       capsys):
+    what, text = REFUSED_PROBLEMS[case]
+    path = tmp_path / "problem.txt"
+    path.write_text(text, encoding="utf-8")
+    for command in ("simulate", "certify", "sweep-eta", "spectrum", "kkt-check", "gen"):
+        out = tmp_path / "out"
+        assert run_cli([command, "--problem", str(path), "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {what}") and "Traceback" not in err, err
+        assert not out.exists()
+
+
+def test_kkt_check_out_writes_its_metadata(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["kkt-check", "--problem", "logistic", "--n", "6", "--m", "3",
+                    "--n-data", "20", "--seed", "7", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert sorted(path.name for path in out.iterdir()) == ["metadata.txt"]
+    meta = dict(line.split(" = ", 1)
+                for line in (out / "metadata.txt").read_text(encoding="utf-8").splitlines())
+    assert list(meta) == [
+        "command", "problem", "seed", "objective", "constraints", "n", "m", "n_data", "reg",
+        "rho", "tol", "kkt_stationarity", "kkt_primal", "kkt_dual", "kkt_complementarity",
+        "kkt_total", "active_set", "equilibrium_method", "equilibrium_newton_iterations",
+        "equilibrium_euler_steps", "equilibrium_fallback_reason"]
+    assert meta["command"] == "kkt-check" and meta["seed"] == "7" and meta["tol"] == "1e-08"
+    # the file holds what stdout rounds
+    for part in ("stationarity", "primal", "dual", "complementarity"):
+        printed = re.search(rf"^{part} +(\S+)$", stdout, re.M).group(1)
+        assert f"{float(meta['kkt_' + part]):.3e}" == printed
+    assert re.search(r"^total (\S+) <=", stdout, re.M).group(1) == \
+        f"{float(meta['kkt_total']):.3e}"
+    assert f"active set       {meta['active_set']}" in stdout
+    assert meta["equilibrium_method"] == "newton"
+    # without --out nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["kkt-check", "--problem", "eq-qp"]) == 0
+    assert not (tmp_path / "saddleflow-out").exists()
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # (subcommand, flag) pairs where the subcommand does not read the flag, so

@@ -1,6 +1,7 @@
 """Round-trip tests for CSV, metadata, and problem-file serialization."""
 
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from saddleflow import (
     EqualityConstraints,
     InequalityConstraints,
     LogisticObjective,
+    ObjectiveOracle,
     ProblemFileError,
     QuadraticObjective,
     Trajectory,
@@ -245,6 +247,85 @@ def test_load_rejects_foreign_files(tmp_path):
     bad.write_text("not a problem\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_problem(bad)
+
+
+SMALL = """saddleflow-problem 1
+kind equality
+n 2
+m 1
+objective quadratic
+W
+2 0
+0 1
+q
+0.5 -1
+A
+1 1
+b
+1
+"""
+
+# A malformed variant of SMALL, and what load_problem's error says of it
+MALFORMED = {
+    "objective-foo": (SMALL.replace("objective quadratic", "objective foo"),
+                      "unknown objective 'foo'"),
+    "kind-foo": (SMALL.replace("kind equality", "kind foo"), "unknown kind 'foo'"),
+    "section-of-another-kind": (SMALL + "b_lo\n0\n", "unexpected section 'b_lo'"),
+    "section-of-another-objective": (SMALL + "D\n", "unexpected section 'D'"),
+    "section-twice": (SMALL + "A\n9 9\n", "section 'A' given twice"),
+    "header-key-twice": (SMALL.replace("m 1\n", "m 1\nm 1\n"), "header key 'm' given twice"),
+    "unread-header-key": (SMALL.replace("objective quadratic\n", "objective quadratic\nreg 0.1\n"),
+                          "header key 'reg' is not read by a quadratic problem"),
+    "version-2": (SMALL.replace("saddleflow-problem 1", "saddleflow-problem 2"),
+                  "not a saddleflow-problem 1 file"),
+    "no-version": (SMALL.replace("saddleflow-problem 1", "saddleflow-problem"),
+                   "not a saddleflow-problem 1 file"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_problem_files_are_refused_by_what_is_wrong(case, tmp_path):
+    # all but the first two used to load: a second A or m replaced the
+    # first, and a stray section, header key or version was ignored
+    text, message = MALFORMED[case]
+    path = tmp_path / "problem.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ProblemFileError, match=re.escape(f"{path}: {message}")):
+        load_problem(path)
+
+
+def test_a_small_problem_file_loads_and_saves_to_the_same_bytes(tmp_path):
+    path = tmp_path / "small.txt"
+    path.write_text(SMALL, encoding="utf-8")
+    p = load_problem(path)
+    assert p.objective.W.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+    assert p.objective.q.tolist() == [0.5, -1.0]
+    assert p.constraints == EqualityConstraints([[1.0, 1.0]], [1.0])
+    assert save_problem(tmp_path / "again.txt", p).read_text(encoding="utf-8") == SMALL
+    # q may be left out (README's and the module's example files have none)
+    path.write_text(SMALL.replace("q\n0.5 -1\n", ""), encoding="utf-8")
+    assert load_problem(path).objective.q.tolist() == [0.0, 0.0]
+    # W may not
+    path.write_text(SMALL.replace("W\n2 0\n0 1\n", ""), encoding="utf-8")
+    with pytest.raises(ProblemFileError, match="missing 'W'"):
+        load_problem(path)
+
+
+def test_every_kind_and_objective_keeps_its_file_layout(tmp_path):
+    obj = LogisticObjective([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, -1.0, 1.0], 0.25)
+    cons = TwoSidedConstraints([[1.0, 1.0]], [-1.0], [2.0])
+    text = save_problem(tmp_path / "p.txt", ConstrainedProblem(obj, cons)).read_text()
+    assert text == ("saddleflow-problem 1\nkind two-sided\nn 2\nm 1\nobjective logistic\n"
+                    "n_data 3\nreg 0.25\nD\n1 0\n0 1\n1 1\ny\n1 -1 1\n"
+                    "A\n1 1\nb_lo\n-1\nb_hi\n2\n")
+    for kind, cls in (("equality", EqualityConstraints), ("inequality", InequalityConstraints)):
+        text = save_problem(tmp_path / "p.txt", ConstrainedProblem(
+            obj, cls([[1.0, 1.0]], [0.5]))).read_text()
+        assert text.startswith(f"saddleflow-problem 1\nkind {kind}\n")
+        assert text.endswith("A\n1 1\nb\n0.5\n")
+    oracle = ObjectiveOracle(lambda x: float(x @ x), lambda x: 2.0 * x, 2.0, 2.0)
+    with pytest.raises(ValueError, match="only quadratic and logistic objectives"):
+        save_problem(tmp_path / "p.txt", ConstrainedProblem(oracle, cons))
 
 
 def _random_problem(seed, n, m, kind, logistic, scale):

@@ -1,6 +1,7 @@
 """Tests for Euler stepping, trajectory recording, and contraction sizing."""
 
 import re
+import time
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from saddleflow import (
     DynamicsParams,
     EqualityConstraints,
     InequalityConstraints,
+    InvalidInputError,
     QuadraticObjective,
     Trajectory,
     build_certificate_eq,
@@ -92,6 +94,26 @@ def test_simulate_refuses_a_nonpositive_step_and_a_short_horizon():
     for horizon in (0.05, -1.0, np.nan):
         with pytest.raises(ValueError, match="horizon must be at least delta"):
             simulate(lambda z: -z, z0, 0.1, horizon)
+
+
+def _no_step(z):
+    raise AssertionError("a step was taken")
+
+
+def test_simulate_refuses_a_run_past_the_step_budget_before_any_step():
+    # these used to raise OverflowError, numpy's untyped "Maximum allowed
+    # dimension exceeded", or take 5e9 steps; each is refused at once
+    calls = [(0.1, float("inf"), 1), (1e-300, 5.0, 1), (1e-9, 5.0, 10**6)]
+    for delta, horizon, record_every in calls:
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match=r"more than the budget of 10000000$"):
+            simulate(_no_step, np.array([1.0]), delta, horizon, record_every=record_every)
+        assert time.perf_counter() - start < 0.5
+    # a run of exactly the budget, 10^7 steps of 2^-20, passes the check and
+    # reaches its first step
+    with pytest.raises(AssertionError, match="a step was taken"):
+        simulate(_no_step, np.array([1.0]), 2.0 ** -20, 1e7 * 2.0 ** -20,
+                 record_every=10**6)
 
 
 def test_states_that_do_not_fit_the_field_are_refused():

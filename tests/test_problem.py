@@ -103,6 +103,39 @@ def test_validate_reports_rank_deficiency():
     assert not rep.rank_ok
 
 
+def _raise(x):
+    raise ArithmeticError("no value here")
+
+
+@pytest.mark.parametrize("value, grad, note", [
+    (lambda x: float(x @ x), lambda x: np.zeros(3), "grad returned shape (3,), expected (2,)"),
+    (lambda x: float("nan"), lambda x: 2.0 * x, "objective value at 0 is not finite"),
+    (_raise, lambda x: 2.0 * x, "objective evaluation failed: no value here"),
+], ids=["grad-shape", "nan-value", "raises"])
+def test_validate_reports_a_broken_oracle_in_its_notes(value, grad, note):
+    # each is reported, never raised, and the secant sampling is skipped
+    p = ConstrainedProblem(ObjectiveOracle(value, grad, 2.0, 2.0),
+                           EqualityConstraints(A=np.eye(2), b=np.zeros(2)))
+    rep = validate_problem(p)
+    assert not rep.passed and not rep.dims_ok and rep.rank_ok
+    assert note in rep.notes
+
+
+def test_constraint_sets_keep_their_positional_order_and_read_only_fields():
+    A, b = np.array([[1.0, 2.0], [3.0, 4.0]]), [1.0, 2.0]
+    for cons in (EqualityConstraints(A, b), InequalityConstraints(A, b),
+                 TwoSidedConstraints(A, b, [3.0, 4.0])):
+        assert np.array_equal(cons.A, A) and cons.A is not A
+        rhs = [getattr(cons, name) for name in ("b", "b_lo", "b_hi") if hasattr(cons, name)]
+        assert [r.tolist() for r in rhs] == ([b] if len(rhs) == 1 else [b, [3.0, 4.0]])
+        for array in (cons.A, *rhs):
+            assert not array.flags.writeable
+    assert EqualityConstraints(A, b) == EqualityConstraints(A, np.array(b))
+    assert EqualityConstraints(A, b) != InequalityConstraints(A, b)
+    with pytest.raises(DimensionMismatchError, match="A has 2 rows but b_hi has 3 entries"):
+        TwoSidedConstraints(A, b, np.ones(3))
+
+
 def test_constrained_problem_rejects_singular_a_without_bounds():
     with pytest.raises(RankDeficientError):
         ConstrainedProblem(

@@ -19,6 +19,7 @@ from saddleflow import (
     lti_matrix,
     saturation_knee,
 )
+from saddleflow.spectral import KNEE_DECADES, KNEE_ETA0
 
 # Oracle fixture: the stacked flow matrix for W = [1], A = [1] has
 # characteristic polynomial s^2 + s + eta; for eta >= 1/4 the roots are
@@ -139,3 +140,12 @@ def test_saturation_knee_on_seeded_qp():
     grid = np.geomspace(knee / 100.0, knee, 9)
     rates = [lti_matrix(p, eta=e).rate for e in grid]
     assert np.all(np.diff(rates) >= -1e-9)
+
+
+def test_saturation_knee_returns_the_last_grid_point_without_a_knee():
+    # W = [1e5], A = [1]: s^2 + 1e5 s + eta has the slow root about eta / 1e5
+    # until eta nears 1e10 / 4, so every decade of the grid gains tenfold
+    p = _quadratic([[1e5]], [[1.0]])
+    last = KNEE_ETA0 * 10.0 ** KNEE_DECADES
+    assert saturation_knee(p) == pytest.approx(last, rel=1e-12)
+    assert lti_matrix(p, eta=10.0 * last).rate > 9.0 * lti_matrix(p, eta=last).rate

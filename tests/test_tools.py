@@ -18,7 +18,7 @@ def _load_tool():
 
 def test_cli_digests_prints_the_same_block_per_call_on_every_run():
     tool = _load_tool()
-    assert len(tool.calls()) == 77
+    assert len(tool.calls()) == 83
     assert all(argv[-2:] == ("--out", "OUT") for argv in tool.calls())
     argvs = [("simulate", "--problem", "eq-qp", "--seed", "1", "--horizon", "0.01",
               "--out", "OUT"),
@@ -40,7 +40,7 @@ def test_cli_digests_prints_the_same_block_per_call_on_every_run():
     names = [[line.split("  ")[2] for line in block[1:]] for block in blocks]
     assert [block[0] for block in blocks] == ["  exit 0", "  exit 0", "  exit 2"]
     assert names == [["stdout", "stderr", "metadata.txt", "trajectory.csv"],
-                     ["stdout", "stderr"], ["stdout", "stderr"]]
+                     ["stdout", "stderr", "metadata.txt"], ["stdout", "stderr"]]
     for block in blocks:
         for line in block[1:]:
             sha = line.split("  ")[1]

@@ -15,9 +15,12 @@ The calls: simulate and spectrum on the 16 eq-qp problems of the
 benchmark's pool, kkt-check and certify on its 16 logistic 10x8 problems,
 sweep-eta on 5 of them, the four subcommands on one problem file that
 takes the generic Euler path (a logistic objective under equality
-constraints), and three calls that stop early (a diverging simulate, a
+constraints), three calls that stop early (a diverging simulate, a
 sweep-eta horizon shorter than one step, a kkt-check below the rounding
-floor) plus a kkt-check whose Newton solve stalls from the origin.
+floor) plus a kkt-check whose Newton solve stalls from the origin, and,
+so that save_problem and load_problem meet every constraint kind and
+both objectives, gen on both generators and kkt-check and certify on an
+inequality and a two-sided problem file.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from pathlib import Path
 EQ_QP_SEEDS = (1, 19, 23, 29, 31, 32, 38, 42, 53, 58, 67, 84, 107, 111, 113, 116)
 LOGISTIC_SEEDS = (3, 11, 34, 36, 38, 40, 58, 59, 66, 102, 117, 124, 138, 139, 145, 151)
 LOGISTIC = ("--problem", "logistic", "--n", "10", "--m", "8")
-# The problem file of the generic Euler path, written by write_problem_file.
+# The problem file of the generic Euler path, written by write_problem_files.
 PROBLEM_FILE = "problem.txt"
 
 
@@ -64,18 +67,30 @@ def calls() -> list:
             ("kkt-check", "--problem", "logistic", "--n", "10", "--m", "8", "--seed", "3",
              "--tol", "1e-17"),
             ("kkt-check", "--problem", "logistic", "--n", "4", "--m", "3", "--seed", "8",
-             "--tol", "1e-12")]
+             "--tol", "1e-12"),
+            ("gen", "--problem", "eq-qp", "--seed", "42"),
+            ("gen", *LOGISTIC, "--seed", "3")]
+    for name in ("inequality.txt", "two-sided.txt"):
+        out += [("kkt-check", "--problem", name), ("certify", "--problem", name)]
     return [(*argv, "--out", "OUT") for argv in out]
 
 
-def write_problem_file(path):
-    """The generic-path problem: logistic 5x2 seed 4's objective and
-    constraint rows, as equalities."""
-    from saddleflow import ConstrainedProblem, EqualityConstraints, gen_logistic_ineq, save_problem
+def write_problem_files():
+    """Write, in the current directory, PROBLEM_FILE, the generic-path
+    problem: logistic 5x2 seed 4's objective and constraint rows, as
+    equalities; inequality.txt, logistic 6x3 seed 5; and two-sided.txt,
+    eq-qp seed 7's objective under the band b - 0.5 <= A x <= b + 0.5."""
+    from saddleflow import (ConstrainedProblem, EqualityConstraints, TwoSidedConstraints,
+                            gen_equality_qp, gen_logistic_ineq, save_problem)
 
     p = gen_logistic_ineq(4, n=5, m=2, n_data=20)
-    save_problem(Path(path), ConstrainedProblem(
+    save_problem(Path(PROBLEM_FILE), ConstrainedProblem(
         p.objective, EqualityConstraints(p.constraints.A, p.constraints.b)))
+    save_problem(Path("inequality.txt"), gen_logistic_ineq(5, n=6, m=3, n_data=20))
+    p = gen_equality_qp(7)
+    A, b = p.constraints.A, p.constraints.b
+    save_problem(Path("two-sided.txt"),
+                 ConstrainedProblem(p.objective, TwoSidedConstraints(A, b - 0.5, b + 0.5)))
 
 
 def _sha(data: bytes) -> str:
@@ -107,8 +122,7 @@ def run(argvs, stream=sys.stdout):
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            if any(PROBLEM_FILE in argv for argv in argvs):
-                write_problem_file(PROBLEM_FILE)
+            write_problem_files()
             for i, argv in enumerate(argvs):
                 code, shas = digest(argv, f"out{i:03d}")
                 print(" ".join(argv), file=stream)
