@@ -449,8 +449,32 @@ def _haar_orthogonal(rng, n):
     scipy.stats.ortho_group.rvs, drawing the same normals from rng."""
     if n == 1:
         return np.eye(1)
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diagonal(r))
+    return _orthogonal_factors(rng.normal(size=(n, n)))
+
+
+def _orthogonal_factors(normals):
+    """The sign-fixed Q factor of each n x n matrix of a stack of normals
+    (_haar_orthogonal's QR recipe), from one stacked QR, which factors
+    each matrix with the bits of its own."""
+    q, r = np.linalg.qr(normals)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def _secant_samples(rng, n, count, mu, ell):
+    """count secant matrices B = mu I + (ell - mu) Q diag(s) Q^T as a stack.
+
+    Per sample, rng draws Q's normals (_haar_orthogonal, none for n = 1)
+    and then s uniform in [0, 1]^n, the order of a loop of draws; the QR
+    factorizations and products then run once on the whole stack, with
+    the bits of that loop.
+    """
+    normals, s = np.empty((count, n, n)), np.empty((count, n))
+    for k in range(count):
+        if n > 1:
+            normals[k] = rng.normal(size=(n, n))
+        s[k] = rng.uniform(size=n)
+    Q = np.ones((count, 1, 1)) if n == 1 else _orthogonal_factors(normals)
+    return mu * np.eye(n) + (ell - mu) * (Q * s[:, None, :]) @ Q.transpose(0, 2, 1)
 
 
 def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
@@ -509,12 +533,7 @@ def lmi_sweep(cert: LyapunovCertificate, p: ConstrainedProblem,
     """
     n = p.dim_n
     mu, ell = p.objective.mu, p.objective.ell
-    rng = np.random.default_rng(seed)
-    bs = []
-    for _ in range(max(int(b_samples), 1)):
-        Q = _haar_orthogonal(rng, n)
-        s = rng.uniform(size=n)
-        bs.append(mu * np.eye(n) + (ell - mu) * (Q * s[None, :]) @ Q.T)
+    bs = _secant_samples(np.random.default_rng(seed), n, max(int(b_samples), 1), mu, ell)
 
     equality = cert.variant is CertificateVariant.EQUALITY
     vertices = np.empty((1, 0)) if equality else _gamma_vertices(cert, p.dim_m, seed + 1)

@@ -179,7 +179,10 @@ class _AugmentedField:
     """
 
     def __init__(self, p: ConstrainedProblem, params):
-        self.grad = p.objective.grad
+        # an oracle whose own gradient takes (K, n) stacks is called
+        # directly; a black-box one through ObjectiveOracle.grad
+        objective = p.objective
+        self.grad = objective._grad if objective._stacks else objective.grad
         self.A = p.constraints.A
         self.At = p.constraints.A.T.copy()
         if isinstance(params, DynamicsParams):
@@ -193,14 +196,16 @@ class _AugmentedField:
         self.n = p.dim_n
         self.dim = p.dim_n + p.dim_m
         # the effective multiplier m(ax, lam), written into out when given;
-        # it checks nothing, because the kernel calls it on every step
+        # it checks nothing, because the kernel calls it on every step. At
+        # rho = 1 the product by rho is exact, so it is left out.
         rho = self.rho
         if isinstance(p.constraints, InequalityConstraints):
             b = p.constraints.b
 
             def clip(ax, lam, out=None):
                 m = np.subtract(ax, b, out=out)
-                m *= rho
+                if rho != 1.0:
+                    m *= rho
                 m += lam
                 return np.maximum(m, 0.0, out=m)
 
@@ -209,8 +214,11 @@ class _AugmentedField:
             lo, hi = rho * p.constraints.b_lo, rho * p.constraints.b_hi
 
             def soft_threshold(ax, lam, out=None):
-                y = np.multiply(rho, ax, out=out)
-                y += lam
+                if rho == 1.0:
+                    y = np.add(ax, lam, out=out)
+                else:
+                    y = np.multiply(rho, ax, out=out)
+                    y += lam
                 above = y - hi
                 np.subtract(y, lo, out=y)
                 np.minimum(y, 0.0, out=y)
@@ -231,19 +239,21 @@ class _AugmentedField:
 
         Each row is one Euler step from the row before (for a stack,
         delta may be one step per column), written in place: a work array
-        w takes the multiplier m in its dual part and -grad f(x) - A^T m in
+        w takes the multiplier m in its dual part and grad f(x) + A^T m in
         its primal part, and the step is the one update K z + C w, with
-        K = (1, ..., 1, 1 - a) and C = (delta, ..., delta, a) per column,
+        K = (1, ..., 1, 1 - a) and C = (-delta, ..., -delta, a) per column,
         a = delta eta / rho. That is x + delta (-grad f(x) - A^T m) and
-        (1 - a) lam + a m bit for bit, as 1 * x is exact; a column where
-        a > 1 takes lam + a (m - lam) instead. K, C and each column's
-        choice are worked out once per block. Within the block a (K, d)
-        stack is laid out as one flat row per step, the K primal parts and
-        then the K dual parts, so that every operand of a step is
-        contiguous (numpy's fast path for small arrays); the rows are put
-        back in (K, d) form once per block. The oracle's gradient is only
-        read, never written to: a black-box grad may hand back its own
-        argument.
+        (1 - a) lam + a m bit for bit, as 1 * x is exact and negation
+        exact and symmetric under rounding; a column where a > 1 takes
+        lam + a (m - lam) instead. K, C and each column's choice are
+        worked out once per block. Within the block a (K, d) stack is
+        laid out as one flat row per step, the K primal parts and then
+        the K dual parts, so that every operand of a step is contiguous
+        (numpy's fast path for small arrays); the rows are put back in
+        (K, d) form once per block. The gradient is the oracle's own
+        stacked one where it has it (see __init__), so a step makes no
+        wrapper call; it is only read, never written to: a black-box grad
+        may hand back its own argument.
         """
         n = self.n
         grad, multiplier, A, At = self.grad, self.multiplier, self.A, self.At
@@ -268,14 +278,15 @@ class _AugmentedField:
         K, C, w = np.empty((3, z.size))
         (K_x, K_lam), (C_x, C_lam), (dx, m) = parts(K), parts(C), parts(w)
         K_x[...], K_lam[...] = 1.0, keep
-        C_x[...], C_lam[...] = delta, a
+        C_x[...], C_lam[...] = -delta, a
+        # the dual rows a mixed stack overwrites; no views otherwise
+        lams_after = lams[1:] if mixed else [None] * steps
         with np.errstate(over="ignore", invalid="ignore"):
-            for now, after, x, lam, lam_after in zip(flat, flat[1:], xs, lams, lams[1:]):
+            for now, after, x, lam, lam_after in zip(flat, flat[1:], xs, lams, lams_after):
                 multiplier(_matvec(A, x), lam, out=m)
                 if mixed:
                     lam_mixed = np.where(small, keep * lam + a * m, lam + a * (m - lam))
-                np.negative(grad(x), out=dx)
-                dx -= _matvec(At, m)
+                np.add(grad(x), _matvec(At, m), out=dx)
                 np.multiply(K, now, out=after)
                 w *= C
                 after += w

@@ -33,6 +33,10 @@ KKT_CHECK_EVERY = 100
 # KKT residual the flow is integrated to when Newton stalls, before Newton
 # is tried once more from there.
 WARMUP_TOL = 1e-2
+# Euler steps solve_equilibrium integrates for when Newton stalls, warm-up
+# and fallback together; the sweep's integrated equilibrium keeps
+# MAX_EULER_STEPS.
+SOLVE_EULER_STEPS = 100_000
 # Newton iterations before the solver falls back to integrating the flow.
 NEWTON_MAX_ITER = 50
 # A damped Newton step must cut |F| by this fraction of its damping t;
@@ -208,9 +212,9 @@ def _newton(p: ConstrainedProblem, rho: float, tol: float, z, done: int = 0):
     return None, k, f"newton stalled at iteration {k}, |F| = {norm:.3g}: {why}"
 
 
-def _kkt_checks(p: ConstrainedProblem, rho: float, z0):
-    """Drive the flow at eta = 1 from z0 for at most MAX_EULER_STEPS Euler
-    steps (read at the call), yielding (steps taken, z, KKT residual) at
+def _kkt_checks(p: ConstrainedProblem, rho: float, z0, budget: int):
+    """Drive the flow at eta = 1 from z0 for at most `budget` Euler steps,
+    yielding (steps taken, z, KKT residual) at
     every KKT_CHECK_EVERY-th step and at the last: the states a Trajectory
     of that stride records. The equilibrium does not depend on eta, so
     eta = 1 serves every flow, as in _newton.
@@ -226,31 +230,34 @@ def _kkt_checks(p: ConstrainedProblem, rho: float, z0):
     """
     params = DynamicsParams(rho=rho)
     delta = _fallback_step(lipschitz_bound(p, params), params)
-    max_steps = MAX_EULER_STEPS
     advance = _advance(vector_field(p, params))
-    checked = Trajectory(z0, p.dim_n, delta, max_steps, KKT_CHECK_EVERY)
+    checked = Trajectory(z0, p.dim_n, delta, budget, KKT_CHECK_EVERY)
     checks = 0
     for rows in _euler_iterates(lambda z, d, k: advance(z, d, min(k, KKT_CHECK_EVERY)),
-                                z0, delta, max_steps):
+                                z0, delta, budget):
         for z in checked.add(rows):
             checks += 1
-            yield min(checks * KKT_CHECK_EVERY, max_steps), z, kkt_residual(p, z)
+            yield min(checks * KKT_CHECK_EVERY, budget), z, kkt_residual(p, z)
 
 
-def _integrate_until(checks, tol: float):
+def _integrate_until(checks, tol: float, budget: int):
     """The first (steps, z, residual) of checks whose residual is at most
-    tol; MaxIterationsError when the run's step budget ends first."""
+    tol; MaxIterationsError, naming the budget of checks' run, when that
+    run ends first."""
     for steps, z, res in checks:
         if res.total <= tol:
             return steps, z, res
     raise MaxIterationsError(
-        f"KKT residual did not reach {tol:g} within {MAX_EULER_STEPS} steps")
+        f"KKT residual did not reach {tol:g} within {budget} steps, the step budget")
 
 
 def _integrate_to_equilibrium(p: ConstrainedProblem, rho: float, tol: float) -> Equilibrium:
     """Integrate the flow at eta = 1 from the origin until the KKT residual
-    is at most tol (_kkt_checks): the sweep's equilibrium."""
-    steps, z, res = _integrate_until(_kkt_checks(p, rho, np.zeros(p.dim_n + p.dim_m)), tol)
+    is at most tol (_kkt_checks), within MAX_EULER_STEPS steps: the
+    sweep's equilibrium."""
+    budget = MAX_EULER_STEPS
+    steps, z, res = _integrate_until(
+        _kkt_checks(p, rho, np.zeros(p.dim_n + p.dim_m), budget), tol, budget)
     return _equilibrium(p, z, res, method="integration", euler_steps=steps)
 
 
@@ -272,7 +279,9 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
     Newton stalls, the flow is integrated from z0 to a KKT residual of
     WARMUP_TOL (the warm-up), and Newton runs once more from there; if it
     stalls again, the same integration goes on to tol. All of it takes at
-    most MAX_EULER_STEPS Euler steps. If Newton stalls on a step below
+    most SOLVE_EULER_STEPS Euler steps (read at the call), and
+    MaxIterationsError names that budget when it runs out. If Newton
+    stalls on a step below
     rounding, or its field is exactly 0, the residual has reached its
     floor, and MaxIterationsError says so at once; if the field at z0
     overflows (a non-finite |F|, as at rho = 1e200), InfeasibleError says
@@ -295,9 +304,10 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
         raise InfeasibleError(
             f"the field at the start overflows (|F| = {size:g} at rho = {params.rho:g}): "
             "neither Newton nor the flow can take a finite step from it")
-    checks = _kkt_checks(p, params.rho, start)
+    budget = SOLVE_EULER_STEPS
+    checks = _kkt_checks(p, params.rho, start, budget)
     try:
-        steps, z, res = _integrate_until(checks, max(tol, WARMUP_TOL))
+        steps, z, res = _integrate_until(checks, max(tol, WARMUP_TOL), budget)
         warmup = 0
         if res.total > tol:
             warmup = steps
@@ -306,7 +316,7 @@ def solve_equilibrium(p: ConstrainedProblem, params: DynamicsParams = None,
                 return replace(eq, euler_steps=steps, warmup_steps=steps,
                                fallback_reason=stalled)
             stalled = again
-            steps, z, res = _integrate_until(checks, tol)
+            steps, z, res = _integrate_until(checks, tol, budget)
     except MaxIterationsError as exc:
         raise MaxIterationsError(f"{exc} ({stalled})") from None
     return _equilibrium(p, z, res, method="integration", newton_iterations=iterations,

@@ -2,8 +2,8 @@
 
 Everything here speaks the stacked state z = (x, lam): a field maps z to
 dz (dynamics.vector_field), simulate takes a stacked z0 and returns
-vectors, and a Trajectory records the iterates of one run block by
-block as the run goes.
+vectors, and a Trajectory records the iterates of one run as the run
+goes, tabulating them a chunk at a time.
 
 For a nu-Lipschitz field contracting in the P-norm at rate tau/2, the
 Euler map with step delta contracts by at least
@@ -37,6 +37,11 @@ _DIVERGENCE_NORM2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 STEP_CONTRACTION_TARGET = 0.999
 STEP_MAX_EXPONENT = 200
 
+# A Trajectory with z* stages short runs of recorded states in a buffer of
+# at most this many bytes and computes their table rows one full buffer at
+# a time.
+_CHUNK_BYTES = 1 << 16
+
 
 @dataclass(frozen=True)
 class StepCertificate:
@@ -52,7 +57,7 @@ class StepCertificate:
 
 class Trajectory:
     """The recorded iterates of one Euler run on the stacked state
-    z = (x, lam), recorded block by block as the run goes (add).
+    z = (x, lam), handed over block by block as the run goes (add).
 
     A run of `steps` steps of delta from z0 records step 0 (when the
     trajectory is made), the multiples of stride and the last step: the
@@ -61,10 +66,18 @@ class Trajectory:
     of x and lam (n being the primal dimension) and, given P, its Lyapunov
     value V = (z - z*)^T P (z - z*), one _matvec product per state, so no
     value depends on the block split; its distance of z goes to distances.
-    keep=True keeps the states in zs (simulate's); otherwise zs is None.
-    times, distances, dist_x, dist_lambda and v_values hold one entry per
-    recorded state, all but distances columns of table; table and the
-    distances are None without z*, v_values and table's V column without P.
+    These rows are computed in chunks: the states of each add wait in a
+    buffer of at most _CHUNK_BYTES, which is tabulated when the next ones
+    would not fit and when the last step comes in, so the table is
+    complete once the run has ended. Step 0, the states of the last step
+    and an add of more states than half the buffer holds (a wide state,
+    as in a stacked sweep) are tabulated as they come, after the waiting
+    ones, and a buffer is only made once some states wait: a run whose
+    adds are all long holds none. keep=True keeps the states in zs
+    (simulate's); otherwise zs is None. times, distances, dist_x,
+    dist_lambda and v_values hold one entry per recorded state, all but
+    distances columns of table; table and the distances are None without
+    z*, v_values and table's V column without P.
     """
 
     def __init__(self, z0, n, delta, steps, stride, z_star=None, P=None, keep=False):
@@ -77,9 +90,11 @@ class Trajectory:
             self.table = np.empty((size, 3 if P is None else 4))
             self.distances = np.empty(size)
             self.dist_x, self.dist_lambda = self.table[:, 1], self.table[:, 2]
+            self._room = max(1, _CHUNK_BYTES // (8 * len(z0)))  # states in a chunk
         if P is not None:
             self.v_values = self.table[:, 3]
         self.taken, self.filled = -1, 0  # z0 is the state after step 0
+        self._chunk, self._staged, self._tabled = None, 0, 0
         self.add(np.asarray(z0)[None])
 
     @property
@@ -107,22 +122,46 @@ class Trajectory:
             self.zs[i: self.filled] = rec
         if self.z_star is None:
             return rec
-        U = rec - self.z_star
-        table = self.table[i: self.filled]
-        table[:, 0] = self._times(i, self.filled)
+        if 2 * len(rec) > self._room or self.taken in (0, self.steps):
+            self._tabulate()
+            self._tabulate(rec)
+        else:
+            if self._staged + len(rec) > self._room:
+                self._tabulate()
+            if self._chunk is None:
+                self._chunk = np.empty((self._room, rec.shape[1]))
+            self._chunk[self._staged: self._staged + len(rec)] = rec
+            self._staged += len(rec)
+        if self.taken == self.steps:
+            self._chunk = None  # the run has ended: the table is complete
+        return rec
+
+    def _tabulate(self, states=None):
+        """Compute the table rows of states, by default of the staged
+        ones, emptying the chunk."""
+        if states is None:
+            states = self._chunk[: self._staged] if self._staged else ()
+            self._staged = 0
+        if not len(states):
+            return
+        i, k = self._tabled, len(states)
+        self._tabled = i + k
+        U = states - self.z_star
+        table = self.table[i: i + k]
+        table[:, 0] = self._times(i, i + k)
         if self.P is not None:
             table[:, 3] = np.einsum("ij,ij->i", _matvec(self.P, U), U)
         # np.linalg.norm's arithmetic from one in-place square
         U *= U
-        self.distances[i: self.filled] = np.sqrt(U.sum(axis=1))
+        self.distances[i: i + k] = np.sqrt(U.sum(axis=1))
         table[:, 1] = np.sqrt(U[:, : self.n].sum(axis=1))
         table[:, 2] = np.sqrt(U[:, self.n:].sum(axis=1))
-        return rec
 
     def rows(self):
-        """The CSV table of a run recorded with z*: the recorded rows
-        (t, dist_x, dist_lambda, V) so far, a view of table (without P,
-        no V column), which fileio.write_csv takes as it is."""
+        """The CSV table of a run recorded with z*, once the run has
+        ended: the recorded rows (t, dist_x, dist_lambda, V), a view of
+        table (without P, no V column), which fileio.write_csv takes as it
+        is."""
         return self.table[: self.filled]
 
 
@@ -172,9 +211,13 @@ def _euler_iterates(advance, z, delta, steps):
     k = 0
     while k < steps:
         rows = advance(z, delta, steps - k)
-        # The sum of squared norms clears the common case in one product;
-        # only when it fails is each row looked at.
-        if not (np.vdot(rows, rows) <= _DIVERGENCE_NORM2):
+        # The sum of squared norms clears the common case in one reduction;
+        # only when it fails is each row looked at. It is einsum's own
+        # loop, not a BLAS dot: OpenBLAS splits a dot of more than 10,000
+        # entries over two threads, and a stacked block holds more, so
+        # every block would wake a helper thread that then spins.
+        flat = rows.reshape(-1)
+        if not (np.einsum("i,i->", flat, flat) <= _DIVERGENCE_NORM2):
             bad = ~(np.einsum("i...j,i...j->i...", rows, rows) <= _DIVERGENCE_NORM2)
             if bad.any():
                 row, *column = np.unravel_index(bad.argmax(), bad.shape)
@@ -202,7 +245,7 @@ def simulate(field, z0, delta: float, horizon: float,
     matrix product, the augmented field in blocks of up to 256 steps of
     its own kernel, other fields in blocks of up to 256 steps of
     z + delta * field(z) (_advance). The Trajectory records the times,
-    distances and Lyapunov values block by block into its CSV table
+    distances and Lyapunov values a chunk at a time into its CSV table
     (Trajectory.rows). Raises
     DivergedError when the state norm passes 1e12, naming the first such
     step whatever record_every is (inadmissible step sizes blow up

@@ -53,9 +53,11 @@ def _matvec(M, x):
     Each row of a stack gets exactly the bits of M @ row: matmul runs one
     matrix-vector product per row, where a matrix-matrix product would
     round differently. Every product of a stacked Euler step goes through
-    here.
+    here. A vector takes M.dot(x), the same BLAS matrix-vector product as
+    M @ x (both take M as it is laid out, C or F order) at about half
+    matmul's call overhead, which is most of the cost at these sizes.
     """
-    return M @ x if x.ndim == 1 else np.matmul(M, x[..., None])[..., 0]
+    return M.dot(x) if x.ndim == 1 else np.matmul(M, x[..., None])[..., 0]
 
 
 def _fd_jacobian(grad, x):

@@ -691,6 +691,24 @@ def test_haar_draw_matches_scipy_ortho_group(n):
     assert ours.uniform() == theirs.uniform()
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 50])
+def test_stacked_secant_samples_are_the_loop_of_draws(n):
+    # lmi_sweep's B samples, drawn per sample in the loop's order (Q's
+    # normals, then s) and factored as one stack, are the loop's bit for bit
+    mu, ell = 0.3, 7.0
+    for seed in (0, 3, 11, 34):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        loop = []
+        for _ in range(100):
+            Q = certificates._haar_orthogonal(theirs, n)
+            s = theirs.uniform(size=n)
+            loop.append(mu * np.eye(n) + (ell - mu) * (Q * s[None, :]) @ Q.T)
+        stack = certificates._secant_samples(ours, n, 100, mu, ell)
+        assert stack.shape == (100, n, n)
+        assert stack.tobytes() == np.array(loop).tobytes()
+        assert ours.uniform() == theirs.uniform()
+
+
 def test_haar_draw_of_size_one_draws_nothing():
     rng = np.random.default_rng(1)
     assert np.array_equal(certificates._haar_orthogonal(rng, 1), np.eye(1))

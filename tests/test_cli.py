@@ -210,6 +210,19 @@ def test_a_field_that_overflows_at_the_start_is_refused_at_once(tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_a_solve_that_cannot_reach_tol_within_its_step_budget_exits_one(tmp_path, capsys):
+    # at rho = 1e-300 Newton stalls and the warm-up steps with delta ~ 5e-301:
+    # it stops at the solver's budget of 10^5 Euler steps, not after 10^7
+    start = time.perf_counter()
+    assert run_cli(["kkt-check", "--problem", "logistic", "--n", "4", "--m", "3",
+                    "--seed", "1", "--rho", "1e-300", "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: MaxIterationsError: KKT residual did not reach 0.01 "
+                          "within 100000 steps, the step budget (newton stalled")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--horizon", "1e300"],
     ["simulate", "--horizon", "5", "--delta", "1e-300"],

@@ -359,15 +359,22 @@ def test_stacked_euler_steps_match_each_column():
 
 def _oracle_euler_step(p, params, z, delta):
     """One Euler step z + delta * field(z) of p's flow at params, written out
-    step by step: the dual block as the convex combination (1 - a) lam + a m,
-    or as lam + a (m - lam) where a = delta eta / rho > 1."""
-    n = p.dim_n
-    field = vector_field(p, params)
+    from the formulas: the effective multiplier m = max(rho (A x - b) + lam, 0),
+    or the soft threshold of y = rho A x + lam, the primal block
+    x + delta (-grad f(x) - A^T m) and the dual block as the convex
+    combination (1 - a) lam + a m, or as lam + a (m - lam) where
+    a = delta eta / rho > 1."""
+    n, rho, cons = p.dim_n, params.rho, p.constraints
     x, lam = z[:n], z[n:]
-    m = field.multiplier(p.constraints.A @ x, lam)
-    a = delta * params.eta / params.rho
+    if isinstance(cons, InequalityConstraints):
+        m = np.maximum(rho * (cons.A @ x - cons.b) + lam, 0.0)
+    else:
+        y = rho * (cons.A @ x) + lam
+        m = np.maximum(np.minimum(y - rho * cons.b_lo, 0.0), y - rho * cons.b_hi)
+    a = delta * params.eta / rho
     dual = (1.0 - a) * lam + a * m if a <= 1.0 else lam + a * (m - lam)
-    return np.concatenate([x + delta * field(z)[:n], dual])
+    dx = -p.objective.grad(x) - cons.A.T.copy() @ m
+    return np.concatenate([x + delta * dx, dual])
 
 
 def _blocks(field, z, delta, k, count=3):
@@ -388,7 +395,13 @@ def test_augmented_euler_block_is_step_by_step_euler(k):
     # sides of a = 1, inequality and two-sided constraints, the logistic
     # objective's pre-signed rows, and a black-box oracle (no _stacks)
     # whose grad hands back its own argument (the kernel may not write
-    # into it)
+    # into it); at rho = 0.8 and at rho = 1, where the kernel leaves out
+    # the product by rho
+    for rho in (0.8, 1.0):
+        _check_augmented_blocks(k, rho)
+
+
+def _check_augmented_blocks(k, rho):
     rng = np.random.default_rng(57)
     A = rng.standard_normal((3, 4))
     objectives = [QuadraticObjective(np.eye(4) + 0.1 * np.ones((4, 4))),
@@ -397,8 +410,8 @@ def test_augmented_euler_block_is_step_by_step_euler(k):
                   ObjectiveOracle(lambda x: 0.5 * x @ x, lambda x: x, 1.0, 1.0)]
     constraints = [InequalityConstraints(A=A, b=rng.standard_normal(3)),
                    TwoSidedConstraints(A=A, b_lo=-np.ones(3), b_hi=np.ones(3))]
-    grid = [DynamicsParams(eta=eta, rho=0.8) for eta in (0.5, 2.0, 6.0)]
-    delta = np.array([0.1, 0.3, 0.25])  # a = 0.0625, 0.75, 1.875
+    grid = [DynamicsParams(eta=eta, rho=rho) for eta in (0.5, 2.0, 6.0)]
+    delta = np.array([0.1, 0.3, 0.25])  # a = 0.0625, 0.75, 1.875 at rho = 0.8
     for objective in objectives:
         for cons in constraints:
             p = ConstrainedProblem(objective, cons)

@@ -202,10 +202,11 @@ def test_tolerance_must_be_positive(tol):
 
 
 def test_max_iterations_error_on_tiny_budget(monkeypatch):
-    # Newton stalls, so the flow is integrated, for at most MAX_EULER_STEPS
+    # Newton stalls, so the flow is integrated, for at most SOLVE_EULER_STEPS
     # steps, read when the solve runs
-    monkeypatch.setattr(equilibrium, "MAX_EULER_STEPS", 3)
-    with pytest.raises(MaxIterationsError, match="within 3 steps.*newton stalled"):
+    monkeypatch.setattr(equilibrium, "SOLVE_EULER_STEPS", 3)
+    with pytest.raises(MaxIterationsError,
+                       match="within 3 steps, the step budget .*newton stalled"):
         solve_equilibrium(_wrong_hessian_qp(), UNIT)
 
 

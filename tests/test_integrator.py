@@ -1,5 +1,6 @@
 """Tests for Euler stepping, trajectory recording, and contraction sizing."""
 
+import itertools
 import re
 import time
 import warnings
@@ -29,6 +30,7 @@ from saddleflow import (
     step_size_admissible,
     vector_field,
 )
+from saddleflow import integrator
 from saddleflow.dynamics import _BLOCK_STEPS
 from saddleflow.fileio import CSV_BLOCK_ROWS
 from saddleflow.integrator import _advance, _euler_iterates
@@ -279,6 +281,64 @@ def test_euler_kernel_guards_every_step_across_any_block_split():
                 blocks = list(_euler_iterates(advance, z, 1.0, steps))
                 counted = np.concatenate(blocks)[..., 0]
                 assert counted.reshape(steps, -1)[:, 0].tolist() == list(range(1, steps + 1))
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["first-block", "second-block"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "overflow"])
+def test_guard_names_the_step_and_column_of_a_bad_entry_in_a_stacked_block(bad, block):
+    # a stacked block of 256 steps x 8 columns x 18 entries (more than the
+    # 10,000 entries above which a BLAS dot may go parallel): a NaN, an inf
+    # or an entry whose square overflows, at the first or last step and
+    # column and entry, fails the one-reduction check and the per-row look
+    # names its step and column, with no warning
+    shape = (_BLOCK_STEPS, 8, 18)
+    for row, column, entry in itertools.product((0, shape[0] - 1), (0, 7), (0, 17)):
+        blocks = [np.full(shape, 1e-3), np.full(shape, 1e-3)]
+        blocks[block][row, column, entry] = bad
+        calls = iter(blocks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError) as exc:
+                list(_euler_iterates(lambda z, delta, k: next(calls), np.zeros(shape[1:]),
+                                     1.0, 2 * shape[0]))
+        assert exc.value.step == block * shape[0] + row + 1
+        assert exc.value.column == column
+
+
+def _recorded(steps, stride, states, sizes, z_star, P):
+    """A Trajectory of the run states, handed to add in blocks of sizes."""
+    traj = Trajectory(np.zeros(states.shape[1]), 2, 0.01, steps, stride, z_star, P)
+    for block in np.split(states, np.cumsum(sizes)[:-1]):
+        traj.add(block)
+    return traj
+
+
+@pytest.mark.parametrize("steps, stride", [(2047, 1), (2048, 1), (3 * 2048, 3),
+                                           (2 * 2 * 2048 + 5, 2), (5000, 7)])
+@pytest.mark.parametrize("with_P", [True, False], ids=["V", "no-V"])
+def test_chunked_table_equals_the_table_of_one_state_at_a_time(steps, stride, with_P,
+                                                               monkeypatch):
+    # a 4-entry state fills a 64 KiB chunk at 2,048 recorded states: 2,048
+    # and 2,049 of them, strides above 1 and a last step that is not a
+    # multiple of the stride, handed over in blocks of random sizes (some
+    # that wait in the chunk, some of more than 1,024 recorded states that
+    # do not), give the table bits of a chunk of one state
+    d = 4
+    assert integrator._CHUNK_BYTES // (8 * d) == 2048
+    rng = np.random.default_rng(steps + stride)
+    states = rng.standard_normal((steps, d)) * 10.0 ** rng.integers(-5, 5, (steps, 1))
+    z_star, W = rng.standard_normal(d), rng.standard_normal((d, d))
+    P = W @ W.T + np.eye(d) if with_P else None
+    sizes = [int(v) for v in rng.integers(1, 3000, steps)]
+    sizes = sizes[: int(np.searchsorted(np.cumsum(sizes), steps)) + 1]
+    sizes[-1] = steps - sum(sizes[:-1])
+    chunked = _recorded(steps, stride, states, sizes, z_star, P)
+    monkeypatch.setattr(integrator, "_CHUNK_BYTES", 8 * d)
+    single = _recorded(steps, stride, states, [1] * steps, z_star, P)
+    assert len(chunked) == len(single) == -(-steps // stride) + 1
+    assert chunked.rows().shape == (len(single), 4 if with_P else 3)
+    assert chunked.rows().tobytes() == single.rows().tobytes()
+    assert chunked.distances.tobytes() == single.distances.tobytes()
 
 
 def test_recorder_keeps_step_zero_the_multiples_of_its_stride_and_the_last():

@@ -18,7 +18,7 @@ def _load_tool():
 
 def test_cli_digests_prints_the_same_block_per_call_on_every_run():
     tool = _load_tool()
-    assert len(tool.calls()) == 83
+    assert len(tool.calls()) == 87
     assert all(argv[-2:] == ("--out", "OUT") for argv in tool.calls())
     argvs = [("simulate", "--problem", "eq-qp", "--seed", "1", "--horizon", "0.01",
               "--out", "OUT"),

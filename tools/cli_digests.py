@@ -20,7 +20,10 @@ sweep-eta horizon shorter than one step, a kkt-check below the rounding
 floor) plus a kkt-check whose Newton solve stalls from the origin, and,
 so that save_problem and load_problem meet every constraint kind and
 both objectives, gen on both generators and kkt-check and certify on an
-inequality and a two-sided problem file.
+inequality and a two-sided problem file, and, so that the augmented Euler
+kernel runs at rho other than 1 and through the two-sided soft
+threshold, simulate and sweep-eta on logistic 10x8 at --rho 0.5 and on
+the two-sided file.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ def calls() -> list:
             ("gen", *LOGISTIC, "--seed", "3")]
     for name in ("inequality.txt", "two-sided.txt"):
         out += [("kkt-check", "--problem", name), ("certify", "--problem", name)]
+    for problem in ((*LOGISTIC, "--seed", "3", "--rho", "0.5"), ("--problem", "two-sided.txt")):
+        out += [("simulate", *problem),
+                ("sweep-eta", *problem, "--eta-grid", "0.25:4:8:log", "--horizon", "50")]
     return [(*argv, "--out", "OUT") for argv in out]
 
 
