@@ -27,6 +27,7 @@ from .experiments import (
     _check_variant,
     certificate_for,
     equilibrium_metadata,
+    fit_metadata,
     gen_equality_qp,
     gen_logistic_ineq,
     problem_metadata,
@@ -194,6 +195,7 @@ def _cmd_simulate(args) -> int:
         "c": cert.c,
         "tau": cert.tau,
         "variant": cert.variant.value,
+        **fit_metadata(run),
         **equilibrium_metadata(eq),
     })
     # the last recorded state is the run's last step

@@ -36,7 +36,7 @@ from .equilibrium import (
     _integrate_to_equilibrium,
     solve_equilibrium,
 )
-from .errors import DivergedError, InvalidInputError, RankDeficientError
+from .errors import DimensionMismatchError, DivergedError, InvalidInputError, RankDeficientError
 from .integrator import (
     DIVERGENCE_NORM,
     MAX_EULER_STEPS,
@@ -141,20 +141,39 @@ def _eta_tag(eta) -> str:
     return f"{eta:g}"
 
 
+def _fit_window(count: int) -> slice:
+    """The recorded points a rate is fitted on, of count: the last half,
+    the first being discarded as transient. fit_decay_rate and
+    fit_metadata read it."""
+    return slice(count // 2, count)
+
+
 def fit_decay_rate(times, dists) -> float:
     """Least-squares slope of log distance over the final half, negated.
 
-    The first half of the trajectory is discarded as transient. Returns
-    NaN when fewer than two usable points remain.
+    The first half of the trajectory is discarded as transient
+    (_fit_window). With y = log max(d, 1e-300), the slope is the closed
+    form sum (t - t_mean)(y - y_mean) / sum (t - t_mean)^2, whose two sums
+    are einsum's own loops: no BLAS call and no temporary larger than the
+    fitted half. Returns NaN when fewer than two points remain, when the
+    first and last fitted times are equal, and when a fitted time or
+    distance is NaN or inf (a distance of -inf takes the floor). Raises
+    DimensionMismatchError unless times and dists are 1-D of one length.
     """
     times = np.asarray(times, dtype=float)
-    dists = np.maximum(np.asarray(dists, dtype=float), 1e-300)
-    half = len(times) // 2
-    t = times[half:]
-    d = np.log(dists[half:])
+    dists = np.asarray(dists, dtype=float)
+    if times.ndim != 1 or times.shape != dists.shape:
+        raise DimensionMismatchError(f"times of shape {times.shape} and distances of "
+                                     f"shape {dists.shape}: need two 1-D arrays of one length")
+    window = _fit_window(len(times))
+    t = times[window]
     if len(t) < 2 or t[-1] == t[0]:
         return float("nan")
-    slope = np.polyfit(t, d, 1)[0]
+    with np.errstate(all="ignore"):
+        y = np.log(np.maximum(dists[window], 1e-300))
+        y -= y.mean()
+        t = t - t.mean()
+        slope = np.einsum("i,i->", t, y) / np.einsum("i,i->", t, t)
     return float(-slope)
 
 
@@ -207,6 +226,16 @@ def equilibrium_metadata(eq: Equilibrium) -> dict:
             "equilibrium_newton_iterations": eq.newton_iterations,
             "equilibrium_euler_steps": eq.euler_steps,
             "equilibrium_fallback_reason": eq.fallback_reason or "none"}
+
+
+def fit_metadata(run: OriginRun, suffix: str = "") -> dict:
+    """metadata.txt entries naming the recorded points run's rate was
+    fitted on (_fit_window): the time of the first (fit_t_start, NaN when
+    there is none) and their count (fit_points), each key ending in suffix."""
+    times = np.empty(0) if run.trajectory is None else run.trajectory.times
+    fitted = times[_fit_window(len(times))]
+    return {f"fit_t_start{suffix}": float(fitted[0]) if len(fitted) else float("nan"),
+            f"fit_points{suffix}": len(fitted)}
 
 
 def pick_step_size(p: ConstrainedProblem, params: DynamicsParams, cert,
@@ -483,6 +512,7 @@ def run_experiment(p: ConstrainedProblem, grid, horizon: float, out_dir,
         meta[f"record_every_eta{tag}"] = run.record_every
         meta[f"c_eta{tag}"] = run.cert.c
         meta[f"tau_eta{tag}"] = run.cert.tau
+        meta.update(fit_metadata(run, f"_eta{tag}"))
 
     paths.append(fileio.write_csv(
         out / "summary.csv",

@@ -1,7 +1,8 @@
 """Test oracles for the paper's proof lemmas, written out with numpy.
 
 The library's flows and certificates never form these quantities; the
-tests check the library against them.
+tests check the library against them. polyfit_decay_rate is the slow
+reference of the library's closed-form rate fit.
 """
 
 import numpy as np
@@ -89,3 +90,17 @@ def logistic_grad(D, y, reg, x):
     from scipy.special import expit
 
     return -D.T @ (y * expit(-y * (D @ x))) + reg * x
+
+
+def polyfit_decay_rate(times, dists):
+    """The decay rate fitted by np.polyfit: minus the least-squares slope
+    of log max(d, 1e-300) over the last half of the points, NaN when fewer
+    than two remain or the first and last fitted times are equal."""
+    times = np.asarray(times, dtype=float)
+    dists = np.maximum(np.asarray(dists, dtype=float), 1e-300)
+    half = len(times) // 2
+    t = times[half:]
+    d = np.log(dists[half:])
+    if len(t) < 2 or t[-1] == t[0]:
+        return float("nan")
+    return float(-np.polyfit(t, d, 1)[0])

@@ -293,6 +293,8 @@ def test_simulate_seeded_qp(tmp_path, capsys):
     assert rows[-1][3] < rows[0][3]
     meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
     assert "delta_certified = True" in meta
+    # the fitted window: the last half of the 163,841 rows, from t = 2.5
+    assert "fit_t_start = 2.5" in meta and "fit_points = 81921" in meta
     assert "equilibrium_method = newton" in meta
     assert "equilibrium_newton_iterations = 1" in meta
     assert "equilibrium_fallback_reason = none" in meta

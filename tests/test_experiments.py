@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from saddleflow import experiments
 
 from saddleflow import (
     ConstrainedProblem,
+    DimensionMismatchError,
     DivergedError,
     DynamicsParams,
     InequalityConstraints,
@@ -28,6 +30,8 @@ from saddleflow import (
 )
 from saddleflow.equilibrium import _integrate_to_equilibrium
 from saddleflow.experiments import run_from_origin
+
+from oracles import polyfit_decay_rate
 
 
 def read_table(path):
@@ -178,6 +182,104 @@ def test_fit_decay_rate_exact_exponential():
     assert math.isnan(fit_decay_rate([0.0], [1.0]))
 
 
+def test_fit_decay_rate_matches_polyfit():
+    # the closed form against np.polyfit's fit, on the 163,841 points of
+    # eq-qp seed 42 at horizon 5, as simulate --horizon 5 records them
+    p = gen_equality_qp(42)
+    eq = solve_equilibrium(p, DynamicsParams(), tol=1e-9)
+    (run,) = run_from_origin(p, [DynamicsParams()], eq, 5.0)
+    traj = run.trajectory
+    assert len(traj) == 163_841
+    fits = [(traj.times, traj.distances)]
+    # the stacked sweep's 8 columns at the benchmark grid
+    p = gen_logistic_ineq(3, n=10, m=8)
+    eq = _integrate_to_equilibrium(p, 1.0, 1e-9)
+    fits += [(r.trajectory.times, r.trajectory.distances)
+             for r in run_from_origin(p, BENCH_GRID, eq, 50.0)]
+    # a last time off the recording stride: 1000 steps recorded every 7th
+    q = gen_equality_qp(5)
+    qeq = solve_equilibrium(q, DynamicsParams(), tol=1e-9)
+    off = simulate(vector_field(q, DynamicsParams()), np.zeros(7), 0.01, 10.0,
+                   eq=qeq.z, record_every=7)
+    assert off.steps % off.stride and off.times[-1] - off.times[-2] < 7 * off.delta
+    fits.append((off.times, off.distances))
+    # distances of exactly 0, which take the 1e-300 floor
+    t = np.linspace(0.0, 3.0, 301)
+    d = np.exp(-2.0 * t)
+    d[250:] = 0.0
+    fits.append((t, d))
+    for times, dists in fits:
+        rate, ref = fit_decay_rate(times, dists), polyfit_decay_rate(times, dists)
+        assert rate == pytest.approx(ref, rel=1e-12), (rate, ref)
+    assert run.measured_rate == fit_decay_rate(traj.times, traj.distances)
+    # the NaN returns: fewer than two points, a constant t (three 0.1s
+    # average to a float other than 0.1, so the sums alone give no NaN)
+    for times, dists in (([], []), ([0.0], [1.0]), ([0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.2, 0.1]),
+                         ([0.1] * 6, [1.0, 0.5, 0.2, 0.1, 0.05, 0.02])):
+        assert math.isnan(fit_decay_rate(times, dists))
+        assert math.isnan(polyfit_decay_rate(times, dists))
+
+
+def test_fit_decay_rate_refuses_mismatched_shapes():
+    for times, dists in (([0.0, 1.0, 2.0], [1.0, 0.5]), (np.ones((4, 2)), np.ones((4, 2))),
+                         (1.0, 1.0), (np.arange(4.0), np.ones((4, 1)))):
+        with pytest.raises(DimensionMismatchError) as info:
+            fit_decay_rate(times, dists)
+        msg = str(info.value)
+        assert str(np.shape(times)) in msg and str(np.shape(dists)) in msg, msg
+
+
+def test_fit_decay_rate_is_nan_on_a_nan_or_inf_in_the_fitted_half():
+    t = np.linspace(0.0, 4.0, 20)
+    d = np.exp(-t)
+    for bad in (np.nan, np.inf):
+        dists = d.copy()
+        dists[15] = bad
+        assert math.isnan(fit_decay_rate(t, dists))
+        assert math.isnan(polyfit_decay_rate(t, dists))
+        times = t.copy()
+        times[15] = bad
+        assert math.isnan(fit_decay_rate(times, d))
+        # a distance of -inf takes the floor, as 0 does
+        dists[15] = -np.inf
+        zero = d.copy()
+        zero[15] = 0.0
+        assert fit_decay_rate(t, dists) == fit_decay_rate(t, zero)
+        # in the discarded first half neither counts
+        dists[15] = d[15]
+        dists[3] = bad
+        times[15], times[3] = t[15], bad
+        assert fit_decay_rate(times, dists) == pytest.approx(1.0, rel=1e-12)
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc traced during the call)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_decay_rate_traces_at_most_three_fitted_halves():
+    # numpy reports its buffers to tracemalloc, so the counts repeat exactly
+    t = np.linspace(0.0, 5.0, 163_841)
+    d = np.exp(-0.8 * t)
+    half = 8 * (len(t) - len(t) // 2)
+    rate, peak = _traced_peak(fit_decay_rate, t, d)
+    assert rate == pytest.approx(0.8, rel=1e-12)
+    assert peak <= 3 * half, peak
+
+
+def test_origin_run_traces_its_table_and_distances_and_little_more():
+    p = gen_equality_qp(42)
+    eq = solve_equilibrium(p, DynamicsParams(), tol=1e-9)
+    (run,), peak = _traced_peak(run_from_origin, p, [DynamicsParams()], eq, 5.0)
+    traj = run.trajectory
+    assert peak <= traj.table.nbytes + traj.distances.nbytes + 2 * 2**20, peak
+
+
 def test_pick_step_size_certified_on_qp():
     p = gen_equality_qp(42)
     params = DynamicsParams(eta=1.0, rho=1.0)
@@ -230,6 +332,8 @@ def test_run_experiment_artifacts(tmp_path):
     assert "start = origin (x = 0, lambda = 0)" in meta
     assert "delta_certified_eta1 = True" in meta
     assert "steps_eta1 = 163840" in meta and "record_every_eta1 = 1" in meta
+    # the fit reads the last half of the 163,841 rows, from t = 81920 * 2^-15
+    assert "fit_t_start_eta1 = 2.5\nfit_points_eta1 = 81921\n" in meta
     assert "validation_notes = none" in meta
     assert "equilibrium_method = newton" in meta
 
@@ -282,6 +386,8 @@ def test_run_experiment_zero_horizon(tmp_path):
         "t,dist_x,dist_lambda,V\n"
     header, srows = read_table(tmp_path / "summary.csv")
     assert len(srows) == 1 and math.isnan(srows[0][2])
+    meta = (tmp_path / "metadata.txt").read_text(encoding="utf-8").splitlines()
+    assert "fit_t_start_eta1 = nan" in meta and "fit_points_eta1 = 0" in meta
 
 
 def test_run_experiment_deterministic(tmp_path):
